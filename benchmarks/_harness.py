@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark module regenerates one of the reproduction experiments
-(E1-E12 in DESIGN.md): it times the synthesis with ``pytest-benchmark`` and
-writes the measured table both to stdout and to ``benchmarks/results/``.
+Each benchmark module regenerates one of the reproduction experiments: it
+times the synthesis with ``pytest-benchmark`` and writes the measured table
+both to stdout and to ``benchmarks/results/``.
 """
 
 from __future__ import annotations

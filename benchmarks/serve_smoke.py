@@ -10,6 +10,10 @@ a small mixed workload through the HTTP front end via
 * required metrics counters are missing, or accepted != completed;
 * the warm resubmit does not show up as compile-cache hits
   (``hit_rate`` must be positive after the second submit);
+* a permutation simulate on either side of the gather crossover
+  (``repro.exec.workload.GATHER_MAX_STATES``) returns outputs that differ
+  from the gate's definition, or a ``sim_path`` other than ``"gather"``
+  (small register, sent twice) or ``"propagate"`` (3^9 states);
 * the daemon does not exit 0 on SIGTERM (graceful drain).
 
 The scraped metrics snapshot is persisted to
@@ -43,6 +47,7 @@ from _harness import emit_json
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.exec.workload import GATHER_MAX_STATES
 from repro.serve import ServeClient
 
 SPEC = {
@@ -53,6 +58,15 @@ SPEC = {
          "states": [[0, 0, 0, 0, 1], [1, 0, 0, 0, 1]]},
     ]
 }
+
+#: (request, expected ``sim_path``) per submit: ``mct`` at d=3 on 3^4 and
+#: 3^9 basis states (odd d: k controls on wires 0..k-1, the target on
+#: wire k, no ancilla).
+PATH_SUBMITS = tuple(
+    ({"kind": "simulate", "strategy": "mct", "d": 3, "k": k,
+      "states": [[0] * k + [1], [0] * k + [2], [1] + [0] * (k - 1) + [0]]}, path)
+    for k, path in ((3, "gather"), (3, "gather"), (8, "propagate"))
+)
 
 REQUIRED_COUNTERS = (
     "requests", "queue_depth", "in_flight", "cache", "latency", "queue_wait",
@@ -87,6 +101,19 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(f"serve smoke FAILED: {message}")
 
 
+def mct_outputs(request) -> list:
+    """The ``|0^k⟩-X01`` definition: swap the target's 0 and 1 when every
+    control is 0."""
+    k = request["k"]
+    out = []
+    for digits in request["states"]:
+        digits = list(digits)
+        if not any(digits[:k]) and digits[k] in (0, 1):
+            digits[k] = 1 - digits[k]
+        out.append("".join(map(str, digits)))
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -112,12 +139,26 @@ def main() -> None:
                 check(len(payload["rows"]) == len(SPEC["requests"]),
                       f"submit #{attempt} returned {len(payload['rows'])} rows")
 
+            # Permutation simulates on both sides of the gather crossover.
+            for request, path in PATH_SUBMITS:
+                basis = request["d"] ** (request["k"] + 1)
+                check((basis <= GATHER_MAX_STATES) == (path == "gather"),
+                      f"{basis} basis states no longer take the {path} path")
+                status, payload = client.submit({"requests": [request]})
+                check(status == 200 and payload.get("ok") is True,
+                      f"simulate on {basis} states answered {status}: {payload}")
+                row = payload["rows"][0]
+                check(row.get("outputs") == mct_outputs(request),
+                      f"outputs {row.get('outputs')} != {mct_outputs(request)}")
+                check(row.get("sim_path") == path,
+                      f"sim_path {row.get('sim_path')!r} != {path!r} on {basis} states")
+
             status, metrics = client.metrics()
             check(status == 200, f"/metrics answered {status}")
             for counter in REQUIRED_COUNTERS:
                 check(counter in metrics, f"/metrics missing {counter!r}")
             requests = metrics["requests"]
-            expected = (1 + resubmits) * len(SPEC["requests"])
+            expected = (1 + resubmits) * len(SPEC["requests"]) + len(PATH_SUBMITS)
             check(requests["accepted"] == expected,
                   f"accepted {requests['accepted']} != {expected}")
             check(requests["completed"] == expected,

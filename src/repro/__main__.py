@@ -331,32 +331,28 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    import dataclasses
-
-    from repro.exec import WorkloadSpec, run_workload
-    from repro.sim import get_backend, parse_memory_budget
+    from repro.exec import WorkloadRequest, WorkloadSpec, run_workload
+    from repro.sim import parse_memory_budget
 
     spec = WorkloadSpec.from_json(args.workload)
     if args.backend is not None or args.memory_budget is not None:
         # CLI-level defaults: fill in simulate requests that did not choose
         # their own backend / budget in the spec (explicit fields win).
-        if args.backend is not None:
-            get_backend(args.backend)  # fail fast on unknown names
+        # Patched requests are parsed again, so they pass the same checks.
         budget = (
             parse_memory_budget(args.memory_budget)
             if args.memory_budget is not None
             else None
         )
         patched = []
-        for request in spec.requests:
+        for index, request in enumerate(spec.requests):
             if request.kind == "simulate":
-                updates = {}
+                raw = request.to_dict()
                 if args.backend is not None and request.backend == "dense":
-                    updates["backend"] = args.backend
+                    raw["backend"] = args.backend
                 if budget is not None and request.memory_budget is None:
-                    updates["memory_budget"] = budget
-                if updates:
-                    request = dataclasses.replace(request, **updates)
+                    raw["memory_budget"] = budget
+                request = WorkloadRequest.from_dict(raw, index)
             patched.append(request)
         spec = WorkloadSpec(patched)
     report = run_workload(spec, jobs=args.jobs, cache_dir=args.cache_dir)

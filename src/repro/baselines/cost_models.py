@@ -2,7 +2,7 @@
 
 Two of the paper's comparison points — Di & Wei [20] and Yeh & van de
 Wetering [24] — are full papers of their own; re-implementing them is out of
-scope for this reproduction (DESIGN.md §3), and only their asymptotic gate
+scope for this reproduction, and only their asymptotic gate
 counts enter the comparison.  This module provides those counts as explicit
 cost models with documented constants, alongside the models for the methods
 that *are* implemented, so the benchmark tables can show every row of the

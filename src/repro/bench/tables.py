@@ -1,4 +1,4 @@
-"""Table builders for the reproduction experiments (E1-E12 in DESIGN.md).
+"""Table builders for the reproduction experiments.
 
 Each function measures the relevant quantity from the *actual synthesised
 circuits* and returns rows that the benchmark scripts render with

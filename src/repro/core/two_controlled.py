@@ -32,7 +32,7 @@ These are the base cases of every ladder in the paper:
   ancilla's current value lies in ``S``; the payload is therefore applied an
   odd number of times (exactly once) iff both controls fire, for *every*
   initial value of the borrowed ancilla, and the ancilla is restored by the
-  trailing ``σ†``.  This substitution is documented in DESIGN.md §3.
+  trailing ``σ†``.
 
 Both gadgets accept arbitrary ``Value``/``Odd``/``EvenNonZero`` predicates on
 the two controls and an arbitrary target transposition; the odd-``d`` gadget

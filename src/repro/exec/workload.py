@@ -24,9 +24,12 @@ Execution has three stages:
    and across whole runs).
 
 Simulate requests are batched: all listed basis states of one request
-evolve together through the batched backend kernels — classically (index
-propagation) for permutation circuits, as a
-:class:`~repro.sim.batch.BatchedStatevector` otherwise.
+evolve together.  A permutation circuit answers classically — one lookup
+into its cached whole-basis gather up to :data:`GATHER_MAX_STATES` basis
+states, index propagation through every row above that — and any other
+circuit runs as a :class:`~repro.sim.batch.BatchedStatevector` on the
+requested backend.  Each simulate row names the path it took in
+``"sim_path"``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,44 @@ from repro.exec.service import compile_lowered, lowered_key
 
 _KINDS = ("synthesize", "simulate", "estimate")
 
+#: Largest basis (``d**n`` states) on which a permutation simulate is
+#: answered by one lookup into the table's composed whole-basis gather
+#: (:meth:`~repro.ir.table.GateTable.permutation_index_table`) instead of
+#: pushing its states through every row
+#: (:meth:`~repro.ir.table.GateTable.apply_to_indices`, about ten numpy calls
+#: per row).  The gather is composed on first use and then held by the
+#: cached table, interned on its pools, so every repeat costs O(states).
+#: Larger registers keep index propagation, which never builds a ``d**n``
+#: array and so works far beyond statevector sizes.
+#:
+#: The value is the largest basis at which composing a fresh table costs no
+#: more than propagating one request's states through it, so a first
+#: request is no slower either.  Both costs grow with the row count, so
+#: their ratio depends on the basis size.  Measured on a 2-vCPU Intel Xeon
+#: VM, two runs (each a median of five; op tables cold; propagating 4
+#: states)::
+#:
+#:     circuit            basis     compose       propagate 4
+#:     mct d=4 k=3        1,024     2.3-2.6 ms    4.5-4.7 ms
+#:     mct d=3 k=6        2,187     32-35 ms      68-69 ms
+#:     pk  d=5 k=4        3,125     16-20 ms      29-30 ms
+#:     mct d=4 k=4        4,096     13-16 ms      15-16 ms
+#:     mct d=3 k=7        6,561     111-123 ms    104-120 ms
+#:     mct d=6 k=3        7,776     16-20 ms      10-11 ms
+#:     mct d=4 k=5       16,384     78-95 ms      20-28 ms
+#:
+#: The exception is a circuit with few rows per distinct operation, whose
+#: composition is dominated by building each operation's table: the
+#: clean-ancilla ladder at d=3, k=4 (2,187 states, 51 rows) composes in
+#: 0.9 ms against 0.4 ms, once per cached table.
+#:
+#: Memory is bounded in bytes: one ``int64`` gather of at most
+#: ``GATHER_MAX_STATES * 8`` bytes = 32 KiB per cached table, so a compile
+#: cache's in-process memo (128 tables by default) holds at most 4 MiB of
+#: them.  Composition also builds each distinct operation's table of the
+#: same size into the op-table cache of :mod:`repro.qudit.operations`.
+GATHER_MAX_STATES = 4096
+
 
 @dataclass(frozen=True)
 class WorkloadRequest:
@@ -58,12 +99,14 @@ class WorkloadRequest:
     k: int
     #: Lowering engine for compile-bearing kinds.
     engine: str = "table"
-    #: Simulation backend (simulate only).
+    #: Simulation backend (simulate only; a registered engine name).
     backend: str = "dense"
     #: Basis states to simulate, as digit rows (simulate only; default |0...0⟩).
     states: Tuple[Tuple[int, ...], ...] = ()
-    #: Byte budget for the ``streaming`` backend (simulate only; accepts
-    #: ``"8M"``-style strings in the JSON, normalised to bytes here).
+    #: Byte budget for the ``streaming`` backend (simulate only, needs
+    #: ``backend="streaming"``; accepts ``"8M"``-style strings in the JSON,
+    #: normalised to bytes here).  On a permutation circuit it also caps the
+    #: whole-basis gather at ``8 * d**n`` bytes.
     memory_budget: Optional[int] = None
     #: Verification level: a budget preset name (``smoke``/``standard``/
     #: ``audit``) — the synthesised macro is checked against the strategy's
@@ -116,11 +159,24 @@ class WorkloadRequest:
             ) from None
         if states and kind != "simulate":
             raise WorkloadError(f"request {index}: states only applies to simulate requests")
+        from repro.sim import available_backends
+
+        backend = str(raw.get("backend", "dense"))
+        if backend not in available_backends():
+            raise WorkloadError(
+                f"request {index}: unknown backend {backend!r}; "
+                f"expected one of {list(available_backends())}"
+            )
         memory_budget = raw.get("memory_budget")
         if memory_budget is not None:
             if kind != "simulate":
                 raise WorkloadError(
                     f"request {index}: memory_budget only applies to simulate requests"
+                )
+            if backend != "streaming":
+                raise WorkloadError(
+                    f'request {index}: memory_budget needs "backend": "streaming", '
+                    f"got {backend!r}"
                 )
             from repro.exceptions import GateError
             from repro.sim.streaming import parse_memory_budget
@@ -135,7 +191,7 @@ class WorkloadRequest:
             dim=dim,
             k=k,
             engine=str(raw.get("engine", "table")),
-            backend=str(raw.get("backend", "dense")),
+            backend=backend,
             states=states,
             memory_budget=memory_budget,
             verify=verify,
@@ -286,7 +342,7 @@ def execute_request(
                 compile_seconds=round(outcome.seconds, 6),
             )
             if request.kind == "simulate":
-                row["outputs"] = _simulate(request, circuit)
+                row["outputs"], row["sim_path"] = _simulate(request, circuit)
             if request.verify is not None:
                 row["verify_result"] = _verify_macro(request, outcome.strategy)
         row["ok"] = True
@@ -355,8 +411,13 @@ def _verify_macro(request: WorkloadRequest, strategy_name: str) -> Dict[str, obj
     }
 
 
-def _simulate(request: WorkloadRequest, circuit) -> List[str]:
-    """Evolve the request's basis states (default ``|0...0⟩``) as one batch."""
+def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
+    """Evolve the request's basis states (default ``|0...0⟩``) as one batch.
+
+    Returns the output digit strings and the path that produced them:
+    ``"gather"`` or ``"propagate"`` for a permutation circuit (see
+    :data:`GATHER_MAX_STATES`), otherwise the backend's name.
+    """
     from repro.sim import BatchedStatevector, get_backend
     from repro.utils.indexing import digits_to_index, indices_to_digits
 
@@ -373,17 +434,20 @@ def _simulate(request: WorkloadRequest, circuit) -> List[str]:
                 f"simulate state {i} digit {bad[0]} out of range for d={request.dim}"
             )
     if circuit.is_permutation:
-        # Classical batched path: propagate the B flat indices only.
+        # Classical batched path: only the B flat indices move.
+        table = circuit.to_table()
         indices = [digits_to_index(digits, request.dim) for digits in rows]
-        images = circuit.to_table().apply_to_indices(indices)
+        basis = request.dim**circuit.num_wires
+        if basis <= GATHER_MAX_STATES and (  # the gather holds 8-byte int64s
+            request.memory_budget is None or 8 * basis <= request.memory_budget
+        ):
+            images, path = table.permutation_index_table()[indices], "gather"
+        else:
+            images, path = table.apply_to_indices(indices), "propagate"
         digits = indices_to_digits(images, request.dim, circuit.num_wires)
-        return ["".join(str(int(x)) for x in row) for row in digits]
-    backend = get_backend(request.backend)  # fail fast on unknown engines
-    if request.memory_budget is not None:
-        if request.backend != "streaming":
-            raise WorkloadError(
-                f"memory_budget needs the streaming backend, got {request.backend!r}"
-            )
+        return ["".join(str(int(x)) for x in row) for row in digits], path
+    backend = get_backend(request.backend)
+    if request.memory_budget is not None:  # from_dict: backend is streaming
         from repro.sim.streaming import StreamingBackend
 
         backend = StreamingBackend(request.memory_budget)
@@ -391,7 +455,7 @@ def _simulate(request: WorkloadRequest, circuit) -> List[str]:
         list(rows), request.dim, backend=backend
     )
     batch.apply_circuit(circuit)
-    return ["".join(map(str, digits)) for digits in batch.most_probable()]
+    return ["".join(map(str, digits)) for digits in batch.most_probable()], request.backend
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from a constant number of qutrit Clifford+T gates [24], so the paper's
 ``O(n·3^n)`` reversible-function implementation improves their
 ``O(3^n · n^3.585)`` one, answering the open question in [24].
 
-The per-G-gate constants below are *model parameters* (DESIGN.md §3): they
+The per-G-gate constants below are *model parameters*: they
 set the absolute scale of the fault-tolerant cost but cancel out of every
 ratio the reproduction reports.  They default to the representative values
 used throughout the examples and benchmarks and can be overridden.

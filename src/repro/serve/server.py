@@ -75,6 +75,9 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: Seconds a client may take to send the request line or any header line.
+READ_TIMEOUT = 30.0
+
 #: Reject-counter label for each admission error type.
 _REJECT_REASON = {
     QueueFullError: "queue_full",
@@ -343,22 +346,30 @@ class ServeDaemon:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=30.0)
+            request_line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
             if not request_line:
                 return
             parts = request_line.decode("latin-1").strip().split()
             if len(parts) != 3:
+                self.metrics.record_rejected("bad_request")
                 await self._respond(writer, 400, {"error": "malformed request line"})
                 return
             method, target, _ = parts
             headers: Dict[str, str] = {}
             while True:
-                line = await reader.readline()
+                line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length") or 0)
+            length_text = headers.get("content-length") or "0"
+            if not (length_text.isascii() and length_text.isdigit()):
+                self.metrics.record_rejected("bad_request")
+                await self._respond(
+                    writer, 400, {"error": f"invalid Content-Length {length_text!r}"}
+                )
+                return
+            length = int(length_text)
             body = await reader.readexactly(length) if length else b""
             status, payload = await self._route(method.upper(), target.split("?")[0], body)
             await self._respond(writer, status, payload)

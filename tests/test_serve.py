@@ -432,3 +432,92 @@ def test_daemon_unix_socket_transport(tmp_path, daemon_factory):
     assert status == 200 and payload["ok"]
     code, stderr = daemon.sigterm()
     assert code == 0 and "drained cleanly" in stderr
+
+
+def test_daemon_rejects_unknown_backend_and_stray_budget_with_400(daemon_factory):
+    """Both used to be accepted on a permutation circuit (``ok: true``)."""
+    daemon = daemon_factory()
+    base = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3}
+    status, payload = daemon.client.submit({"requests": [{**base, "backend": "nosuch"}]})
+    assert status == 400 and "unknown backend 'nosuch'" in payload["error"]
+    status, payload = daemon.client.submit({"requests": [{**base, "memory_budget": "8M"}]})
+    assert status == 400 and 'memory_budget needs "backend": "streaming"' in payload["error"]
+
+    status, payload = daemon.client.submit(
+        {"requests": [{**base, "states": [[0, 0, 0, 1], [1, 0, 0, 1]]}]}
+    )
+    assert status == 200 and payload["ok"]
+    row = payload["rows"][0]
+    assert row["outputs"] == ["0000", "1001"] and row["sim_path"] == "gather"
+    metrics = daemon.client.metrics()[1]
+    assert metrics["requests"]["rejected"]["bad_request"] == 2
+    assert metrics["requests"]["accepted"] == 1
+    code, stderr = daemon.sigterm()
+    assert code == 0 and "drained cleanly" in stderr
+
+
+# ----------------------------------------------------------------------
+# HTTP front end over a raw socket (in-process daemon)
+# ----------------------------------------------------------------------
+def serve_in_process(scenario):
+    """Run ``await scenario(daemon, host, port)`` against a live daemon."""
+
+    async def main():
+        daemon = ServeDaemon(ServeConfig(port=0, drain_grace=5.0))
+        await daemon.start()
+        host, port = daemon._server.sockets[0].getsockname()[:2]
+        try:
+            return await scenario(daemon, host, port)
+        finally:
+            await daemon.drain()
+
+    return run_async(main())
+
+
+async def raw_exchange(host, port, data: bytes) -> bytes:
+    """Send raw bytes; return everything the daemon sends before closing."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=10.0)
+    finally:
+        writer.close()
+
+
+def test_bad_content_length_is_answered_400_and_counted():
+    """A non-integer or negative Content-Length used to raise ValueError in
+    the connection handler and drop the connection without a response."""
+    values = (b"abc", b"-5", b"+3", b"1_0", b"\xb2")
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, b"POST /v1/workload HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+            )
+            for value in values
+        ]
+        malformed = await raw_exchange(host, port, b"HELLO\r\n\r\n")
+        return replies, malformed, daemon.metrics.rejected["bad_request"]
+
+    replies, malformed, rejected = serve_in_process(scenario)
+    for reply in replies:
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"invalid Content-Length" in reply
+    assert malformed.startswith(b"HTTP/1.1 400 ") and b"malformed request line" in malformed
+    assert rejected == len(values) + 1
+
+
+def test_stalled_header_lines_time_out(monkeypatch):
+    """Header lines used to be read without a deadline, so a client that
+    stopped mid-headers held its connection open forever."""
+    from repro.serve import server
+
+    monkeypatch.setattr(server, "READ_TIMEOUT", 0.2)
+
+    async def scenario(daemon, host, port):
+        start = time.monotonic()
+        reply = await raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        return reply, time.monotonic() - start
+
+    reply, waited = serve_in_process(scenario)
+    assert reply == b"" and waited < 5.0

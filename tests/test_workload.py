@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -12,9 +13,14 @@ from repro.exec import (
     CompileCache,
     WorkloadRequest,
     WorkloadSpec,
+    execute_request,
+    execute_request_raw,
+    lowered_key,
     plan_workload,
     run_workload,
+    workload,
 )
+from repro.synth import registry
 
 SPEC = {
     "requests": [
@@ -140,6 +146,39 @@ def test_simulate_request_validates_states(tmp_path):
     )
     report = run_workload(bad_digit, jobs=1, cache_dir=tmp_path)
     assert not report.ok and "out of range" in report.rows[0]["error"]
+
+
+@pytest.mark.parametrize("strategy,k", [("mct", 3), ("unitary", 2)])
+@pytest.mark.parametrize(
+    "options,fragment",
+    [
+        ({"backend": "nosuch"}, "unknown backend 'nosuch'"),
+        ({"memory_budget": "8M"}, 'memory_budget needs "backend": "streaming"'),
+        ({"backend": "dense", "memory_budget": "8M"}, "got 'dense'"),
+    ],
+)
+def test_simulate_options_are_validated_whichever_path_runs(strategy, k, options, fragment):
+    """An unknown backend, or a budget without the streaming backend, used to
+    pass silently on permutation circuits (``mct`` ran index propagation and
+    returned ``ok: true``); both are now rejected when the request is parsed."""
+    raw = {"kind": "simulate", "strategy": strategy, "d": 3, "k": k, **options}
+    with pytest.raises(WorkloadError, match="request 4: "):
+        WorkloadRequest.from_dict(raw, 4)
+    row = execute_request_raw(raw, 4, CompileCache())
+    assert row["ok"] is False and fragment in row["error"]
+
+
+def test_cli_batch_defaults_pass_the_same_checks(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"requests": [
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3}]}), encoding="utf-8")
+    # A budget applied to a request that keeps the dense backend is refused.
+    assert main(["batch", "--workload", str(path), "--memory-budget", "8M"]) == 1
+    assert "memory_budget needs" in capsys.readouterr().err
+    assert main(["batch", "--workload", str(path), "--backend", "streaming",
+                 "--memory-budget", "8M", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["requests"][0]
+    assert row["backend"] == "streaming" and row["memory_budget"] == 8 * 1024**2
 
 
 def test_memo_only_workload_without_cache_dir():
@@ -346,3 +385,116 @@ def test_cli_simulate_valid_state_still_works(capsys):
     assert main(["simulate", "mct", "3", "3", "--state", "0 0 0 1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["input"] == "0001" and payload["output"] == "0000"
+
+
+# ----------------------------------------------------------------------
+# Permutation simulates: cached whole-basis gather vs index propagation
+# ----------------------------------------------------------------------
+#: (strategy, d, k) on both sides of GATHER_MAX_STATES = 4096 basis states;
+#: ``pk`` exists for odd d only.
+PATH_CASES = [
+    ("mct", 3, 4),                # 3^5 = 243
+    ("mct", 4, 4),                # 4^6 = 4096, the crossover itself
+    ("pk", 3, 6),                 # 3^7 = 2187
+    ("mct-clean-ladder", 3, 4),   # 3^7 = 2187
+    ("mct-clean-ladder", 4, 4),   # 4^6 = 4096
+    ("mct", 3, 7),                # 3^8 = 6561
+    ("mct", 4, 5),                # 4^7 = 16384
+    ("pk", 3, 7),                 # 3^8 = 6561
+    ("mct-clean-ladder", 3, 5),   # 3^9 = 19683
+    ("mct-clean-ladder", 4, 5),   # 4^8 = 65536
+]
+
+
+def _expected_outputs(strategy, d, k, states):
+    """Images of ``states`` from the gate's definition, not from a circuit."""
+    from repro.core.pk import pk_map
+    from repro.verify.checks import mct_spec
+
+    if strategy == "pk":
+        images = [pk_map(d, row[:k]) + tuple(row[k:]) for row in states]
+    else:
+        result = registry.get(strategy).synthesize(d, k)
+        spec = mct_spec(result.controls, result.target, d)
+        images = [spec(row) for row in states]
+    return ["".join(map(str, image)) for image in images]
+
+
+def _path_request(strategy, d, k, **options):
+    """A simulate request over six states: three fire the gate (controls 0),
+    every clean ancilla starts at 0."""
+    result = registry.get(strategy).synthesize(d, k)
+    rng = np.random.default_rng([d, k, len(strategy)])
+    states = rng.integers(0, d, size=(6, result.circuit.num_wires))
+    states[:3, list(result.controls)] = 0
+    states[:, list(result.clean_wires())] = 0
+    states = tuple(tuple(row) for row in states.tolist())
+    return WorkloadRequest(
+        kind="simulate", strategy=strategy, dim=d, k=k, states=states, **options
+    )
+
+
+@pytest.mark.parametrize("strategy,d,k", PATH_CASES)
+def test_gather_and_propagation_match_the_gate_definition(strategy, d, k, monkeypatch):
+    request = _path_request(strategy, d, k)
+    expected = _expected_outputs(strategy, d, k, request.states)
+    cache = CompileCache()
+    row = execute_request(request, cache)
+    assert row["ok"], row.get("error")
+    basis = d ** row["num_wires"]
+    assert row["sim_path"] == ("gather" if basis <= workload.GATHER_MAX_STATES else "propagate")
+    assert row["outputs"] == expected
+    # Force each path on both sides of the crossover.
+    for limit, path in ((0, "propagate"), (basis, "gather")):
+        monkeypatch.setattr(workload, "GATHER_MAX_STATES", limit)
+        forced = execute_request(request, cache)
+        assert forced["sim_path"] == path and forced["outputs"] == expected
+    table = cache.get(lowered_key(strategy, d, k)).table
+    indices = np.random.default_rng(basis).integers(0, basis, size=64)
+    assert np.array_equal(table.permutation_index_table()[indices],
+                          table.apply_to_indices(indices))
+
+
+def test_repeated_simulates_compose_the_cached_gather_once():
+    request = _path_request("mct", 3, 4)
+    cache = CompileCache()
+    spec = WorkloadSpec([request] * 6)
+    report = run_workload(spec, cache=cache)
+    assert report.ok
+    assert {row["sim_path"] for row in report.rows} == {"gather"}
+    assert all(row["outputs"] == report.rows[0]["outputs"] for row in report.rows)
+    # Six requests, one compile: the table served from the memo holds the
+    # gather composed by the first request.
+    segments = cache.get(lowered_key("mct", 3, 4)).table.pools.segments
+    assert segments.builds == 1
+
+
+@pytest.mark.parametrize(
+    "strategy,d,k,options,path",
+    [
+        ("mct", 4, 5, {}, "propagate"),  # 4^7 states: above the crossover
+        # 3^5 states: the gather takes 243 * 8 = 1944 bytes.
+        ("mct", 3, 4, {"backend": "streaming", "memory_budget": 1943}, "propagate"),
+        ("mct", 3, 4, {"backend": "streaming", "memory_budget": 1944}, "gather"),
+    ],
+)
+def test_large_registers_and_tight_budgets_stay_on_propagation(strategy, d, k, options, path):
+    request = _path_request(strategy, d, k, **options)
+    cache = CompileCache()
+    row = execute_request(request, cache)
+    assert row["ok"] and row["sim_path"] == path
+    assert row["outputs"] == _expected_outputs(strategy, d, k, request.states)
+    segments = cache.get(lowered_key(strategy, d, k)).table.pools.segments
+    assert segments.builds == (1 if path == "gather" else 0)
+
+
+def test_non_permutation_rows_name_their_backend():
+    spec = WorkloadSpec.from_dict({"requests": [
+        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2},
+        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2,
+         "backend": "streaming", "memory_budget": "4K"},
+    ]})
+    report = run_workload(spec)
+    assert report.ok
+    assert [row["sim_path"] for row in report.rows] == ["dense", "streaming"]
+    assert report.rows[0]["outputs"] == report.rows[1]["outputs"]
