@@ -33,6 +33,6 @@ def test_table_e12_grover(benchmark):
 
 
 @pytest.mark.parametrize("dim,n,marked", [(3, 2, (2, 1))])
-@pytest.mark.parametrize("backend", ["dense", "tensor"])
+@pytest.mark.parametrize("backend", ["dense", "streaming", "sparse"])
 def test_benchmark_grover_simulation(benchmark, dim, n, marked, backend):
     benchmark(lambda: run_grover(dim, n, marked, backend=backend))

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Columnar-IR vs object-IR wall clock on lower + optimize + count.
 
-Benchmarks the two lowering engines behind ``lower_to_g_gates`` on
-``synthesize_mct(3, k)``:
+Benchmarks ``lower_to_g_gates`` against the reference it is checked
+against, on ``synthesize_mct(3, k)``:
 
-* ``object`` — the pass pipeline over per-op Python objects (the PR-2 path);
-* ``table``  — template expansion straight into the struct-of-arrays
-  :class:`~repro.ir.table.GateTable` plus the columnar cancel/drop kernels,
-  counting (G-gates, two-qudit gates, depth) directly on the columns.
+* ``object`` — the pass pipeline over per-op Python objects
+  (``default_lowering_pipeline(max_sweeps=_MAX_PASSES).run``);
+* ``table``  — ``lower_to_g_gates``: template expansion straight into the
+  struct-of-arrays :class:`~repro.ir.table.GateTable` plus the columnar
+  cancel/drop kernels, counting (G-gates, two-qudit gates, depth) directly
+  on the columns.
 
-Both engines must produce gate-for-gate identical circuits (same G-counts,
+Both paths must produce gate-for-gate identical circuits (same G-counts,
 same depth; op-sequence equality is asserted on the smallest case).  The
 full run requires a >= 5x table-vs-object speedup at k >= 64 and reports the
 peak traced allocation of each path (the payload pools intern each repeated
@@ -40,15 +42,23 @@ from _harness import RESULTS_DIR, emit_json, emit_table
 
 from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
+from repro.core.lowering import _MAX_PASSES
 from repro.ir import lowering as ir_lowering
+from repro.passes import default_lowering_pipeline
 
 #: Required table-vs-object speedup at k >= SPEEDUP_K (full runs only).
 SPEEDUP_FLOOR = 5.0
 SPEEDUP_K = 64
 
 
+LOWERINGS = {
+    "object": lambda circuit: default_lowering_pipeline(max_sweeps=_MAX_PASSES).run(circuit),
+    "table": lower_to_g_gates,
+}
+
+
 def lower_and_count(circuit, engine):
-    lowered = lower_to_g_gates(circuit, engine=engine)
+    lowered = LOWERINGS[engine](circuit)
     counts = {
         "g_gates": lowered.g_gate_count(),
         "two_qudit_gates": lowered.two_qudit_count(),

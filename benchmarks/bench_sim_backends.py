@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Old-vs-new simulation engine wall-clock comparison.
 
-Verifies a lowered multi-controlled Toffoli three ways and times each:
+Verifies a lowered multi-controlled Toffoli and times each path:
 
 * ``legacy`` — the seed simulator reproduced verbatim below: every gate is
   applied to every one of the ``d^n`` basis states in a pure-Python loop;
-* ``dense``  — the vectorized flat-index engine (cached gather tables);
-* ``tensor`` — the vectorized axis-wise engine on the ``(d,)*n`` view.
+* ``vectorized table`` — the composed whole-basis gather table;
+* ``statevector[<backend>]`` — a uniform state through every registered
+  engine (``available_backends()``: dense, sparse, streaming).
 
-Both new engines must produce bit-identical permutation tables, identical
-statevector amplitudes, and pass the same ``verify.assert_*`` checks; the
-legacy-vs-vectorized speedup for the default case (``synthesize_mct(dim=3,
-num_controls=6)`` lowered to G-gates) is required to be at least 10x.
+The vectorized table must equal the legacy one, every engine must produce
+identical statevector amplitudes and pass the same ``verify.assert_*``
+checks; the legacy-vs-vectorized speedup for the default case
+(``synthesize_mct(dim=3, num_controls=6)`` lowered to G-gates) is required
+to be at least 10x.
 
 Usage::
 

@@ -14,8 +14,8 @@ This example walks through the paper's headline results on a laptop scale:
 7. the columnar IR: lowering through struct-of-arrays gate tables and how
    the table path compares to the object pipeline on wall clock;
 8. differential fuzzing: a seeded block of random artifacts through every
-   redundant engine pair (``python -m repro fuzz`` runs the same oracles
-   on a wall-clock budget);
+   redundant path (``python -m repro fuzz`` runs the same oracles on a
+   wall-clock budget);
 9. batch execution: the persistent content-addressed compile cache (warm
    compiles skip synthesis entirely) and batched simulation (B states per
    composed gather instead of one statevector at a time);
@@ -42,6 +42,7 @@ from repro import (
     synthesize_mct,
     synthesize_mcu,
 )
+from repro.core.lowering import _MAX_PASSES
 from repro.passes import default_lowering_pipeline
 from repro.sim import Statevector, assert_mct_spec, available_backends
 
@@ -108,8 +109,8 @@ def main() -> None:
         print(f"  {backend:>7}: P(0,0 -> target=1) = {state.probability((0, 0, 1)):.3f}")
     print()
 
-    # ``lower_to_g_gates`` (unchanged for callers) runs this pass pipeline
-    # under the hood; running it by hand shows where gates are saved.
+    # ``lower_to_g_gates`` is checked gate for gate against this object pass
+    # pipeline; running it by hand shows where gates are saved.
     pipeline = default_lowering_pipeline()
     pipeline.run(tiny.circuit)
     print("== Lowering pass pipeline ==")
@@ -148,15 +149,19 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 7. The columnar IR: gate tables vs per-op objects.
     # ------------------------------------------------------------------
-    # ``lower_to_g_gates`` lowers through the struct-of-arrays GateTable by
-    # default (cached expansion templates + columnar peephole kernels); the
-    # object pipeline is still available via ``engine="object"`` and is
-    # gate-for-gate identical — just much slower once circuits get big.
+    # ``lower_to_g_gates`` lowers through the struct-of-arrays GateTable
+    # (cached expansion templates + columnar peephole kernels); the object
+    # pass pipeline it is checked against is gate-for-gate identical — just
+    # much slower once circuits get big.
     big = synthesize_mct(dim=3, num_controls=12)
+    lowerings = {
+        "object": default_lowering_pipeline(max_sweeps=_MAX_PASSES).run,
+        "table": lower_to_g_gates,
+    }
     timings = {}
-    for engine in ("object", "table"):
+    for engine, lower in lowerings.items():
         start = time.perf_counter()
-        lowered = lower_to_g_gates(big.circuit, engine=engine)
+        lowered = lower(big.circuit)
         counts = (lowered.g_gate_count(), lowered.depth())
         timings[engine] = (time.perf_counter() - start, counts)
     print("== Columnar IR: lower+optimize+count on the 12-controlled qutrit Toffoli ==")
@@ -175,9 +180,9 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 8. Differential fuzzing: every redundant engine pair agrees.
+    # 8. Differential fuzzing: every redundant path agrees.
     # ------------------------------------------------------------------
-    # The object/table engines, the simulation backends and the analytic
+    # The object/table lowerings, the simulation backends and the analytic
     # estimator are independent implementations of one semantics; the fuzz
     # subsystem generates seeded random circuits, synthesis instances and
     # pass pipelines and checks them against each other.  Any divergence is
@@ -195,7 +200,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 9. Batch execution: compile cache + batched simulation.
     # ------------------------------------------------------------------
-    # The compile cache content-addresses (strategy, d, k, pipeline, engine,
+    # The compile cache content-addresses (strategy, d, k, pipeline,
     # code-version salt) and stores the lowered GateTable as .npz; a warm
     # request never synthesises or lowers.  Here the second compile of the
     # same scenario comes straight from the in-process memo.

@@ -15,20 +15,21 @@ Quick start
 
 Simulation backends and the pass pipeline
 -----------------------------------------
-The dense simulators are vectorized and backend-pluggable: pass
-``backend="dense"`` (flat gather tables, the default) or ``backend="tensor"``
-(axis-wise tensor ops) to :class:`verify.Statevector`,
-:func:`verify.circuit_unitary` and the ``verify.assert_*`` helpers;
-``verify.available_backends()`` lists the registered engines.
+The simulators are vectorized and backend-pluggable: pass
+``backend="dense"`` (flat gather tables, the default), ``backend="sparse"``
+(nonzero amplitudes only) or ``backend="streaming"`` (memory-tiled) to
+:class:`verify.Statevector`, :func:`verify.circuit_unitary` and the
+``verify.assert_*`` helpers; ``verify.available_backends()`` lists the
+registered engines.
 
-Lowering runs a composable pass pipeline (:mod:`repro.passes` —
-``ExpandMacros`` plus peephole cleanups that only ever shrink gate counts);
-:func:`lower_to_g_gates` is the unchanged-for-callers facade over it:
+The composable pass pipeline (:mod:`repro.passes` — ``ExpandMacros`` plus
+peephole cleanups that only ever shrink gate counts) is the reference that
+:func:`lower_to_g_gates` is checked against, gate for gate:
 
 >>> from repro import lower_to_g_gates
 >>> from repro.passes import default_lowering_pipeline
 >>> lowered = lower_to_g_gates(result.circuit)          # same API as always
->>> state = verify.Statevector(5, 3, backend="tensor")  # pick an engine
+>>> state = verify.Statevector(5, 3, backend="streaming")  # pick an engine
 
 Columnar IR (struct-of-arrays gate tables)
 ------------------------------------------
@@ -36,9 +37,8 @@ Materialised circuits have a compact columnar twin, :class:`GateTable`
 (:mod:`repro.ir`): numpy int columns for opcode/wires/predicates plus
 interned payload pools.  ``circuit.to_table()`` / ``table.to_circuit()``
 round-trip losslessly; ``lower_to_g_gates`` lowers through cached expansion
-templates straight into a table (pass ``engine="object"`` for the pure
-object pipeline), so counting, peephole passes and backend application of a
-lowered circuit all run as column kernels:
+templates straight into a table, so counting, peephole passes and backend
+application of a lowered circuit all run as column kernels:
 
 >>> lowered = lower_to_g_gates(result.circuit)          # table-backed
 >>> lowered.g_gate_count(), lowered.depth()             # doctest: +SKIP
@@ -59,7 +59,7 @@ Batched execution service
 -------------------------
 :mod:`repro.exec` (exported here as ``batch_exec``) serves repeated and
 bulk workloads: a persistent content-addressed compile cache (stable keys
-over strategy/scenario/pipeline-spec/engine/salt, lossless ``GateTable`` ↔
+over strategy/scenario/pipeline-spec/salt, lossless ``GateTable`` ↔
 ``.npz`` artifacts, LRU-bounded on-disk store plus an in-process memo) and
 a parallel workload runner whose planner dedupes requests sharing a cache
 key.  Batched simulation lives in :mod:`repro.sim`

@@ -9,15 +9,13 @@ Quick scenario exploration over the synthesis registry:
 * ``python -m repro synthesize mct 3 5 --verify --lower`` — build a circuit
   through the registry, optionally check it against its semantic
   specification and lower it to G-gates;
-* ``python -m repro simulate mct 3 6 --backend tensor --state 0,0,0,0,0,0,2``
+* ``python -m repro simulate mct 3 6 --backend sparse --state 0,0,0,0,0,0,2``
   — build, lower and actually run a circuit on a chosen basis state through
   a simulation backend (``--backend`` offers every registered engine;
-  ``--backend streaming --memory-budget 8M`` runs memory-tiled);
-  ``--table`` (default) lowers through the columnar ``GateTable`` fast
-  path, ``--no-table`` through the object pipeline.
+  ``--backend streaming --memory-budget 8M`` runs memory-tiled).
 * ``python -m repro fuzz --time-budget 20 --seed 0 --json`` — differential
   fuzzing: seeded random circuits, synthesis instances and pass pipelines
-  through every redundant engine pair (see :mod:`repro.fuzz`); exits
+  through every redundant path (see :mod:`repro.fuzz`); exits
   non-zero on any divergence, with failures shrunk to minimal reproducers.
 * ``python -m repro batch --workload spec.json --jobs 4 --cache-dir .cache``
   — run a JSON workload (synthesize / simulate / estimate requests) through
@@ -105,17 +103,14 @@ def _cmd_list(args) -> int:
                 "payload": caps.payload,
             }
         )
-    from repro.sim import SparseBackend, backend_availability, get_backend
+    from repro.sim import SparseBackend, available_backends, get_backend
 
-    availability = backend_availability()
+    availability = {name: "available" for name in available_backends()}
     sparse_info = None
-    if availability.get("sparse") == "available":
+    if "sparse" in availability:
         engine = get_backend("sparse")
         if isinstance(engine, SparseBackend):
-            sparse_info = {
-                "max_occupancy": engine.max_occupancy,
-                "densify_to": engine.densify_to,
-            }
+            sparse_info = {"max_occupancy": engine.max_occupancy}
     if args.json:
         payload = {"strategies": rows, "backends": availability}
         if sparse_info is not None:
@@ -127,8 +122,8 @@ def _cmd_list(args) -> int:
         for name, status in availability.items():
             if name == "sparse" and sparse_info is not None:
                 status = (
-                    f"{status} (densifies to {sparse_info['densify_to']!r} past "
-                    f"occupancy {sparse_info['max_occupancy']:g})"
+                    f"{status} (densifies past occupancy "
+                    f"{sparse_info['max_occupancy']:g})"
                 )
             print(f"  {name:<10} {status}")
         print("\nuse: python -m repro estimate <d> <k> [--strategy NAME]")
@@ -289,8 +284,7 @@ def _cmd_simulate(args) -> int:
     circuit = result.circuit
 
     start = time.perf_counter()
-    engine = "table" if args.table else "object"
-    lowered = lower_to_g_gates(circuit, engine=engine) if circuit.is_permutation else circuit
+    lowered = lower_to_g_gates(circuit) if circuit.is_permutation else circuit
     lower_seconds = time.perf_counter() - start
 
     if args.state:
@@ -310,7 +304,6 @@ def _cmd_simulate(args) -> int:
         "d": args.d,
         "k": args.k,
         "backend": args.backend,
-        "path": engine,
         "gates": lowered.num_ops(),
         "lower_seconds": round(lower_seconds, 4),
         "sim_seconds": round(sim_seconds, 4),
@@ -324,7 +317,7 @@ def _cmd_simulate(args) -> int:
     else:
         title = (
             f"Simulate {strategy.name}: d={args.d}, k={args.k} "
-            f"[{engine} path, backends: {'/'.join(available_backends())}]"
+            f"[backends: {'/'.join(available_backends())}]"
         )
         print(render_table([row], title=title))
     return 0
@@ -586,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(needs --backend streaming)",
     )
     p_sim.add_argument(
-        "--table",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="lower through the columnar GateTable fast path (--no-table: object pipeline)",
-    )
-    p_sim.add_argument(
         "--state", help="input basis state digits, e.g. 0,0,1,2 (default: all zeros)"
     )
     p_sim.add_argument("--json", action="store_true", help="emit JSON")
@@ -703,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="differential fuzzing across every redundant engine pair"
+        "fuzz", help="differential fuzzing across every redundant path"
     )
     p_fuzz.add_argument("--seed", type=int, default=0, help="base seed (case i uses seed+i)")
     p_fuzz.add_argument(

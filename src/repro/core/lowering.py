@@ -1,23 +1,19 @@
 """Lowering facade: expand macro operations down to the G-gate set.
 
 Historically this module housed a monolithic fixed-point rewriter; the
-machinery now lives in the composable pass pipeline under
-:mod:`repro.passes` and, for the hot path, in the columnar IR under
-:mod:`repro.ir`.  :func:`lower_to_g_gates` is kept as a thin compatibility
+machinery now lives in the columnar IR under :mod:`repro.ir`, which
+expands each macro from cached templates straight into a struct-of-arrays
+:class:`~repro.ir.table.GateTable` and runs the columnar cancel/drop
+kernels on it.  :func:`lower_to_g_gates` is kept as a thin compatibility
 wrapper so every existing caller keeps working unchanged.  The optimization
-passes in both engines only remove or merge operations, so lowered G-gate
-counts can shrink relative to plain expansion but never grow.
+passes only remove or merge operations, so lowered G-gate counts can shrink
+relative to plain expansion but never grow.
 
-Two engines produce gate-for-gate identical output (asserted by the test
-suite):
-
-* ``"table"`` (default) — template-based expansion straight into a
-  struct-of-arrays :class:`~repro.ir.table.GateTable` followed by the
-  columnar cancel/drop kernels; returns a table-backed circuit whose
-  counting queries run as column kernels and whose op objects materialise
-  only if something iterates them.
-* ``"object"`` — the pass pipeline over per-op Python objects, exactly the
-  pre-columnar behavior.
+The pass pipeline over per-op Python objects
+(``default_lowering_pipeline(max_sweeps=_MAX_PASSES).run(circuit)``, see
+:mod:`repro.passes`) is the reference this engine is checked against: the
+test suite and the fuzz ``lowering`` oracle require both to produce
+gate-for-gate identical output.
 """
 
 from __future__ import annotations
@@ -25,19 +21,22 @@ from __future__ import annotations
 from repro.exceptions import SynthesisError
 from repro.qudit.circuit import QuditCircuit
 
-#: Safety bound on the number of rewriting sweeps (and, in the table engine,
-#: on the per-op expansion recursion depth — sweeps bound nesting depth).
+#: Safety bound on the number of rewriting sweeps (and on the per-op
+#: expansion recursion depth — sweeps bound nesting depth).
 _MAX_PASSES = 12
 
 
 def lower_to_g_gates(
     circuit: QuditCircuit,
     *,
-    engine: str = "table",
     cache=None,
     cache_key: str = None,
 ) -> QuditCircuit:
     """Return an equivalent circuit consisting solely of G-gates.
+
+    The result is backed by its columnar table: counting queries run as
+    column kernels and op objects materialise only if something iterates
+    them.
 
     ``cache=`` (a :class:`repro.exec.cache.CompileCache`) with ``cache_key=``
     (a content address from :func:`repro.exec.keys.cache_key`, covering the
@@ -45,38 +44,28 @@ def lower_to_g_gates(
     cache: a hit skips lowering entirely and returns a circuit backed by the
     cached columnar table; a miss lowers as usual and stores the result.
     """
-    if engine not in ("table", "object"):
-        raise SynthesisError(f"unknown lowering engine {engine!r}; use 'table' or 'object'")
     if cache is not None:
         if cache_key is None:
             raise SynthesisError("lower_to_g_gates(cache=...) requires cache_key=")
         entry = cache.get(cache_key)
         if entry is not None:
             if not entry.table.is_g_circuit():
-                # The same guard the miss paths enforce: a key addressing a
+                # The same guard the miss path enforces: a key addressing a
                 # macro-level artifact must not masquerade as lowered output.
                 raise SynthesisError(
                     f"cache key {cache_key[:12]}… resolves to a non-G-gate table; "
                     "it does not address lowered output"
                 )
             return QuditCircuit.from_table(entry.table)
-    if engine == "table":
-        # Imported lazily: repro.ir.lowering reaches into repro.passes, which
-        # pulls in repro.core synthesis modules; a module-level import here
-        # would close that cycle during package initialisation.
-        from repro.ir.lowering import lower_circuit_to_table
+    # Imported lazily: repro.ir.lowering reaches into repro.passes, which
+    # pulls in repro.core synthesis modules; a module-level import here
+    # would close that cycle during package initialisation.
+    from repro.ir.lowering import lower_circuit_to_table
 
-        table = lower_circuit_to_table(circuit, max_sweeps=_MAX_PASSES)
-        if not table.is_g_circuit():  # pragma: no cover - defensive
-            raise SynthesisError("lowering did not converge to G-gates")
-        lowered = QuditCircuit.from_table(table, name=f"{circuit.name} [G]")
-    elif engine == "object":
-        from repro.passes import default_lowering_pipeline
-
-        lowered = default_lowering_pipeline(max_sweeps=_MAX_PASSES).run(circuit)
-        if not lowered.is_g_circuit():  # pragma: no cover - defensive
-            raise SynthesisError("lowering did not converge to G-gates")
-        lowered.name = f"{circuit.name} [G]"
+    table = lower_circuit_to_table(circuit, max_sweeps=_MAX_PASSES)
+    if not table.is_g_circuit():  # pragma: no cover - defensive
+        raise SynthesisError("lowering did not converge to G-gates")
+    lowered = QuditCircuit.from_table(table, name=f"{circuit.name} [G]")
     if cache is not None:
         cache.put(cache_key, lowered.to_table())
     return lowered

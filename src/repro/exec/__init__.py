@@ -4,7 +4,7 @@
 expensive work is computed once, content-addressed, and reused —
 
 * :mod:`repro.exec.keys` — stable cache keys over
-  ``(strategy, d, k, pipeline spec, engine, code-version salt)``;
+  ``(strategy, d, k, pipeline spec, code-version salt)``;
 * :mod:`repro.exec.serialize` — lossless ``GateTable`` ↔ ``.npz``
   serialization (columns + interned pools, nothing pickled);
 * :mod:`repro.exec.cache` — :class:`CompileCache`, an in-process memo over

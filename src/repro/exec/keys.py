@@ -2,10 +2,10 @@
 
 A cache key names *everything that determines the compiled artifact*: the
 synthesis strategy and its ``(d, k)`` scenario, the compilation stage
-(macro synthesis vs. G-gate lowering), the lowering engine, the canonical
-spec of the pass pipeline that would run, and a code-version salt that is
-bumped whenever the compilers change behaviour without changing their
-inputs.  Keys are the SHA-256 of a canonical JSON rendering, so they are
+(macro synthesis vs. G-gate lowering), the canonical spec of the pass
+pipeline that would run, and a code-version salt that is bumped whenever
+the compilers change behaviour without changing their inputs.  Keys are
+the SHA-256 of a canonical JSON rendering, so they are
 
 * **stable across processes** — no reliance on ``hash()`` (which is
   randomised per process), dict ordering, or object identity;
@@ -30,7 +30,7 @@ from repro.exceptions import ReproError
 CODE_VERSION = "repro-exec-1"
 
 #: Version of the key layout itself (field names / ordering below).
-_KEY_LAYOUT = 1
+_KEY_LAYOUT = 2
 
 
 def pipeline_spec(pipeline) -> object:
@@ -57,15 +57,13 @@ def cache_key(
     k: int,
     *,
     stage: str = "lowered",
-    engine: str = "table",
     pipeline=None,
     salt: Optional[str] = None,
 ) -> str:
     """The content address of one compiled artifact (SHA-256 hex digest).
 
     ``stage`` is ``"synth"`` for the macro-level synthesis output and
-    ``"lowered"`` for the G-gate form; ``engine`` names the lowering engine
-    (``"table"`` / ``"object"``); ``pipeline`` is hashed through
+    ``"lowered"`` for the G-gate form; ``pipeline`` is hashed through
     :func:`pipeline_spec`.
     """
     payload = {
@@ -75,7 +73,6 @@ def cache_key(
         "d": int(dim),
         "k": int(k),
         "stage": str(stage),
-        "engine": str(engine),
         "pipeline": pipeline_spec(pipeline),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)

@@ -5,8 +5,7 @@ CLI use: given ``(strategy, d, k)`` it produces the simulation-ready
 circuit (G-lowered for permutation circuits, the macro circuit otherwise),
 consulting a :class:`~repro.exec.cache.CompileCache` first and populating
 it on a miss.  The cache key covers the strategy, the scenario, the
-lowering engine, the pass-pipeline spec and the code-version salt — see
-:mod:`repro.exec.keys`.
+pass-pipeline spec and the code-version salt — see :mod:`repro.exec.keys`.
 
 The lower-level opt-ins live on the public APIs themselves:
 ``repro.synth.registry.synthesize(..., cache=...)`` caches the macro-level
@@ -51,14 +50,11 @@ def lowered_key(
     dim: int,
     k: int,
     *,
-    engine: str = "table",
     pipeline=None,
     salt: Optional[str] = None,
 ) -> str:
     """The content address of the lowered form of ``strategy(d, k)``."""
-    return cache_key(
-        strategy, dim, k, stage="lowered", engine=engine, pipeline=pipeline, salt=salt
-    )
+    return cache_key(strategy, dim, k, stage="lowered", pipeline=pipeline, salt=salt)
 
 
 def compile_lowered(
@@ -67,7 +63,6 @@ def compile_lowered(
     k: int,
     *,
     cache: Optional[CompileCache] = None,
-    engine: str = "table",
 ) -> CompileOutcome:
     """Synthesise ``strategy(d, k)`` and lower it, through the cache.
 
@@ -79,7 +74,7 @@ def compile_lowered(
     if strategy == "auto":
         strategy = registry.auto_select(dim, k).strategy.name
     salt = cache.salt if cache is not None else CODE_VERSION
-    key = lowered_key(strategy, dim, k, engine=engine, salt=salt)
+    key = lowered_key(strategy, dim, k, salt=salt)
     start = time.perf_counter()
     entry: Optional[CacheEntry] = cache.get(key) if cache is not None else None
     if entry is not None:
@@ -97,13 +92,12 @@ def compile_lowered(
     result = registry.get(strategy).synthesize(dim, k)
     circuit = result.circuit
     if circuit.is_permutation:
-        circuit = lower_to_g_gates(circuit, engine=engine)
+        circuit = lower_to_g_gates(circuit)
     meta: Dict[str, object] = {
         "strategy": strategy,
         "d": dim,
         "k": k,
         "stage": "lowered" if circuit.is_g_circuit() else "macro",
-        "engine": engine,
         "num_wires": circuit.num_wires,
         "num_ops": circuit.num_ops(),
         "controls": list(result.controls),

@@ -97,8 +97,6 @@ class WorkloadRequest:
     strategy: str
     dim: int
     k: int
-    #: Lowering engine for compile-bearing kinds.
-    engine: str = "table"
     #: Simulation backend (simulate only; a registered engine name).
     backend: str = "dense"
     #: Basis states to simulate, as digit rows (simulate only; default |0...0⟩).
@@ -126,8 +124,7 @@ class WorkloadRequest:
         if missing:
             raise WorkloadError(f"request {index}: missing field(s) {missing}")
         unknown = set(raw) - {
-            "kind", "strategy", "d", "k", "engine", "backend", "states", "memory_budget",
-            "verify",
+            "kind", "strategy", "d", "k", "backend", "states", "memory_budget", "verify",
         }
         if unknown:
             raise WorkloadError(f"request {index}: unknown field(s) {sorted(unknown)}")
@@ -190,7 +187,6 @@ class WorkloadRequest:
             strategy=str(raw["strategy"]),
             dim=dim,
             k=k,
-            engine=str(raw.get("engine", "table")),
             backend=backend,
             states=states,
             memory_budget=memory_budget,
@@ -204,8 +200,6 @@ class WorkloadRequest:
             "d": self.dim,
             "k": self.k,
         }
-        if self.engine != "table":
-            out["engine"] = self.engine
         if self.backend != "dense":
             out["backend"] = self.backend
         if self.states:
@@ -231,7 +225,7 @@ class WorkloadRequest:
             from repro.synth import registry
 
             strategy = registry.auto_select(self.dim, self.k).strategy.name
-        return lowered_key(strategy, self.dim, self.k, engine=self.engine, salt=salt)
+        return lowered_key(strategy, self.dim, self.k, salt=salt)
 
 
 @dataclass
@@ -326,13 +320,7 @@ def execute_request(
                 cache="n/a",
             )
         else:
-            outcome = compile_lowered(
-                request.strategy,
-                request.dim,
-                request.k,
-                cache=cache,
-                engine=request.engine,
-            )
+            outcome = compile_lowered(request.strategy, request.dim, request.k, cache=cache)
             circuit = outcome.circuit
             row.update(
                 strategy=outcome.strategy,  # "auto" resolved to the winner
@@ -512,12 +500,12 @@ def _init_worker(cache_dir: Optional[str], salt: str) -> None:
     _WORKER_CACHE = CompileCache(cache_dir, salt=salt)
 
 
-def _worker_compile(task: Tuple[str, int, int, str]) -> Dict[str, object]:
-    strategy, dim, k, engine = task
+def _worker_compile(task: Tuple[str, int, int]) -> Dict[str, object]:
+    strategy, dim, k = task
     cache = _WORKER_CACHE
     before = cache.stats.as_dict() if cache is not None else None
     try:
-        outcome = compile_lowered(strategy, dim, k, cache=cache, engine=engine)
+        outcome = compile_lowered(strategy, dim, k, cache=cache)
     except ReproError as error:  # the owning request reports the failure
         return {
             "cache": "error",
@@ -601,9 +589,7 @@ def run_workload(
     if not use_pool:
         for key, request in plan.compiles.items():
             try:
-                outcome = compile_lowered(
-                    request.strategy, request.dim, request.k, cache=cache, engine=request.engine
-                )
+                outcome = compile_lowered(request.strategy, request.dim, request.k, cache=cache)
             except ReproError:
                 continue  # the owning request reports the failure below
             if outcome.cache_hit:
@@ -614,8 +600,7 @@ def run_workload(
         ]
     else:
         tasks = [
-            (request.strategy, request.dim, request.k, request.engine)
-            for request in plan.compiles.values()
+            (request.strategy, request.dim, request.k) for request in plan.compiles.values()
         ]
         # Sized for the request phase — dedup can shrink the compile phase
         # to one task, but the (possibly many) requests still fan out.

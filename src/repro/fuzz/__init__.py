@@ -1,9 +1,10 @@
 """Differential fuzzing: generators, cross-engine oracles, failure shrinking.
 
 The repo carries four independent implementations of the paper's circuit
-semantics (object vs. columnar lowering, object vs. table pass kernels,
-dense vs. tensor vs. whole-basis-gather simulation, analytic estimation vs.
-materialised counting).  This package turns that redundancy into a test
+semantics (the object pass pipeline as the reference for columnar
+lowering, object vs. table pass kernels, per-op vs. fused vs.
+whole-basis-gather simulation, analytic estimation vs. materialised
+counting).  This package turns that redundancy into a test
 oracle: seeded random artifacts (:mod:`repro.fuzz.generators`) are pushed
 through every redundant path (:mod:`repro.fuzz.oracles`), and any
 divergence is minimised to a few-op reproducer

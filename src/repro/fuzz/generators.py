@@ -220,8 +220,8 @@ def random_basis_state(rng: random.Random, dim: int, num_wires: int) -> Tuple[in
 def random_circuit_scenario(rng: random.Random) -> Dict[str, object]:
     """Random circuit-shape knobs bounded for oracle feasibility.
 
-    The cap on ``dim ** num_wires`` keeps every redundant path (dense and
-    tensor statevectors, whole-basis gather tables) cheap per case.
+    The cap on ``dim ** num_wires`` keeps every redundant path (every
+    engine's statevectors, whole-basis gather tables) cheap per case.
     """
     dim = rng.choice([3, 3, 4, 5])
     max_wires = 1

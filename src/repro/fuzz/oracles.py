@@ -1,12 +1,13 @@
 """Differential oracles: run one artifact through every redundant path.
 
 The repo deliberately carries redundant implementations of the same
-semantics — object vs. columnar lowering engines, object vs. table pass
-kernels, dense vs. tensor vs. whole-basis-gather simulation, analytic
-estimation vs. materialised counting, circuits vs. their ``GateTable``
-twins.  Each oracle here runs one generated artifact through two or more of
-those paths and reports the first divergence as a human-readable message
-(``None`` means every path agreed).
+semantics — the object pass pipeline as the reference for columnar
+lowering, object vs. table pass kernels, per-op vs. fused vs.
+whole-basis-gather simulation on every engine, analytic estimation vs.
+materialised counting, circuits vs. their ``GateTable`` twins.  Each
+oracle here runs one generated artifact through two or more of those paths
+and reports the first divergence as a human-readable message (``None``
+means every path agreed).
 
 Oracles
 -------
@@ -16,9 +17,9 @@ Oracles
     agrees with the object implementation.
 ``backends``
     every registered simulation engine (``available_backends()`` — dense,
-    tensor, sparse, streaming, numba where installed, anything registered by
-    the caller), per-op vs. ``apply_table``, and (for permutation circuits)
-    the whole-basis gather table vs. the scalar ``apply_to_basis`` path.
+    sparse, streaming, anything registered by the caller), per-op vs.
+    ``apply_table``, and (for permutation circuits) the whole-basis gather
+    table vs. the scalar ``apply_to_basis`` path.
     A second, low-occupancy instance (permutation-heavy circuit, a
     superposition of a few basis states) targets the sparse engine's O(nnz)
     fast path, which dense random states would never reach.
@@ -28,9 +29,11 @@ Oracles
     a random peephole pipeline run via ``Pass.run`` vs. ``run_table`` gives
     identical ops, identical history records, and preserves semantics.
 ``lowering``
-    ``lower_to_g_gates(engine="object")`` vs. ``engine="table"``: both
-    accept or both reject; on acceptance the outputs are gate-for-gate
-    identical G-circuits implementing the input's permutation.
+    the reference object pass pipeline
+    (``default_lowering_pipeline(max_sweeps=_MAX_PASSES).run``) vs.
+    ``lower_to_g_gates``: both accept or both reject; on acceptance the
+    outputs are gate-for-gate identical G-circuits implementing the input's
+    permutation.
 ``estimator``
     analytic ``strategy.estimate(d, k)`` (exact strategies only) vs. the
     materialised-and-lowered ``count_gates`` metrics, wires and ancillas.
@@ -53,9 +56,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.gate_counts import count_gates
-from repro.core.lowering import lower_to_g_gates
+from repro.core.lowering import _MAX_PASSES, lower_to_g_gates
 from repro.exceptions import EstimationError, SynthesisError, VerificationError
-from repro.passes import PassPipeline
+from repro.passes import PassPipeline, default_lowering_pipeline
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.resources.estimator import METRIC_FIELDS
@@ -263,10 +266,10 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
     """Every *registered* simulation path agrees on a random state.
 
     The oracle iterates :func:`repro.sim.backend.available_backends`, so a
-    backend registered after import (``streaming`` with a tiny budget, the
-    ``numba`` engine where installed, a user's custom engine) is fuzzed
-    automatically — both its per-op ``apply_circuit`` walk and its fused
-    ``apply_table`` path — against the dense per-op reference.
+    backend registered after import (``streaming`` with a tiny budget, a
+    user's custom engine) is fuzzed automatically — both its per-op
+    ``apply_circuit`` walk and its fused ``apply_table`` path — against the
+    dense per-op reference.
     """
     data = _random_state(circuit.dim, circuit.num_wires, state_seed)
     plain = _plain_copy(circuit)
@@ -438,11 +441,12 @@ def check_pass_equivalence(circuit: QuditCircuit, pipeline: PassPipeline) -> Opt
 
 
 def check_lowering_engines(circuit: QuditCircuit) -> Optional[str]:
-    """Object vs table lowering: same acceptance, gate-for-gate same output."""
+    """Reference vs table lowering: same acceptance, gate-for-gate same output."""
+    reference = default_lowering_pipeline(max_sweeps=_MAX_PASSES).run
     outcomes = {}
-    for engine in ("object", "table"):
+    for engine, lower in (("object", reference), ("table", lower_to_g_gates)):
         try:
-            outcomes[engine] = lower_to_g_gates(_plain_copy(circuit), engine=engine)
+            outcomes[engine] = lower(_plain_copy(circuit))
         except SynthesisError as error:
             outcomes[engine] = error
     object_out, table_out = outcomes["object"], outcomes["table"]

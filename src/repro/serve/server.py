@@ -7,7 +7,8 @@ them through the existing planner / compile-cache / fork-pool machinery:
 * ``POST /v1/workload`` — body ``{"requests": [...]}`` (or a bare list);
   each request may add an integer ``"priority"`` override.  Responds with
   the per-request rows once every row has executed; rejects the *whole*
-  submit with 429 (queue full), 413 (oversized batch) or 503 (draining).
+  submit with 429 (queue full), 413 (oversized batch or body) or 503
+  (draining).
 * ``GET  /healthz`` — liveness: status, queue depth, in-flight gauge.
 * ``GET  /metrics`` — counters, per-kind latency histograms, queue-wait
   histogram and the merged compile-cache statistics (see
@@ -75,8 +76,17 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Seconds a client may take to send the request line or any header line.
+#: Seconds a client may take to send the request line, any header line, or
+#: the whole body.
 READ_TIMEOUT = 30.0
+
+#: Largest request body read, in bytes; a larger ``Content-Length`` is
+#: answered 413 before any of the body is read.  The largest submit of
+#: ``benchmarks/serve_smoke.py`` is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines read per request; more is answered 400.
+MAX_HEADER_LINES = 100
 
 #: Reject-counter label for each admission error type.
 _REJECT_REASON = {
@@ -356,12 +366,18 @@ class ServeDaemon:
                 return
             method, target, _ = parts
             headers: Dict[str, str] = {}
-            while True:
+            for _ in range(MAX_HEADER_LINES + 1):  # the headers and the blank line
                 line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
+            else:
+                self.metrics.record_rejected("bad_request")
+                await self._respond(
+                    writer, 400, {"error": f"more than {MAX_HEADER_LINES} header lines"}
+                )
+                return
             length_text = headers.get("content-length") or "0"
             if not (length_text.isascii() and length_text.isdigit()):
                 self.metrics.record_rejected("bad_request")
@@ -370,7 +386,15 @@ class ServeDaemon:
                 )
                 return
             length = int(length_text)
-            body = await reader.readexactly(length) if length else b""
+            if length > MAX_BODY_BYTES:
+                self.metrics.record_rejected("oversize")
+                await self._respond(
+                    writer,
+                    413,
+                    {"error": f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"},
+                )
+                return
+            body = await asyncio.wait_for(reader.readexactly(length), timeout=READ_TIMEOUT)
             status, payload = await self._route(method.upper(), target.split("?")[0], body)
             await self._respond(writer, status, payload)
         except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):

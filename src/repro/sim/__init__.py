@@ -1,24 +1,18 @@
 """Simulators and verification helpers for qudit circuits.
 
 The simulation engines live in :mod:`repro.sim.backend` and are selected by
-name (``"dense"``, ``"tensor"``, ``"sparse"``, ``"streaming"``, and
-``"numba"`` when numba is installed) wherever a ``backend=`` parameter
-appears —
+name (``"dense"``, ``"sparse"``, ``"streaming"``; :func:`available_backends`
+lists them) wherever a ``backend=`` parameter appears —
 :class:`Statevector`, :func:`circuit_unitary` and the ``assert_*`` helpers.
-:func:`backend_availability` reports every known engine with a one-line
-reason when one could not register.
 """
 
 from repro.sim.backend import (
     DenseBackend,
     SimulationBackend,
-    TensorBackend,
     available_backends,
-    backend_availability,
     default_backend,
     get_backend,
     register_backend,
-    register_unavailable_backend,
     set_default_backend,
     unregister_backend,
 )
@@ -32,8 +26,6 @@ from repro.sim.sparse import (
     SparseBackend,
     SparseState,
 )
-from repro.sim import jit as _jit  # registers the numba backend when importable
-from repro.sim.jit import NUMBA_AVAILABLE, NUMBA_REASON
 from repro.sim.permutation import (
     apply_to_basis,
     function_table,
@@ -67,18 +59,13 @@ __all__ = [
     "SparseBackend",
     "SparseState",
     "StreamingBackend",
-    "TensorBackend",
     "DEFAULT_MEMORY_BUDGET",
     "MATERIALIZE_LIMIT",
-    "NUMBA_AVAILABLE",
-    "NUMBA_REASON",
     "available_backends",
-    "backend_availability",
     "default_backend",
     "get_backend",
     "parse_memory_budget",
     "register_backend",
-    "register_unavailable_backend",
     "set_default_backend",
     "unregister_backend",
     "apply_to_basis",

@@ -11,20 +11,13 @@ fully vectorized numpy — no per-index Python loop anywhere:
   (:meth:`repro.qudit.operations.BaseOp.permutation_table`), a controlled
   unitary is one ``einsum`` over the target-axis blocks masked by the
   vectorized control predicate.
-* ``tensor`` — views the state as a ``(d,) * n`` ndarray; permutation gates
-  become an axis-wise ``np.take``, star shifts become per-star-value rolls of
-  the target axis, unitaries become a ``tensordot`` on the target axis, all
-  masked by the broadcastable control mask.
 * ``streaming`` (:mod:`repro.sim.streaming`) — applies each fused segment
   tile-by-tile under an explicit ``memory_budget``, spilling scratch arrays
   to ``np.memmap`` when the statevector exceeds the budget.
-* ``numba`` (:mod:`repro.sim.jit`) — optional parallel JIT gather kernels;
-  registered only when numba imports
-  (:func:`backend_availability` reports why it is absent otherwise).
+* ``sparse`` (:mod:`repro.sim.sparse`) — evolves only the nonzero
+  amplitudes, for registers far beyond the dense limit.
 
-Further engines plug in through :func:`register_backend`; optional engines
-whose dependencies are missing record a reason through
-:func:`register_unavailable_backend` instead.
+Further engines plug in through :func:`register_backend`.
 
 Every engine accepts data whose *leading* axis is the flat basis index of
 size ``dim ** num_wires``; trailing axes are batch dimensions carried through
@@ -40,8 +33,7 @@ import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
-from repro.qudit.operations import BaseOp, Operation, StarShiftOp
-from repro.utils import permutations as perm_utils
+from repro.qudit.operations import BaseOp, Operation
 
 
 class SimulationBackend:
@@ -107,31 +99,24 @@ class SimulationBackend:
     def apply_table_batch(self, data: np.ndarray, table) -> np.ndarray:
         """Apply a table to ``(basis, B)`` data: B states evolved in one call.
 
-        The base implementation loops over the batch axis, one
-        :meth:`apply_table` per column — correct for every engine.  Engines
-        whose kernels vectorize over trailing axes (the dense gather/einsum
-        path) override this to evolve all ``B`` states per gather.
+        Every engine's :meth:`apply_table` carries trailing batch axes, so
+        this only checks the shape.  On the dense engine a permutation
+        segment moves all ``B`` states with ONE composed gather — the
+        amortisation the batch executor's ≥3x floor measures.
         """
         if data.ndim != 2:
             raise GateError(
                 f"apply_table_batch expects (basis, batch) data, got shape {data.shape}"
             )
-        columns = [self.apply_table(np.ascontiguousarray(data[:, b]), table)
-                   for b in range(data.shape[1])]
-        return np.stack(columns, axis=1)
+        return self.apply_table(data, table)
 
     def apply_circuit_batch(self, data: np.ndarray, circuit: QuditCircuit) -> np.ndarray:
-        """Batched :meth:`apply_circuit`: route through the table fast path."""
-        table = getattr(circuit, "cached_table", None)
-        if table is not None:
-            return self.apply_table_batch(data, table)
+        """Batched :meth:`apply_circuit` over ``(basis, B)`` data."""
         if data.ndim != 2:
             raise GateError(
                 f"apply_circuit_batch expects (basis, batch) data, got shape {data.shape}"
             )
-        columns = [self.apply_circuit(np.ascontiguousarray(data[:, b]), circuit)
-                   for b in range(data.shape[1])]
-        return np.stack(columns, axis=1)
+        return self.apply_circuit(data, circuit)
 
     def _apply_permutation(self, data, op, dim, num_wires) -> np.ndarray:
         raise NotImplementedError
@@ -147,33 +132,6 @@ class DenseBackend(SimulationBackend):
     """Flat-index engine: permutation ops are one precomputed-table gather."""
 
     name = "dense"
-
-    def apply_table_batch(self, data, table):
-        """Native batch axis: the whole batch evolves per fused segment.
-
-        :meth:`SimulationBackend.apply_table` is already segment-fused and
-        its gather/einsum kernels carry trailing axes natively, so a
-        permutation table moves the entire batch with ONE composed gather —
-        the composition costs about one looped state and every state after
-        that is pure gather, the amortisation the batch executor's ≥3x floor
-        measures.  Mixed tables cost one gather per permutation segment plus
-        one batched einsum per unitary row.
-        """
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_table_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_table(data, table)
-
-    def apply_circuit_batch(self, data, circuit):
-        table = getattr(circuit, "cached_table", None)
-        if table is not None:
-            return self.apply_table_batch(data, table)
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_circuit_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_circuit(data, circuit)
 
     def _apply_permutation(self, data, op, dim, num_wires):
         table = op.permutation_table(dim, num_wires)
@@ -191,51 +149,6 @@ class DenseBackend(SimulationBackend):
         return np.where(mask, rotated, cube).reshape(data.shape)
 
 
-class TensorBackend(SimulationBackend):
-    """Axis-wise engine over the state viewed as a ``(d,) * n`` tensor."""
-
-    name = "tensor"
-
-    @staticmethod
-    def _shaped(data, dim, num_wires):
-        return data.reshape((dim,) * num_wires + (-1,))
-
-    @staticmethod
-    def _mask(op, dim, num_wires):
-        # Trailing singleton aligns the mask with the batch axis.
-        return op.control_mask(dim, num_wires)[..., None]
-
-    def _apply_permutation(self, data, op, dim, num_wires):
-        psi = self._shaped(data, dim, num_wires)
-        if isinstance(op, StarShiftOp):
-            out = self._apply_star(psi, op, dim, num_wires)
-        else:
-            inverse = perm_utils.invert(op.gate.permutation())
-            moved = np.take(psi, inverse, axis=op.target)
-            out = np.where(self._mask(op, dim, num_wires), moved, psi)
-        return out.reshape(data.shape)
-
-    def _apply_star(self, psi, op, dim, num_wires):
-        out = psi.copy()
-        mask = np.take(op.control_mask(dim, num_wires), 0, axis=op.star_wire)[..., None]
-        # Removing the star axis shifts later axes down by one.
-        roll_axis = op.target if op.target < op.star_wire else op.target - 1
-        index = [slice(None)] * (num_wires + 1)
-        for star in range(1, dim):
-            index[op.star_wire] = star
-            sub = psi[tuple(index)]
-            rolled = np.roll(sub, op.sign * star, axis=roll_axis)
-            out[tuple(index)] = np.where(mask, rolled, sub)
-        return out
-
-    def _apply_unitary(self, data, op, dim, num_wires):
-        psi = self._shaped(data, dim, num_wires)
-        matrix = op.gate.matrix()
-        rotated = np.moveaxis(np.tensordot(matrix, psi, axes=([1], [op.target])), 0, op.target)
-        out = np.where(self._mask(op, dim, num_wires), rotated, psi)
-        return out.reshape(data.shape)
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -243,11 +156,6 @@ BackendLike = Union[str, SimulationBackend, None]
 
 _REGISTRY: Dict[str, SimulationBackend] = {}
 _DEFAULT_NAME = "dense"
-
-#: Backends that failed to register (name -> one-line reason), e.g. the
-#: numba engine on an interpreter without numba.  Purely informational:
-#: ``available_backends()`` never lists them, ``backend_availability()`` does.
-_UNAVAILABLE: Dict[str, str] = {}
 
 
 def register_backend(backend, *, name: Optional[str] = None) -> SimulationBackend:
@@ -257,7 +165,6 @@ def register_backend(backend, *, name: Optional[str] = None) -> SimulationBacken
         raise GateError(f"{backend!r} is not a SimulationBackend")
     registered = name or instance.name
     _REGISTRY[registered] = instance
-    _UNAVAILABLE.pop(registered, None)
     return instance
 
 
@@ -268,28 +175,9 @@ def unregister_backend(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-def register_unavailable_backend(name: str, reason: str) -> None:
-    """Record that ``name`` could not be registered, with a one-line reason.
-
-    Used by optional engines (the numba JIT backend) so ``python -m repro
-    list`` can report *why* a backend is missing instead of silently
-    omitting it.  A later successful :func:`register_backend` of the same
-    name clears the record.
-    """
-    if name not in _REGISTRY:
-        _UNAVAILABLE[name] = str(reason)
-
-
 def available_backends() -> Tuple[str, ...]:
     """Sorted names of every registered simulation backend."""
     return tuple(sorted(_REGISTRY))
-
-
-def backend_availability() -> Dict[str, str]:
-    """Every known backend name -> ``"available"`` or the reason it is not."""
-    out = {name: "available" for name in _REGISTRY}
-    out.update({name: reason for name, reason in _UNAVAILABLE.items() if name not in out})
-    return dict(sorted(out.items()))
 
 
 def get_backend(backend: BackendLike = None) -> SimulationBackend:
@@ -329,4 +217,3 @@ def set_default_backend(backend: BackendLike) -> SimulationBackend:
 
 
 register_backend(DenseBackend)
-register_backend(TensorBackend)

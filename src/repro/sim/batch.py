@@ -4,11 +4,10 @@ A :class:`BatchedStatevector` holds ``B`` states of the same ``(num_wires,
 dim)`` register as one ``(d**n, B)`` array — the basis index leading, the
 batch axis trailing, exactly the layout every engine in
 :mod:`repro.sim.backend` carries through its kernels.  Applying a lowered
-circuit routes through :meth:`SimulationBackend.apply_table_batch`: on the
-dense engine the whole batch moves with **one gather per distinct gate
-form**, amortising the gather tables across the batch instead of replaying
-them per state; engines without a native batch kernel (the tensor engine)
-fall back to a per-state loop with identical results.
+circuit routes through :meth:`SimulationBackend.apply_circuit_batch`: on the
+dense engine the whole batch moves with **one composed gather per
+permutation segment**, amortising the gather tables across the batch
+instead of replaying them per state.
 
 For purely classical workloads (a permutation circuit applied to basis
 states) :func:`apply_to_basis_indices` propagates just the ``B`` flat
@@ -136,9 +135,9 @@ class BatchedStatevector:
     ) -> "BatchedStatevector":
         """Apply ``circuit`` to every column in place and return ``self``.
 
-        Routes through the engine's batched kernels: one
-        ``apply_table_batch`` call when the circuit has a live columnar
-        table, the engine's batched per-op path otherwise.
+        Routes through the engine's :meth:`apply_circuit_batch`: the fused
+        table path when the circuit has a live columnar table, the engine's
+        per-op path otherwise; both carry the batch axis.
         """
         if circuit.num_wires != self.num_wires or circuit.dim != self.dim:
             raise WireError("circuit and batched statevector shapes do not match")

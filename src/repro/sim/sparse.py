@@ -17,12 +17,12 @@ amplitudes) and evolves it with the O(batch) index arithmetic of
   evaluated on decoded digits) into ``<= d`` successors each, then merges
   duplicates by key (``np.unique`` + ``np.add.at``) and prunes amplitudes
   below ``eps``;
-* a configurable occupancy threshold (``SparseBackend(max_occupancy=,
-  densify_to='dense')``) densifies transparently — on entry for dense
-  inputs that are already too full, or mid-run when unitary expansion
-  crosses the threshold — so the engine is *total*: it accepts every
-  circuit the dense engine does and merely stops being asymptotically
-  cheaper when the state stops being sparse.
+* a configurable occupancy threshold (``SparseBackend(max_occupancy=)``)
+  hands the state to the dense engine's kernels transparently — on entry
+  for dense inputs that are already too full, or mid-run when unitary
+  expansion crosses the threshold — so the engine is *total*: it accepts
+  every circuit the dense engine does and merely stops being
+  asymptotically cheaper when the state stops being sparse.
 
 Application counters (segments gathered, rows expanded, densify crossovers,
 whole-run dense fallbacks, pruned amplitudes) are exposed
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.exceptions import GateError, WireError
 from repro.qudit.circuit import QuditCircuit
-from repro.sim.backend import SimulationBackend, get_backend, register_backend
+from repro.sim.backend import DenseBackend, SimulationBackend, register_backend
 from repro.utils.indexing import digits_to_index, indices_to_digits
 
 #: Largest dense register ``to_dense`` / transparent densification will
@@ -49,6 +49,9 @@ from repro.utils.indexing import digits_to_index, indices_to_digits
 #: sparse representation is the only one that exists, so crossing the
 #: occupancy threshold raises instead of thrashing the machine.
 MATERIALIZE_LIMIT = 1 << 27
+
+#: The kernels a state runs on once it is too full to stay sparse.
+_DENSE = DenseBackend()
 
 
 class SparseState:
@@ -193,19 +196,13 @@ class SparseBackend(SimulationBackend):
 
     name = "sparse"
 
-    def __init__(
-        self,
-        max_occupancy: float = 0.25,
-        densify_to: str = "dense",
-        eps: float = 1e-12,
-    ):
+    def __init__(self, max_occupancy: float = 0.25, eps: float = 1e-12):
         max_occupancy = float(max_occupancy)
         if not 0.0 < max_occupancy <= 1.0:
             raise GateError(
                 f"max_occupancy must be in (0, 1], got {max_occupancy}"
             )
         self.max_occupancy = max_occupancy
-        self.densify_to = densify_to
         self.eps = float(eps)
         self._stats = {
             "sparse_applies": 0,
@@ -264,7 +261,7 @@ class SparseBackend(SimulationBackend):
         nnz = int(np.count_nonzero(np.abs(data) > self.eps))
         if nnz > self.max_occupancy * size:
             self._stats["dense_fallbacks"] += 1
-            return get_backend(self.densify_to).apply_table(data, table)
+            return _DENSE.apply_table(data, table)
         state = SparseState.from_dense(data, table.dim, table.num_wires, eps=self.eps)
         result = self._run(state, table)
         if isinstance(result, SparseState):
@@ -272,20 +269,6 @@ class SparseBackend(SimulationBackend):
         return result
 
     def apply_circuit(self, data, circuit: QuditCircuit):
-        return self.apply_table(data, self._table_of(circuit))
-
-    def apply_table_batch(self, data, table):
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_table_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_table(data, table)
-
-    def apply_circuit_batch(self, data, circuit: QuditCircuit):
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_circuit_batch expects (basis, batch) data, got shape {data.shape}"
-            )
         return self.apply_table(data, self._table_of(circuit))
 
     def apply_op(self, data, op, dim, num_wires):
@@ -302,7 +285,7 @@ class SparseBackend(SimulationBackend):
         nnz = int(np.count_nonzero(np.abs(data) > self.eps))
         if nnz > self.max_occupancy * size:
             self._stats["dense_fallbacks"] += 1
-            return get_backend(self.densify_to).apply_op(data, op, dim, num_wires)
+            return _DENSE.apply_op(data, op, dim, num_wires)
         state = SparseState.from_dense(data, dim, num_wires, eps=self.eps)
         if op.is_permutation:
             state = self._map_permutation_rows(state, [op])
@@ -324,8 +307,8 @@ class SparseBackend(SimulationBackend):
         """Evolve segment by segment; returns SparseState or a dense array.
 
         Once densified (occupancy crossover), the remaining segments run on
-        the dense array through the ``densify_to`` engine's kernels — the
-        engine is total, it just stops being sparse.
+        the dense array through the dense engine's kernels — the engine is
+        total, it just stops being sparse.
         """
         from repro.ir.segment import segment_table
 
@@ -345,15 +328,13 @@ class SparseBackend(SimulationBackend):
                     data = self._expand_unitary_row(data, segment.op())
                     if data.nnz > threshold:
                         data = self._densify(data)
+            elif segment.kind == "perm":
+                gather = segment.index_table()
+                out = np.empty_like(data)
+                out[gather] = data
+                data = out
             else:
-                engine = get_backend(self.densify_to)
-                if segment.kind == "perm":
-                    gather = segment.index_table()
-                    out = np.empty_like(data)
-                    out[gather] = data
-                    data = out
-                else:
-                    data = engine._apply_unitary(data, segment.op(), dim, num_wires)
+                data = _DENSE._apply_unitary(data, segment.op(), dim, num_wires)
         return data
 
     def _map_permutation_rows(self, state: SparseState, rows) -> SparseState:
@@ -415,10 +396,7 @@ class SparseBackend(SimulationBackend):
         return state.to_dense()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SparseBackend max_occupancy={self.max_occupancy} "
-            f"densify_to={self.densify_to!r}>"
-        )
+        return f"<SparseBackend max_occupancy={self.max_occupancy}>"
 
 
 register_backend(SparseBackend())

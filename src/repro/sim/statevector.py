@@ -4,9 +4,8 @@ Used for the constructions that involve genuine unitaries rather than
 basis-state permutations: the ``|0^k⟩-U`` gate of Fig. 1(b), the unitary
 synthesis of Theorem IV.1, the d-ary Grover application, and the
 root-of-``X`` baselines.  Gate application is delegated to one of the
-vectorized engines in :mod:`repro.sim.backend` (``dense`` by default,
-``tensor`` as the axis-wise alternative) — there is no per-basis-index
-Python loop anywhere on the hot path.
+vectorized engines in :mod:`repro.sim.backend` (``dense`` by default) —
+there is no per-basis-index Python loop anywhere on the hot path.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ class Statevector:
     """A dense statevector over ``num_wires`` qudits of dimension ``dim``.
 
     ``backend`` selects the simulation engine by name (``"dense"``,
-    ``"tensor"``, ``"streaming"``, or any name registered through
+    ``"sparse"``, ``"streaming"``, or any name registered through
     :func:`repro.sim.backend.register_backend`), or accepts a configured
     instance directly — e.g. ``StreamingBackend("8M")`` to evolve a state
     larger than a byte budget out-of-core; ``None`` uses the process

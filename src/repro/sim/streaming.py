@@ -174,20 +174,6 @@ class StreamingBackend(SimulationBackend):
         # segments, and to_table() is cached on the circuit.
         return self.apply_table(data, circuit.to_table())
 
-    def apply_table_batch(self, data: np.ndarray, table) -> np.ndarray:
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_table_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_table(data, table)
-
-    def apply_circuit_batch(self, data: np.ndarray, circuit: QuditCircuit) -> np.ndarray:
-        if data.ndim != 2:
-            raise GateError(
-                f"apply_circuit_batch expects (basis, batch) data, got shape {data.shape}"
-            )
-        return self.apply_circuit(data, circuit)
-
     # Per-op fallbacks (Statevector.apply_op and raw-circuit paths).
     def _apply_permutation(self, data, op, dim, num_wires):
         forward = op.permutation_table(dim, num_wires)

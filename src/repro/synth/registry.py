@@ -194,7 +194,7 @@ def synthesize(
     from repro.qudit.ancilla import AncillaKind
     from repro.qudit.circuit import QuditCircuit
 
-    key = cache_key(name, dim, k, stage="synth", engine="macro", salt=cache.salt)
+    key = cache_key(name, dim, k, stage="synth", salt=cache.salt)
     entry = cache.get(key)
     if entry is not None:
         meta = entry.meta

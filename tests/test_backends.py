@@ -1,4 +1,10 @@
-"""Tests for the vectorized simulation backends and the op-layer hooks."""
+"""Tests for the vectorized simulation backends and the op-layer hooks.
+
+Every engine is checked against a brute-force reference that builds each
+operation's ``dⁿ×dⁿ`` matrix one basis state at a time from the gate and
+predicate definitions, so no engine is only ever compared with another
+engine that shares its kernels.
+"""
 
 import random
 
@@ -6,14 +12,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GateError, WireError
+from repro.fuzz import random_circuit
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import EvenNonZero, Odd, Value
 from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.sim import (
     DenseBackend,
+    SparseBackend,
     Statevector,
-    TensorBackend,
+    StreamingBackend,
     available_backends,
     circuit_unitary,
     default_backend,
@@ -27,7 +35,7 @@ from repro.sim.permutation import apply_to_basis
 from repro.utils import permutations as perm_utils
 from repro.utils.indexing import digits_to_index, iterate_basis
 
-BACKENDS = ["dense", "tensor"]
+BACKENDS = ["dense", "streaming", "sparse"]
 
 
 def reference_table(circuit):
@@ -117,7 +125,8 @@ class TestBackendEquivalence:
             state = Statevector.uniform(circuit.num_wires, circuit.dim, backend=backend)
             state.apply_circuit(circuit)
             results[backend] = state.data
-        assert np.allclose(results["dense"], results["tensor"], atol=1e-10)
+        for backend in BACKENDS[1:]:
+            assert np.allclose(results["dense"], results[backend], atol=1e-10), backend
 
     @pytest.mark.parametrize("seed", range(4))
     def test_backends_match_permutation_table(self, seed):
@@ -147,22 +156,119 @@ class TestBackendEquivalence:
         rng = random.Random(80 + seed)
         circuit = random_mixed_circuit(rng, num_wires=2, num_ops=6)
         dense = circuit_unitary(circuit, backend="dense")
-        tensor = circuit_unitary(circuit, backend="tensor")
-        assert np.allclose(dense, tensor, atol=1e-10)
+        for backend in BACKENDS[1:]:
+            other = circuit_unitary(circuit, backend=backend)
+            assert np.allclose(dense, other, atol=1e-10), backend
         # Unitarity sanity check.
         assert np.allclose(dense @ dense.conj().T, np.eye(dense.shape[0]), atol=1e-9)
 
 
+def brute_force_op_matrix(op, dim, num_wires):
+    """The op's ``dⁿ×dⁿ`` matrix, built one basis state (column) at a time.
+
+    Uses only the definitions: ``gate.permutation()`` maps the target digit,
+    ``gate.matrix()[i, j]`` is the amplitude of target digit ``i`` from
+    ``j``, a star shift adds ``sign * star`` to the target mod ``d``, and
+    nothing happens unless every control predicate holds.
+    """
+    size = dim**num_wires
+    matrix = np.zeros((size, size), dtype=complex)
+    for digits in iterate_basis(dim, num_wires):
+        column = digits_to_index(digits, dim)
+        if not all(pred.satisfied_by(digits[wire], dim) for wire, pred in op.controls):
+            matrix[column, column] = 1.0
+            continue
+        image = list(digits)
+        if isinstance(op, StarShiftOp):
+            image[op.target] = (digits[op.target] + op.sign * digits[op.star_wire]) % dim
+            matrix[digits_to_index(image, dim), column] = 1.0
+        elif op.gate.is_permutation:
+            image[op.target] = op.gate.permutation()[digits[op.target]]
+            matrix[digits_to_index(image, dim), column] = 1.0
+        else:
+            gate = op.gate.matrix()
+            for value in range(dim):
+                image[op.target] = value
+                matrix[digits_to_index(image, dim), column] = gate[value, digits[op.target]]
+    return matrix
+
+
+def brute_force_unitary(circuit):
+    size = circuit.dim**circuit.num_wires
+    unitary = np.eye(size, dtype=complex)
+    for op in circuit:
+        unitary = brute_force_op_matrix(op, circuit.dim, circuit.num_wires) @ unitary
+    return unitary
+
+
+#: Unitary payloads and star gates weighted up so every circuit mixes
+#: permutation segments, unitary rows and stars.
+REFERENCE_OP_WEIGHTS = {"transposition": 2.0, "perm": 1.0, "xplus": 1.0, "unitary": 2.0, "star": 2.0}
+
+
+def reference_circuit(seed):
+    """1–3 wires of dimension 2–4, so the brute-force matrices stay small."""
+    return random_circuit(
+        400 + seed, num_wires=1 + seed % 3, dim=2 + (seed // 3) % 3, num_ops=14,
+        op_weights=REFERENCE_OP_WEIGHTS,
+    )
+
+
+class TestBruteForceReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_path_matches_the_brute_force_matrix(self, seed):
+        circuit = reference_circuit(seed)
+        dim, num_wires = circuit.dim, circuit.num_wires
+        expected = brute_force_unitary(circuit)
+        size = dim**num_wires
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=size) + 1j * rng.normal(size=size)
+        basis = np.zeros(size, dtype=complex)
+        basis[rng.integers(size)] = 1.0
+        dense = get_backend("dense")
+
+        per_op = data.copy()
+        for op in circuit:
+            per_op = dense.apply_op(per_op, op, dim, num_wires)
+        table = circuit.to_table()
+        paths = {
+            "dense per-op": (data, per_op),
+            "dense apply_table": (data, dense.apply_table(data.copy(), table)),
+            "streaming": (data, get_backend("streaming").apply_table(data.copy(), table)),
+            "streaming, one-row tiles": (
+                data, StreamingBackend(16).apply_table(data.copy(), table)
+            ),
+            "sparse, never densified": (
+                data, SparseBackend(max_occupancy=1.0).apply_table(data.copy(), table)
+            ),
+            "sparse, basis state": (
+                basis, get_backend("sparse").apply_table(basis.copy(), table)
+            ),
+        }
+        for name, (start, evolved) in paths.items():
+            assert np.allclose(evolved, expected @ start, atol=1e-10), name
+        for backend in BACKENDS:
+            assert np.allclose(
+                circuit_unitary(circuit, backend=backend), expected, atol=1e-10
+            ), backend
+
+    def test_reference_circuits_cover_stars_unitaries_and_controls(self):
+        ops = [op for seed in range(12) for op in reference_circuit(seed)]
+        assert any(isinstance(op, StarShiftOp) and op.controls for op in ops)
+        assert any(isinstance(op, Operation) and not op.gate.is_permutation and op.controls
+                   for op in ops)
+        assert any(isinstance(op, Operation) and op.gate.is_permutation and op.controls
+                   for op in ops)
+
+
 class TestRegistry:
     def test_available_backends(self):
-        names = available_backends()
-        assert "dense" in names and "tensor" in names
+        assert available_backends() == ("dense", "sparse", "streaming")
 
     def test_get_backend_by_name_and_instance(self):
         dense = get_backend("dense")
         assert isinstance(dense, DenseBackend)
         assert get_backend(dense) is dense
-        assert isinstance(get_backend("tensor"), TensorBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(GateError):
@@ -171,8 +277,8 @@ class TestRegistry:
     def test_set_default_backend_roundtrip(self):
         original = default_backend()
         try:
-            set_default_backend("tensor")
-            assert isinstance(default_backend(), TensorBackend)
+            set_default_backend("streaming")
+            assert isinstance(default_backend(), StreamingBackend)
             state = Statevector(1, 3)
             assert state.backend is default_backend()
         finally:
@@ -232,7 +338,7 @@ class TestStatevectorSatellites:
         circuit = QuditCircuit(2, 3)
         circuit.add_gate(SingleQuditUnitary(np.diag([1, -1, 1])), 1, [(0, Value(0))])
         state = Statevector.uniform(2, 3, backend="dense")
-        state.apply_circuit(circuit, backend="tensor")
+        state.apply_circuit(circuit, backend="streaming")
         expected = Statevector.uniform(2, 3).apply_circuit(circuit)
         assert np.allclose(state.data, expected.data)
 

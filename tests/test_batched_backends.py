@@ -2,7 +2,7 @@
 
 The PR-5 satellite contract: ``apply_table_batch`` over B random basis /
 superposition states matches B independent ``apply_table`` calls
-bit-for-bit on both engines — including empty circuits and circuits on
+bit-for-bit on every engine — including empty circuits and circuits on
 non-contiguous wires — and the classical index-propagation path matches
 the whole-basis gather table.
 """
@@ -21,7 +21,7 @@ from repro.sim import BatchedStatevector, Statevector, apply_to_basis_indices, g
 from repro.sim.verify import sample_basis_states
 from repro.utils.indexing import digits_to_index
 
-BACKENDS = ("dense", "tensor")
+BACKENDS = ("dense", "streaming", "sparse")
 
 
 def _random_batch(dim, num_wires, batch, seed):

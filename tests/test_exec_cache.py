@@ -128,7 +128,6 @@ def test_cache_key_changes_with_every_component():
     assert cache_key("mct", 3, 7) != base
     assert cache_key("mct", 4, 6) != base
     assert cache_key("mct-odd", 3, 6) != base
-    assert cache_key("mct", 3, 6, engine="object") != base
     assert cache_key("mct", 3, 6, stage="synth") != base
     assert cache_key("mct", 3, 6, salt="some-other-code-version") != base
     assert cache_key("mct", 3, 6, salt=CODE_VERSION) == base

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import lower_to_g_gates, synthesize_mct
+from repro.core.lowering import _MAX_PASSES
 from repro.exceptions import DimensionError, WireError
 from repro.fuzz import generators as fuzz_generators
 from repro.ir import (
@@ -26,6 +27,7 @@ from repro.passes import (
     DropIdentities,
     FuseSingleQuditGates,
     PassPipeline,
+    default_lowering_pipeline,
 )
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Value
@@ -232,13 +234,17 @@ def test_pipeline_run_table_stays_columnar():
 
 
 # ----------------------------------------------------------------------
-# Lowering engines
+# Lowering: the table engine vs the object pass pipeline (the reference)
 # ----------------------------------------------------------------------
+def reference_lowering(circuit):
+    return default_lowering_pipeline(max_sweeps=_MAX_PASSES).run(circuit)
+
+
 @pytest.mark.parametrize("dim,k", [(3, 3), (4, 3), (5, 2), (6, 2)])
 def test_lowering_engines_gate_for_gate_identical(dim, k):
     result = synthesize_mct(dim, k)
-    object_path = lower_to_g_gates(result.circuit, engine="object")
-    table_path = lower_to_g_gates(result.circuit, engine="table")
+    object_path = reference_lowering(result.circuit)
+    table_path = lower_to_g_gates(result.circuit)
     assert table_path.cached_table is not None
     assert table_path.is_g_circuit()
     assert_ops_identical(object_path, table_path)
@@ -252,7 +258,7 @@ def test_lowering_engines_gate_for_gate_identical(dim, k):
 def test_lower_circuit_to_table_counts_without_materialising():
     result = synthesize_mct(3, 4)
     table = lower_circuit_to_table(result.circuit)
-    lowered = lower_to_g_gates(result.circuit, engine="object")
+    lowered = reference_lowering(result.circuit)
     assert table.num_ops() == lowered.num_ops()
     assert table.g_gate_count() == lowered.g_gate_count()
     assert table.two_qudit_count() == lowered.two_qudit_count()
@@ -260,17 +266,10 @@ def test_lower_circuit_to_table_counts_without_materialising():
     assert table.is_g_circuit()
 
 
-def test_unknown_lowering_engine_rejected():
-    from repro.exceptions import SynthesisError
-
-    with pytest.raises(SynthesisError):
-        lower_to_g_gates(QuditCircuit(2, 3), engine="warp")
-
-
 # ----------------------------------------------------------------------
 # Simulation fast path
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["dense", "tensor"])
+@pytest.mark.parametrize("backend", ["dense", "streaming", "sparse"])
 def test_apply_table_matches_per_op_application(backend):
     circuit = random_circuit(6, num_wires=4, dim=3, num_ops=30)
     engine = get_backend(backend)
@@ -401,8 +400,8 @@ def test_non_contiguous_wires_after_remap_keep_kernels_consistent():
         permutation_index_table(QuditCircuit(7, 3).extend(expected.ops)),
     )
     # Lowering a circuit on non-contiguous wires agrees across engines too.
-    object_lowered = lower_to_g_gates(expected, engine="object")
-    table_lowered = lower_to_g_gates(sparse, engine="table")
+    object_lowered = reference_lowering(expected)
+    table_lowered = lower_to_g_gates(sparse)
     assert_ops_identical(object_lowered, table_lowered)
 
 
@@ -443,7 +442,9 @@ def test_mutation_after_to_table_invalidates_through_every_entry_point():
 # ----------------------------------------------------------------------
 # CLI smoke
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("flags", [[], ["--no-table"], ["--backend", "tensor"]])
+@pytest.mark.parametrize(
+    "flags", [[], ["--backend", "streaming"], ["--backend", "sparse"]]
+)
 def test_cli_simulate_smoke(flags, capsys):
     from repro.__main__ import main
 

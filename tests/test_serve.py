@@ -253,6 +253,7 @@ class DaemonProcess:
         line = self.process.stdout.readline()
         if not line.startswith("serving on "):
             stderr = self.process.stderr.read()
+            self.kill()
             raise AssertionError(f"daemon failed to start: {line!r}\n{stderr}")
         self.address = line.split()[-1]
         self.client = ServeClient(self.address, timeout=60.0)
@@ -261,12 +262,19 @@ class DaemonProcess:
     def sigterm(self, timeout: float = 30.0):
         self.process.send_signal(signal.SIGTERM)
         self.process.wait(timeout=timeout)
-        return self.process.returncode, self.process.stderr.read()
+        stderr = self.process.stderr.read()
+        self._close_pipes()
+        return self.process.returncode, stderr
 
     def kill(self):
         if self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
+        self._close_pipes()
+
+    def _close_pipes(self):
+        self.process.stdout.close()
+        self.process.stderr.close()
 
 
 @pytest.fixture
@@ -456,6 +464,30 @@ def test_daemon_rejects_unknown_backend_and_stray_budget_with_400(daemon_factory
     assert code == 0 and "drained cleanly" in stderr
 
 
+def test_daemon_rejects_the_retired_engine_field_with_400():
+    """``"engine"`` used to be accepted, so ``"object"`` compiled a second
+    copy of the same circuit under its own cache key."""
+
+    async def scenario(daemon, host, port):
+        spec = {"requests": [{"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3,
+                              "engine": "object"}]}
+        body = json.dumps(spec).encode("utf-8")
+        reply = await raw_exchange(
+            host,
+            port,
+            b"POST /v1/workload HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode("ascii")
+            + b"\r\n\r\n"
+            + body,
+        )
+        return reply, daemon.metrics.rejected["bad_request"]
+
+    reply, rejected = serve_in_process(scenario)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"unknown field(s) ['engine']" in reply
+    assert rejected == 1
+
+
 # ----------------------------------------------------------------------
 # HTTP front end over a raw socket (in-process daemon)
 # ----------------------------------------------------------------------
@@ -517,6 +549,55 @@ def test_stalled_header_lines_time_out(monkeypatch):
     async def scenario(daemon, host, port):
         start = time.monotonic()
         reply = await raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        return reply, time.monotonic() - start
+
+    reply, waited = serve_in_process(scenario)
+    assert reply == b"" and waited < 5.0
+
+
+def test_oversized_body_is_answered_413_before_it_is_read():
+    """The body used to be buffered whatever its announced size: 1 GiB of
+    headers-only request held the connection waiting for the bytes."""
+
+    async def scenario(daemon, host, port):
+        reply = await raw_exchange(
+            host, port, b"POST /v1/workload HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n"
+        )
+        return reply, daemon.metrics.rejected["oversize"]
+
+    reply, rejected = serve_in_process(scenario)
+    assert reply.startswith(b"HTTP/1.1 413 ") and b"byte limit" in reply
+    assert rejected == 1
+
+
+def test_too_many_header_lines_are_answered_400():
+    from repro.serve import server
+
+    padding = b"X-Pad: 1\r\n" * (server.MAX_HEADER_LINES + 1)
+
+    async def scenario(daemon, host, port):
+        reply = await raw_exchange(
+            host, port, b"GET /healthz HTTP/1.1\r\n" + padding + b"\r\n"
+        )
+        return reply, daemon.metrics.rejected["bad_request"]
+
+    reply, rejected = serve_in_process(scenario)
+    assert reply.startswith(b"HTTP/1.1 400 ") and b"header lines" in reply
+    assert rejected == 1
+
+
+def test_stalled_body_times_out(monkeypatch):
+    """The body used to be read without a deadline, so a client that sent
+    fewer bytes than its Content-Length held its connection open forever."""
+    from repro.serve import server
+
+    monkeypatch.setattr(server, "READ_TIMEOUT", 0.2)
+
+    async def scenario(daemon, host, port):
+        start = time.monotonic()
+        reply = await raw_exchange(
+            host, port, b"POST /v1/workload HTTP/1.1\r\nContent-Length: 10\r\n\r\n[{"
+        )
         return reply, time.monotonic() - start
 
     reply, waited = serve_in_process(scenario)

@@ -542,7 +542,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backends"]["sparse"] == "available"
         assert payload["sparse"]["max_occupancy"] == pytest.approx(0.25)
-        assert payload["sparse"]["densify_to"] == "dense"
 
     def test_simulate_accepts_the_sparse_backend(self, capsys):
         from repro.__main__ import main

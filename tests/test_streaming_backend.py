@@ -20,9 +20,7 @@ from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import StarShiftOp
 from repro.sim import (
     DEFAULT_MEMORY_BUDGET,
-    NUMBA_AVAILABLE,
     StreamingBackend,
-    backend_availability,
     available_backends,
     get_backend,
     parse_memory_budget,
@@ -271,12 +269,3 @@ class TestAvailability:
     def test_streaming_is_registered(self):
         assert "streaming" in available_backends()
         assert isinstance(get_backend("streaming"), StreamingBackend)
-
-    def test_availability_report_covers_numba_either_way(self):
-        report = backend_availability()
-        for name in available_backends():
-            assert report[name] == "available"
-        if NUMBA_AVAILABLE:
-            assert report["numba"] == "available"
-        else:
-            assert "numba" in report["numba"] and report["numba"] != "available"

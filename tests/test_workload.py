@@ -62,6 +62,16 @@ def test_spec_rejects_malformed_requests(raw):
         WorkloadSpec.from_dict({"requests": [raw]})
 
 
+def test_engine_is_an_unknown_field():
+    """``"engine"`` used to parse with any value: ``"warp"`` failed only when
+    the request ran, and ``"object"`` compiled a second copy of the circuit
+    under its own cache key."""
+    for engine in ("object", "warp"):
+        raw = {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3, "engine": engine}
+        with pytest.raises(WorkloadError, match=r"unknown field\(s\) \['engine'\]"):
+            WorkloadRequest.from_dict(raw, 0)
+
+
 def test_planner_dedupes_shared_cache_keys():
     spec = WorkloadSpec.from_dict(SPEC)
     plan = plan_workload(spec)
@@ -222,7 +232,7 @@ def test_lower_cache_rejects_macro_stage_key(tmp_path):
 
     cache = CompileCache(tmp_path)
     _registry.synthesize("mct", 3, 4, cache=cache)  # stores the macro table
-    macro_key = cache_key("mct", 3, 4, stage="synth", engine="macro", salt=cache.salt)
+    macro_key = cache_key("mct", 3, 4, stage="synth", salt=cache.salt)
     with _pytest.raises(SynthesisError):
         lower_to_g_gates(synthesize_mct(3, 4).circuit, cache=cache, cache_key=macro_key)
 
