@@ -1,21 +1,12 @@
 #!/usr/bin/env python3
-"""Design-space exploration: batch estimation and tuning-DB select speedups.
+"""Design-space exploration: batch estimation speedup.
 
-Two measurements over the PR-7 ``repro.dse`` subsystem:
-
-* **batch estimation** — one ``estimate_batch`` call over a large k grid vs.
-  the same grid through scalar ``estimate`` calls (both warm: the affine
-  calibration is measured once either way).  The batch path amortises the
-  per-point Python dispatch into a handful of numpy expressions per residue
-  class; equality is asserted row-for-row on a random sample.  Floor: ≥50x
-  at 10^5 points.
-* **tuning-DB select** — sweep a (strategy × d × k) region once, build the
-  sorted/indexed :class:`~repro.dse.tuning.TuningDB`, then answer warm
-  ``auto_select`` queries from it vs. live estimation.  Every swept
-  ``(d, k, budget)`` must pick the **same strategy with the same resources**
-  both ways (the DB falls back to live whenever it cannot guarantee that, so
-  parity is exact by construction — and asserted here anyway).  Floor: ≥20x
-  warm.
+One ``estimate_batch`` call over a large k grid vs. the same grid through
+scalar ``estimate`` calls (both warm: the affine calibration is measured
+once either way).  The batch path, which ``repro.dse`` sweeps run on,
+amortises the per-point Python dispatch into a handful of numpy expressions
+per residue class; equality is asserted row-for-row on a random sample.
+Floor: ≥50x.
 
 Usage::
 
@@ -24,7 +15,7 @@ Usage::
 
 Results are printed and persisted to ``benchmarks/results/dse.json``
 (``dse_quick.json`` for smoke runs); ``check_floors.py`` guards the
-``batch_estimate_speedup`` and ``db_select_speedup`` fields in both modes.
+``batch_estimate_speedup`` field in both modes.
 """
 
 from __future__ import annotations
@@ -41,12 +32,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import emit_json, emit_table
 
 from repro.bench import render_table
-from repro.dse import SweepSpec, TuningDB, run_sweep
-from repro.synth import AncillaBudget, registry
+from repro.synth import registry
 
-#: CI-guarded floors (mirrored in benchmarks/results/floors.json).
+#: CI-guarded floor (mirrored in benchmarks/results/floors.json).
 BATCH_SPEEDUP_FLOOR = 50.0
-DB_SELECT_SPEEDUP_FLOOR = 20.0
 
 #: Equality-sample size for the batch-vs-scalar check.
 SAMPLE_ROWS = 200
@@ -93,65 +82,6 @@ def bench_batch_estimate(points: int, *, seed: int) -> dict:
     }
 
 
-def bench_db_select(k_stop: int, *, repeats: int) -> dict:
-    """Warm DB-backed auto_select vs. live estimation over a swept grid."""
-    spec = SweepSpec(dims=(3, 4), k_stop=k_stop)
-    store = run_sweep(spec)
-    db = TuningDB.from_sweep(store)
-    budgets = (None, AncillaBudget(clean=0), AncillaBudget(total=0))
-    grid = [
-        (dim, k, budget)
-        for dim in spec.dims
-        for k in spec.ks().tolist()  # Python ints: live estimation must not wrap
-        for budget in budgets
-    ]
-
-    # Exact-parity gate first: same strategy, same resources, every point.
-    fallbacks = 0
-    for dim, k, budget in grid:
-        db_choice = db.select(dim, k, budget=budget)
-        live_choice = registry.auto_select(dim, k, budget=budget)
-        if db_choice is None:
-            fallbacks += 1
-            continue
-        if (
-            db_choice.strategy.name != live_choice.strategy.name
-            or db_choice.resources != live_choice.resources
-        ):
-            raise AssertionError(
-                f"DB pick diverged at d={dim}, k={k}, budget={budget}: "
-                f"{db_choice.strategy.name} vs {live_choice.strategy.name}"
-            )
-
-    # Both paths warm (select memo populated above, calibrations measured).
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for dim, k, budget in grid:
-            registry.auto_select(dim, k, budget=budget, tuning_db=db)
-    db_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for dim, k, budget in grid:
-            registry.auto_select(dim, k, budget=budget)
-    live_seconds = time.perf_counter() - start
-
-    selects = len(grid) * repeats
-    return {
-        "dims": list(spec.dims),
-        "k_stop": k_stop,
-        "swept_points": store.counts()["points"],
-        "grid_queries": len(grid),
-        "parity_checked": len(grid),
-        "fallbacks": fallbacks,
-        "repeats": repeats,
-        "db_seconds": db_seconds,
-        "live_seconds": live_seconds,
-        "db_us_per_select": 1e6 * db_seconds / selects,
-        "live_us_per_select": 1e6 * live_seconds / selects,
-        "speedup": live_seconds / db_seconds,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -159,25 +89,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.quick:
-        points, k_stop, repeats = 20_000, 32, 5
-    else:
-        points, k_stop, repeats = 100_000, 64, 10
-
+    points = 20_000 if args.quick else 100_000
     batch = bench_batch_estimate(points, seed=20260808)
-    select = bench_db_select(k_stop, repeats=repeats)
-
-    failures = []
-    if batch["speedup"] < BATCH_SPEEDUP_FLOOR:
-        failures.append(
-            f"batch estimation speedup {batch['speedup']:.1f}x is below the "
-            f"{BATCH_SPEEDUP_FLOOR:.0f}x floor"
-        )
-    if select["speedup"] < DB_SELECT_SPEEDUP_FLOOR:
-        failures.append(
-            f"DB select speedup {select['speedup']:.1f}x is below the "
-            f"{DB_SELECT_SPEEDUP_FLOOR:.0f}x floor"
-        )
 
     batch_table = render_table(
         [
@@ -193,43 +106,25 @@ def main() -> int:
             f"({batch['strategy']}, d={batch['d']})"
         ),
     )
-    select_table = render_table(
-        [
-            {
-                "grid": select["grid_queries"],
-                "repeats": select["repeats"],
-                "db_us": round(select["db_us_per_select"], 2),
-                "live_us": round(select["live_us_per_select"], 2),
-                "speedup": f"{select['speedup']:.0f}x",
-                "parity": f"{select['parity_checked']}/{select['parity_checked']}",
-                "fallbacks": select["fallbacks"],
-            }
-        ],
-        title=(
-            f"Tuning-DB auto_select vs live estimation "
-            f"(d∈{select['dims']}, k≤{select['k_stop']}, 3 budgets, warm)"
-        ),
-    )
     stem = "dse_quick" if args.quick else "dse"
-    emit_table(stem, batch_table + "\n\n" + select_table)
+    emit_table(stem, batch_table)
     emit_json(
         stem,
         {
             "quick": args.quick,
             "batch_estimate_speedup": batch["speedup"],
-            "db_select_speedup": select["speedup"],
             "batch": batch,
-            "db_select": select,
-            "floors": {
-                "batch_estimate_speedup": BATCH_SPEEDUP_FLOOR,
-                "db_select_speedup": DB_SELECT_SPEEDUP_FLOOR,
-            },
+            "floors": {"batch_estimate_speedup": BATCH_SPEEDUP_FLOOR},
         },
     )
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+    if batch["speedup"] < BATCH_SPEEDUP_FLOOR:
+        print(
+            f"FAIL: batch estimation speedup {batch['speedup']:.1f}x is below the "
+            f"{BATCH_SPEEDUP_FLOOR:.0f}x floor"
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

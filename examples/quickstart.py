@@ -19,8 +19,8 @@ This example walks through the paper's headline results on a laptop scale:
 9. batch execution: the persistent content-addressed compile cache (warm
    compiles skip synthesis entirely) and batched simulation (B states per
    composed gather instead of one statevector at a time);
-10. design-space exploration: vectorized batch estimation, Pareto frontier
-    reports, and the persisted tuning DB behind ``auto_select``;
+10. design-space exploration: vectorized batch estimation and Pareto
+    frontier reports whose per-k winners are ``auto_select``'s picks;
 11. sparse amplitude maps: truth-table extraction and sparse-state
     evolution on a 19-qutrit register (``3^19`` basis states) that no
     dense statevector could hold, verified by batched index propagation.
@@ -242,17 +242,16 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 10. Design-space exploration: sweep, frontier, tuning DB.
+    # 10. Design-space exploration: batch estimation, sweep, frontier.
     # ------------------------------------------------------------------
     # One estimate_batch call prices a whole k grid (numpy arithmetic per
-    # residue class); run_sweep covers strategy × d × k, and the resulting
-    # TuningDB answers auto_select from sorted arrays — bit-for-bit the
-    # same pick as live estimation, which it falls back to off its region.
+    # residue class); run_sweep covers strategy × d × k, and the frontier
+    # report's per-k winners are the picks auto_select makes live.
     import numpy as np
 
-    from repro.dse import SweepSpec, TuningDB, frontier_report, run_sweep
+    from repro.dse import SweepSpec, frontier_report, run_sweep
 
-    print("== Design-space exploration: batch estimation + tuning DB ==")
+    print("== Design-space exploration: batch estimation + Pareto frontier ==")
     mct = synth.get("mct")
     ks = np.arange(1, 10_001)
     mct.estimate_batch(3, ks)  # one-time calibration + small-k measurements
@@ -266,28 +265,18 @@ def main() -> None:
     )
 
     store = run_sweep(SweepSpec(dims=(3,), k_stop=24))
-    db = TuningDB.from_sweep(store)
     report = frontier_report(store)
     crossovers = report["dims"]["3"]["crossovers"]
     print(f"  swept {store.counts()['points']} points; d=3 winner crossovers:")
     for crossover in crossovers:
         print(f"    k={crossover['k']}: {crossover['from']} -> {crossover['to']}")
-    live = synth.auto_select(3, 20)  # live estimation, before the DB is installed
-    synth.use_tuning_db(db)
-    try:
-        choice = synth.auto_select(3, 20)
-        print(
-            f"  auto_select(3, 20) -> {choice.strategy.name} "
-            f"(source: {choice.source}, two-qudit {choice.resources.two_qudit_gates})"
-        )
-        assert choice.source == "tuning-db"
-        assert choice.resources == live.resources  # bit-for-bit the live pick
-    finally:
-        synth.use_tuning_db(None)
+    choice = synth.auto_select(3, 20)
+    assert choice.strategy.name == [c["to"] for c in crossovers if c["k"] <= 20][-1]
     print(
-        "  (python -m repro dse --jobs 4 --db tuning.npz sweeps and persists; "
-        "estimate/synthesize take --tuning-db)"
+        f"  auto_select(3, 20) -> {choice.strategy.name} "
+        f"(two-qudit {choice.resources.two_qudit_gates}), the swept winner at k=20"
     )
+    print("  (python -m repro dse --jobs 4 --report frontier.json sweeps a grid)")
     print()
 
     # ------------------------------------------------------------------

@@ -22,13 +22,10 @@ Quick scenario exploration over the synthesis registry:
   the persistent content-addressed compile cache: requests sharing a cache
   key are compiled once, workers share artifacts through the cache
   directory, and warm runs skip synthesis entirely (see :mod:`repro.exec`).
-* ``python -m repro dse --sweep sweep.json --jobs 4 --db tuning.npz
-  --report frontier.json`` — design-space exploration: sweep strategy ×
-  pipeline × (d, k) through the vectorized batch estimator, print the
-  Pareto frontier / winner report, and persist the content-addressed
-  tuning database that ``estimate``/``synthesize --tuning-db`` (and
-  ``auto_select``) answer from without live estimation (see
-  :mod:`repro.dse`).
+* ``python -m repro dse --sweep sweep.json --jobs 4 --report frontier.json``
+  — design-space exploration: sweep strategy × pipeline × (d, k) through
+  the vectorized batch estimator and print the Pareto frontier / winner
+  report (see :mod:`repro.dse`).
 """
 
 from __future__ import annotations
@@ -149,22 +146,7 @@ def _check_budget(budget, strategy, dim: int, k: int) -> None:
         )
 
 
-def _install_tuning_db(args) -> None:
-    """Load ``--tuning-db`` (if given) as the session selection database."""
-    if getattr(args, "tuning_db", None) is None:
-        return
-    from repro.dse import TuningDB
-
-    db = TuningDB.load(args.tuning_db)
-    _registry.use_tuning_db(db)
-    print(
-        f"tuning DB: {args.tuning_db} ({len(db)} points, digest {db.digest[:12]}…)",
-        file=sys.stderr,
-    )
-
-
 def _cmd_estimate(args) -> int:
-    _install_tuning_db(args)
     budget = _budget_from_args(args)
     rows = []
     if args.strategy:
@@ -176,8 +158,6 @@ def _cmd_estimate(args) -> int:
         rows.append(_resource_row(resources, time.perf_counter() - start, chosen=False))
     else:
         choice = auto_select(args.d, args.k, budget=budget, family=args.family)
-        if choice.source != "estimator":
-            print(f"auto pick answered from: {choice.source}", file=sys.stderr)
         for name, resources, note in choice.considered:
             if resources is None:
                 rows.append({"strategy": name, "note": note})
@@ -198,12 +178,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    _install_tuning_db(args)
     budget = _budget_from_args(args)
     if args.name == "auto":
-        choice = auto_select(args.d, args.k, budget=budget)
-        strategy = choice.strategy
-        print(f"auto dispatch picked: {strategy.name} (source: {choice.source})")
+        strategy = auto_select(args.d, args.k, budget=budget).strategy
+        print(f"auto dispatch picked: {strategy.name}")
     else:
         strategy = _registry.get(args.name)
         _check_budget(budget, strategy, args.d, args.k)
@@ -385,20 +363,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_dse(args) -> int:
-    from pathlib import Path
-
-    from repro.dse import SweepSpec, TuningDB, frontier_report, run_sweep
+    from repro.dse import SweepSpec, frontier_report, run_sweep
     from repro.dse.frontier import render_report
-
-    if args.sweep is None and args.db is not None and Path(args.db).exists():
-        # Inspection mode: no sweep requested, database already on disk.
-        db = TuningDB.load(args.db)
-        payload = db.describe()
-        if args.json:
-            print(json.dumps(json_safe(payload), indent=2, ensure_ascii=False))
-        else:
-            print(render_table([payload], title=f"Tuning DB: {args.db}"))
-        return 0
 
     if args.sweep is not None:
         with open(args.sweep, "r", encoding="utf-8") as handle:
@@ -408,17 +374,8 @@ def _cmd_dse(args) -> int:
     start = time.perf_counter()
     store = run_sweep(spec, jobs=args.jobs, cache_dir=args.cache_dir)
     sweep_seconds = time.perf_counter() - start
-    db = TuningDB.from_sweep(store)
     report = frontier_report(store, metric=args.metric)
     report["sweep_seconds"] = round(sweep_seconds, 3)
-    report["db"] = db.describe()
-    if args.db is not None:
-        digest = db.save(args.db)
-        report["db_path"] = str(args.db)
-        print(
-            f"tuning DB written: {args.db} ({len(db)} points, digest {digest[:12]}…)",
-            file=sys.stderr,
-        )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(json_safe(report), handle, indent=2, ensure_ascii=False)
@@ -612,23 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--json", action="store_true", help="emit JSON on stdout")
     p_batch.set_defaults(func=_cmd_batch)
 
-    p_dse = sub.add_parser(
-        "dse", help="design-space sweep, Pareto report and tuning-DB emission"
-    )
+    p_dse = sub.add_parser("dse", help="design-space sweep and Pareto report")
     p_dse.add_argument(
         "--sweep",
         default=None,
-        help="sweep spec JSON (strategies / dims / k range / budgets / pipelines); "
+        help="sweep spec JSON (strategies / dims / k range / pipelines); "
         "omitted: a small built-in default grid",
     )
     p_dse.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = run in-process)"
-    )
-    p_dse.add_argument(
-        "--db",
-        default=None,
-        help="tuning database .npz to write (or to inspect when --sweep is omitted "
-        "and the file exists)",
     )
     p_dse.add_argument(
         "--cache-dir",
@@ -725,13 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-ancillas", type=int, default=None, help="ancilla budget: total"
-        )
-    for p in (p_est, p_syn):
-        p.add_argument(
-            "--tuning-db",
-            default=None,
-            help="answer auto selection from this swept tuning database "
-            "(falls back to live estimation off its region)",
         )
     return parser
 

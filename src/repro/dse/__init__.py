@@ -1,4 +1,4 @@
-"""Design-space exploration: parallel sweeps, Pareto frontiers, tuning DBs.
+"""Design-space exploration: parallel sweeps and Pareto frontiers.
 
 The estimator answers one ``(strategy, d, k)`` point in microseconds; this
 package turns that into a *map* of the whole design space:
@@ -8,10 +8,7 @@ package turns that into a *map* of the whole design space:
   fork pool, streaming results into a columnar :class:`PointStore`;
 * :mod:`repro.dse.frontier` — a vectorized Pareto skyline kernel over
   (gates, depth, two-qudit count, ancilla) objectives plus report/chart
-  emitters;
-* :mod:`repro.dse.tuning` — the persisted, content-addressed
-  :class:`TuningDB` that ``auto_select`` consults before falling back to
-  live estimation.
+  emitters.
 """
 
 from repro.dse.frontier import frontier_report, pareto_mask, scenario_frontiers
@@ -22,13 +19,11 @@ from repro.dse.sweep import (
     plan_sweep,
     run_sweep,
 )
-from repro.dse.tuning import TuningDB
 
 __all__ = [
     "PIPELINE_VARIANTS",
     "PointStore",
     "SweepSpec",
-    "TuningDB",
     "frontier_report",
     "pareto_mask",
     "plan_sweep",

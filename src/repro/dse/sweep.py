@@ -39,7 +39,6 @@ from repro.exceptions import (
     SynthesisError,
 )
 from repro.resources.estimator import INT64_MAX, METRIC_FIELDS
-from repro.synth.strategy import AncillaBudget
 
 #: Ancilla kinds stored as dedicated columns (``AncillaKind`` values).
 ANCILLA_KINDS: Tuple[str, ...] = ("clean", "borrowed", "burnable", "garbage")
@@ -82,40 +81,13 @@ PIPELINE_VARIANTS = {
 }
 
 
-def _parse_budget(raw) -> Optional[AncillaBudget]:
-    if raw is None:
-        return None
-    if isinstance(raw, AncillaBudget):
-        return raw
-    if not isinstance(raw, dict):
-        raise DSEError(f"an ancilla budget must be an object or null, got {raw!r}")
-    unknown = set(raw) - {"clean", "borrowed", "total"}
-    if unknown:
-        raise DSEError(f"unknown ancilla budget field(s) {sorted(unknown)}")
-    return AncillaBudget(
-        clean=raw.get("clean"), borrowed=raw.get("borrowed"), total=raw.get("total")
-    )
-
-
-def _budget_dict(budget: Optional[AncillaBudget]):
-    if budget is None:
-        return None
-    out = {}
-    for name in ("clean", "borrowed", "total"):
-        value = getattr(budget, name)
-        if value is not None:
-            out[name] = value
-    return out
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One design-space sweep: which grid to cover and how.
 
-    ``strategies=()`` means "every dispatchable strategy of ``family``";
-    ``budgets`` parameterise the frontier report (budgets never change a
-    point's cost, only which points a query may pick).  ``k_stop`` is
-    inclusive, matching how scenario ranges are quoted in the paper.
+    ``strategies=()`` means "every dispatchable strategy of ``family``".
+    ``k_stop`` is inclusive, matching how scenario ranges are quoted in the
+    paper.
     """
 
     strategies: Tuple[str, ...] = ()
@@ -124,7 +96,6 @@ class SweepSpec:
     k_start: int = 0
     k_stop: int = 64
     k_step: int = 1
-    budgets: Tuple[Optional[AncillaBudget], ...] = (None,)
     pipelines: Tuple[str, ...] = ("default",)
     #: Non-default pipelines synthesise real circuits; cap their k range.
     max_materialized_k: int = 12
@@ -179,8 +150,6 @@ class SweepSpec:
                 kwargs[name] = tuple(str(x) for x in kwargs[name])
         if "dims" in kwargs:
             kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-        if "budgets" in kwargs:
-            kwargs["budgets"] = tuple(_parse_budget(b) for b in kwargs["budgets"])
         return cls(**kwargs)
 
     def to_dict(self) -> Dict[str, object]:
@@ -191,7 +160,6 @@ class SweepSpec:
             "k_start": self.k_start,
             "k_stop": self.k_stop,
             "k_step": self.k_step,
-            "budgets": [_budget_dict(b) for b in self.budgets],
             "pipelines": list(self.pipelines),
             "max_materialized_k": self.max_materialized_k,
             "chunk_points": self.chunk_points,
@@ -447,9 +415,9 @@ def run_sweep(
     ``jobs > 1`` fans chunks over a ``fork`` pool whose workers each hold a
     :class:`~repro.exec.cache.CompileCache` on ``cache_dir`` (materialized
     chunks share synthesised macro circuits through it); platforms without
-    ``fork`` fall back to serial evaluation.  Chunk results arrive in a
-    worker-dependent order, so the store is sorted downstream (the tuning
-    DB build) rather than here.
+    ``fork`` fall back to serial evaluation.  ``pool.imap`` yields chunk
+    results in submission order, so the store is row-for-row the same as a
+    serial run's.
     """
     from repro.exec.keys import CODE_VERSION
 

@@ -55,8 +55,7 @@ class WorkloadError(ReproError):
 
 class DSEError(ReproError):
     """Raised by the design-space exploration layer: a malformed sweep
-    spec, a tuning database whose code-version salt or digest does not
-    match, or a frontier query over objectives the store does not carry."""
+    spec or a frontier query over objectives the store does not carry."""
 
 
 class ServeError(ReproError):

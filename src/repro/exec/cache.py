@@ -44,8 +44,7 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
 
     The temp file lives in the destination directory so the final rename
     never crosses a filesystem; concurrent writers of the same path leave
-    whichever replacement lands last, never a torn file.  Shared by the
-    cache sidecars and the tuning-database writer.
+    whichever replacement lands last, never a torn file.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")

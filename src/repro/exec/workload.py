@@ -89,6 +89,19 @@ _KINDS = ("synthesize", "simulate", "estimate")
 GATHER_MAX_STATES = 4096
 
 
+def json_int(value: object) -> int:
+    """``value`` itself if it is a JSON integer, else ``TypeError``.
+
+    The integer fields of a request (``d``, ``k``, state digits, the serve
+    ``priority``) take an ``int`` that is not a ``bool``: ``int()`` would
+    turn ``3.9`` into 3 and ``true`` into 1, and so run a request other than
+    the one sent.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class WorkloadRequest:
     """One request of a batch workload."""
@@ -144,13 +157,13 @@ class WorkloadRequest:
                     f"expected one of {list(PRESET_NAMES)}"
                 )
         try:
-            dim, k = int(raw["d"]), int(raw["k"])
-        except (TypeError, ValueError):
+            dim, k = json_int(raw["d"]), json_int(raw["k"])
+        except TypeError:
             raise WorkloadError(f"request {index}: d and k must be integers") from None
         states = raw.get("states", ())
         try:
-            states = tuple(tuple(int(x) for x in row) for row in states)
-        except (TypeError, ValueError):
+            states = tuple(tuple(json_int(x) for x in row) for row in states)
+        except TypeError:
             raise WorkloadError(
                 f"request {index}: states must be rows of digits"
             ) from None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.exceptions import ServeError
+from repro.exec.workload import json_int
 from repro.serve.queue import (
     DEFAULT_MAX_QUEUED,
     PRIORITY_HIGH,
@@ -44,8 +45,8 @@ def priority_for(raw: Dict[str, object]) -> int:
         return PRIORITY_LOW
     if "priority" in raw:
         try:
-            value = int(raw["priority"])  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+            value = json_int(raw["priority"])
+        except TypeError:
             raise ServeError(
                 f"request priority must be an integer in {sorted(PRIORITY_NAMES)}, "
                 f"got {raw['priority']!r}"

@@ -50,7 +50,8 @@ class DrainingError(ServeError):
 
 
 class OversizeError(ServeError):
-    """One submit carried more requests than the admission policy allows."""
+    """One submit is larger than the daemon takes: more requests than the
+    admission policy allows, or a body over the server's byte limit."""
 
     status = 413
 

@@ -96,6 +96,50 @@ _REJECT_REASON = {
 }
 
 
+async def _read_line(reader) -> bytes:
+    """Read one request or header line within :data:`READ_TIMEOUT`."""
+    try:
+        return await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
+    except ValueError:  # readline's form of asyncio.LimitOverrunError
+        raise ServeError("request or header line is longer than the read limit") from None
+
+
+async def _read_request(reader) -> Optional[Tuple[str, str, bytes]]:
+    """Read one HTTP request as ``(method, path, body)``; ``None`` if the
+    client closed without sending anything.
+
+    A malformed head raises :class:`ServeError` (400) and a body over
+    :data:`MAX_BODY_BYTES` raises :class:`OversizeError` (413), the latter
+    before any of the body is read.
+    """
+    request_line = await _read_line(reader)
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3:
+        raise ServeError("malformed request line")
+    method, target, _ = parts
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADER_LINES + 1):  # the headers and the blank line
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServeError(f"more than {MAX_HEADER_LINES} header lines")
+    length_text = headers.get("content-length") or "0"
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ServeError(f"invalid Content-Length {length_text!r}")
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
+        raise OversizeError(
+            f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+        )
+    body = await asyncio.wait_for(reader.readexactly(length), timeout=READ_TIMEOUT)
+    return method.upper(), target.split("?")[0], body
+
+
 @dataclass
 class ServeConfig:
     """Everything ``python -m repro serve`` exposes as flags."""
@@ -356,46 +400,15 @@ class ServeDaemon:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
-            if not request_line:
+            try:
+                request = await _read_request(reader)
+            except ServeError as error:
+                self.metrics.record_rejected(_REJECT_REASON.get(type(error), "bad_request"))
+                await self._respond(writer, error.status, {"error": str(error)})
                 return
-            parts = request_line.decode("latin-1").strip().split()
-            if len(parts) != 3:
-                self.metrics.record_rejected("bad_request")
-                await self._respond(writer, 400, {"error": "malformed request line"})
+            if request is None:
                 return
-            method, target, _ = parts
-            headers: Dict[str, str] = {}
-            for _ in range(MAX_HEADER_LINES + 1):  # the headers and the blank line
-                line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            else:
-                self.metrics.record_rejected("bad_request")
-                await self._respond(
-                    writer, 400, {"error": f"more than {MAX_HEADER_LINES} header lines"}
-                )
-                return
-            length_text = headers.get("content-length") or "0"
-            if not (length_text.isascii() and length_text.isdigit()):
-                self.metrics.record_rejected("bad_request")
-                await self._respond(
-                    writer, 400, {"error": f"invalid Content-Length {length_text!r}"}
-                )
-                return
-            length = int(length_text)
-            if length > MAX_BODY_BYTES:
-                self.metrics.record_rejected("oversize")
-                await self._respond(
-                    writer,
-                    413,
-                    {"error": f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"},
-                )
-                return
-            body = await asyncio.wait_for(reader.readexactly(length), timeout=READ_TIMEOUT)
-            status, payload = await self._route(method.upper(), target.split("?")[0], body)
+            status, payload = await self._route(*request)
             await self._respond(writer, status, payload)
         except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):
             pass  # client went away mid-request; nothing to answer
@@ -442,7 +455,7 @@ class ServeDaemon:
     async def _submit(self, body: bytes) -> Tuple[int, Dict[str, object]]:
         try:
             raw = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (UnicodeDecodeError, ValueError, RecursionError) as error:
             self.metrics.record_rejected("bad_request")
             return 400, {"error": f"body is not valid JSON: {error}"}
         if isinstance(raw, list):  # bare-list shorthand, like WorkloadSpec

@@ -24,7 +24,6 @@ from repro.synth.strategy import (
 )
 from repro.synth.registry import (
     AutoChoice,
-    active_tuning_db,
     all_strategies,
     auto_select,
     available,
@@ -33,7 +32,6 @@ from repro.synth.registry import (
     names,
     register,
     synthesize,
-    use_tuning_db,
 )
 
 # Importing the concrete strategies populates the registry.
@@ -45,7 +43,6 @@ __all__ = [
     "BOTH_PARITIES",
     "Capabilities",
     "Synthesizer",
-    "active_tuning_db",
     "all_strategies",
     "auto_select",
     "available",
@@ -54,5 +51,4 @@ __all__ = [
     "names",
     "register",
     "synthesize",
-    "use_tuning_db",
 ]

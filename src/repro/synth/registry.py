@@ -83,27 +83,6 @@ class AutoChoice:
     resources: Resources
     #: Every considered strategy: ``(name, resources-or-None, note)``.
     considered: List[Tuple[str, Optional[Resources], str]] = field(default_factory=list)
-    #: Where the answer came from: ``"estimator"`` (live) or ``"tuning-db"``.
-    source: str = "estimator"
-
-
-#: Session-wide tuning database consulted by :func:`auto_select` (see
-#: :func:`use_tuning_db`); ``None`` means every selection estimates live.
-_ACTIVE_TUNING_DB = None
-
-
-def use_tuning_db(db) -> Optional[object]:
-    """Install ``db`` (a :class:`repro.dse.tuning.TuningDB` or ``None``) as
-    the session's selection database; returns the previous one so callers
-    can restore it."""
-    global _ACTIVE_TUNING_DB
-    previous = _ACTIVE_TUNING_DB
-    _ACTIVE_TUNING_DB = db
-    return previous
-
-
-def active_tuning_db():
-    return _ACTIVE_TUNING_DB
 
 
 def auto_select(
@@ -113,25 +92,13 @@ def auto_select(
     family: str = "toffoli",
     budget: Optional[AncillaBudget] = None,
     metric: str = DEFAULT_METRIC,
-    tuning_db=None,
 ) -> AutoChoice:
     """Pick the cheapest applicable strategy for ``(d, k, budget)``.
 
     Costs come from the analytic estimator, so the selection itself never
     materialises a large circuit; ties break towards earlier registration
     (i.e. the paper's own constructions).
-
-    With a tuning database (``tuning_db=`` or session-wide via
-    :func:`use_tuning_db`), in-region queries are answered from its arrays
-    with zero estimator calls; the database itself falls back to this live
-    path whenever it cannot reproduce the live comparison exactly, so the
-    pick is bit-for-bit the same either way.
     """
-    db = tuning_db if tuning_db is not None else _ACTIVE_TUNING_DB
-    if db is not None:
-        choice = db.select(dim, k, family=family, budget=budget, metric=metric)
-        if choice is not None:
-            return choice
     considered: List[Tuple[str, Optional[Resources], str]] = []
     best: Optional[Tuple[Synthesizer, Resources]] = None
     for strategy in _REGISTRY.values():

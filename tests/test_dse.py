@@ -1,4 +1,4 @@
-"""Design-space exploration: batch estimation, Pareto kernel, tuning DB, CLI."""
+"""Design-space exploration: batch estimation, Pareto kernel, sweeps, CLI."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.__main__ import main
 from repro.dse import (
     SweepSpec,
-    TuningDB,
     frontier_report,
     pareto_mask,
     plan_sweep,
@@ -18,14 +17,15 @@ from repro.dse import (
     scenario_frontiers,
 )
 from repro.dse.sweep import STATUS_ERROR, STATUS_OFFSCALE, STATUS_OK
-from repro.exceptions import DSEError, EstimationError
+from repro.exceptions import DSEError, EstimationError, SynthesisError
 from repro.resources import cache_stats, clear_caches
 from repro.resources.estimator import (
     CALIBRATION_CACHE_ENTRIES,
+    INT64_MAX,
     MEASURED_CACHE_ENTRIES,
     METRIC_FIELDS,
 )
-from repro.synth import AncillaBudget, registry
+from repro.synth import registry
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +139,7 @@ def test_pareto_mask_matches_brute_force_with_float_costs():
 @pytest.fixture(scope="module")
 def swept():
     spec = SweepSpec(dims=(3, 4), k_stop=24)
-    store = run_sweep(spec)
-    return spec, store, TuningDB.from_sweep(store)
+    return spec, run_sweep(spec)
 
 
 def test_sweep_spec_validation_and_round_trip():
@@ -148,7 +147,6 @@ def test_sweep_spec_validation_and_round_trip():
         {
             "dims": [3, 4],
             "k_stop": 10,
-            "budgets": [None, {"clean": 0}],
             "pipelines": ["default"],
         }
     )
@@ -161,12 +159,13 @@ def test_sweep_spec_validation_and_round_trip():
         SweepSpec(pipelines=("mystery",))
     with pytest.raises(DSEError):
         SweepSpec.from_dict({"bogus_field": 1})
-    with pytest.raises(DSEError):
-        SweepSpec.from_dict({"budgets": [{"weird": 1}]})
+    # The retired ``budgets`` field is unknown now, not silently ignored.
+    with pytest.raises(DSEError, match="budgets"):
+        SweepSpec.from_dict({"budgets": [None]})
 
 
 def test_sweep_covers_grid_and_records_statuses(swept):
-    spec, store, _ = swept
+    spec, store = swept
     counts = store.counts()
     strategies = spec.resolve_strategies()
     expected = 0  # each (strategy, d) contributes its supported slice of ks
@@ -182,13 +181,48 @@ def test_sweep_covers_grid_and_records_statuses(swept):
 
 
 def test_parallel_sweep_equals_serial(swept):
-    spec, _, db = swept
+    spec, store = swept
     parallel_store = run_sweep(spec, jobs=2)
-    assert TuningDB.from_sweep(parallel_store).digest == db.digest
+    # pool.imap yields chunks in submission order: equal row for row.
+    assert parallel_store.strategies == store.strategies
+    assert parallel_store.pipelines == store.pipelines
+    assert parallel_store.columns.keys() == store.columns.keys()
+    for name in store.columns:  # column_names() plus exact and status
+        np.testing.assert_array_equal(
+            parallel_store.columns[name], store.columns[name], err_msg=name
+        )
+
+
+def test_swept_rows_match_live_estimates(swept):
+    """Every analytic sweep row is the scalar estimate ``auto_select`` ranks:
+    an ok row carries the same metrics and wire count, and an error row is a
+    point where ``estimate`` raises one of the errors ``auto_select`` skips."""
+    _, store = swept
+    cols = store.columns
+    checked = 0
+    for i in range(len(store)):
+        strategy = registry.get(store.strategies[int(cols["strategy_id"][i])])
+        dim, k = int(cols["dim"][i]), int(cols["k"][i])
+        status = int(cols["status"][i])
+        if status == STATUS_ERROR:
+            with pytest.raises((EstimationError, SynthesisError)):
+                strategy.estimate(dim, k)
+            continue
+        live = strategy.estimate(dim, k)
+        if status == STATUS_OFFSCALE:  # saturated column: the live count overflows int64
+            assert max(live.metrics()) > INT64_MAX
+            continue
+        assert status == STATUS_OK
+        for name, value in zip(METRIC_FIELDS, live.metrics()):
+            assert int(cols[name][i]) == value, f"{strategy.name} d={dim} k={k}: {name}"
+        assert int(cols["num_wires"][i]) == live.num_wires
+        assert bool(cols["exact"][i]) == live.exact
+        checked += 1
+    assert checked > 100
 
 
 def test_scenario_frontiers_match_pareto_kernel(swept):
-    _, store, _ = swept
+    _, store = swept
     frontiers = scenario_frontiers(store, 3)
     cols = store.columns
     ancilla_total = sum(cols[f"anc_{kind}"] for kind in ("clean", "borrowed", "burnable", "garbage"))
@@ -209,117 +243,12 @@ def test_scenario_frontiers_match_pareto_kernel(swept):
 
 
 def test_frontier_report_is_json_able_and_consistent(swept):
-    _, store, _ = swept
+    _, store = swept
     report = frontier_report(store)
     json.dumps(report, default=str)
     block = report["dims"]["3"]
     assert sum(block["win_counts"].values()) == block["ks"]["count"]
     assert block["crossovers"], "d=3 winner never changes across k?"
-
-
-# ----------------------------------------------------------------------
-# Tuning DB: bit-for-bit parity with live auto_select
-# ----------------------------------------------------------------------
-BUDGETS = (None, AncillaBudget(clean=0), AncillaBudget(total=0), AncillaBudget(borrowed=0))
-
-
-def test_db_backed_select_matches_live_for_every_swept_point(swept):
-    spec, _, db = swept
-    checked = fallbacks = 0
-    for dim in spec.dims:
-        for k in spec.ks().tolist():
-            for budget in BUDGETS:
-                db_choice = db.select(dim, k, budget=budget)
-                live = registry.auto_select(dim, k, budget=budget)
-                if db_choice is None:
-                    fallbacks += 1
-                    continue
-                checked += 1
-                assert db_choice.source == "tuning-db"
-                assert db_choice.strategy.name == live.strategy.name
-                assert db_choice.resources == live.resources
-                assert [c[0] for c in db_choice.considered] == [
-                    c[0] for c in live.considered
-                ]
-    assert checked > 100
-    assert fallbacks == 0
-
-
-def test_db_select_falls_back_off_the_swept_region(swept):
-    _, _, db = swept
-    assert db.select(5, 4) is None  # dimension never swept
-    assert db.select(3, 25) is None  # k past the swept range
-    # auto_select silently answers those live.
-    choice = registry.auto_select(5, 4, tuning_db=db)
-    assert choice.source == "estimator"
-
-
-def test_use_tuning_db_installs_a_session_database(swept):
-    _, _, db = swept
-    previous = registry.use_tuning_db(db)
-    try:
-        assert registry.auto_select(3, 8).source == "tuning-db"
-    finally:
-        registry.use_tuning_db(previous)
-    assert registry.auto_select(3, 8).source == "estimator"
-
-
-def test_db_save_load_round_trip(tmp_path, swept):
-    _, _, db = swept
-    path = tmp_path / "tuning.npz"
-    digest = db.save(path)
-    loaded = TuningDB.load(path)
-    assert loaded.digest == digest == db.digest
-    assert loaded.strategies == db.strategies
-    assert loaded.select(3, 8).resources == db.select(3, 8).resources
-    description = loaded.describe()
-    assert description["points"] == len(db)
-    assert description["error"] >= 1
-
-
-def test_db_load_rejects_a_different_code_version(tmp_path, swept):
-    _, _, db = swept
-    path = tmp_path / "tuning.npz"
-    db.save(path)
-    with pytest.raises(DSEError, match="code version"):
-        TuningDB.load(path, salt="repro-exec-999")
-    # And a DB swept under an older version is refused by current code.
-    stale = TuningDB(db.columns, db.strategies, db.pipelines, salt="repro-exec-0")
-    stale.save(path)
-    with pytest.raises(DSEError, match="code version"):
-        TuningDB.load(path)
-
-
-def test_db_load_rejects_tampered_columns(tmp_path, swept):
-    _, _, db = swept
-    path = tmp_path / "tuning.npz"
-    db.save(path)
-    with np.load(path) as data:
-        arrays = {name: np.array(data[name]) for name in data.files}
-    arrays["two_qudit_gates"] = arrays["two_qudit_gates"] + 1  # silent "improvement"
-    np.savez(path, **arrays)
-    with pytest.raises(DSEError, match="digest mismatch"):
-        TuningDB.load(path)
-
-
-def test_db_refuses_duplicate_points(swept):
-    _, store, _ = swept
-    doubled_cols = {
-        name: np.concatenate([column, column]) for name, column in store.columns.items()
-    }
-    doubled = type(store)(
-        strategies=list(store.strategies),
-        pipelines=list(store.pipelines),
-        columns=doubled_cols,
-    )
-    with pytest.raises(DSEError, match="sorted"):
-        TuningDB.from_sweep(doubled)
-
-
-def test_db_select_memo_serves_repeat_queries(swept):
-    _, _, db = swept
-    first = db.select(3, 9)
-    assert db.select(3, 9) is first  # memo returns the identical object
 
 
 # ----------------------------------------------------------------------
@@ -348,52 +277,21 @@ def test_materialized_pipeline_variant_rows():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_dse_sweep_report_and_db(tmp_path, capsys):
+def test_cli_dse_sweep_report(tmp_path, capsys):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(
         json.dumps({"dims": [3], "k_stop": 10, "strategies": ["mct", "mcu-exponential"]}),
         encoding="utf-8",
     )
-    db_path = tmp_path / "tuning.npz"
     report_path = tmp_path / "frontier.json"
     assert (
-        main(
-            [
-                "dse",
-                "--sweep",
-                str(spec_path),
-                "--db",
-                str(db_path),
-                "--report",
-                str(report_path),
-                "--json",
-            ]
-        )
+        main(["dse", "--sweep", str(spec_path), "--report", str(report_path), "--json"])
         == 0
     )
     payload = json.loads(capsys.readouterr().out)
-    assert payload["db"]["points"] == 22
+    assert payload["points"]["points"] == 22
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert "3" in report["dims"]
-    # Inspection mode: --db without --sweep describes the saved archive.
-    assert main(["dse", "--db", str(db_path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["points"] == 22
-
-
-def test_cli_estimate_and_synthesize_with_tuning_db(tmp_path, capsys):
-    db_path = tmp_path / "tuning.npz"
-    TuningDB.from_sweep(run_sweep(SweepSpec(dims=(3,), k_stop=10))).save(db_path)
-    previous = registry.use_tuning_db(None)
-    try:
-        assert main(["estimate", "3", "8", "--tuning-db", str(db_path), "--json"]) == 0
-        captured = capsys.readouterr()
-        assert "tuning-db" in captured.err
-        rows = json.loads(captured.out)
-        assert any(row.get("auto") == "<<<" for row in rows)
-        assert main(["synthesize", "auto", "3", "4", "--tuning-db", str(db_path)]) == 0
-        assert "source: tuning-db" in capsys.readouterr().out
-    finally:
-        registry.use_tuning_db(previous)
 
 
 def test_cli_dse_rejects_a_bad_spec(tmp_path, capsys):
@@ -401,12 +299,3 @@ def test_cli_dse_rejects_a_bad_spec(tmp_path, capsys):
     spec_path.write_text(json.dumps({"mystery": 1}), encoding="utf-8")
     assert main(["dse", "--sweep", str(spec_path)]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_cli_estimate_rejects_a_stale_tuning_db(tmp_path, capsys):
-    db = TuningDB.from_sweep(run_sweep(SweepSpec(dims=(3,), k_stop=4)))
-    stale = TuningDB(db.columns, db.strategies, db.pipelines, salt="repro-exec-0")
-    db_path = tmp_path / "stale.npz"
-    stale.save(db_path)
-    assert main(["estimate", "3", "4", "--tuning-db", str(db_path)]) == 1
-    assert "code version" in capsys.readouterr().err

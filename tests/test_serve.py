@@ -123,6 +123,10 @@ def test_priority_classes():
         priority_for({"kind": "simulate", "priority": "urgent"})
     with pytest.raises(ServeError):
         priority_for({"kind": "simulate", "priority": 9})
+    # Only a JSON integer: int() used to queue 1.0, true and "1" as 1.
+    for value in (1.0, 0.5, True, "1"):
+        with pytest.raises(ServeError, match="must be an integer"):
+            priority_for({"kind": "simulate", "priority": value})
 
 
 def test_admission_rejections_map_to_http_statuses():
@@ -471,15 +475,7 @@ def test_daemon_rejects_the_retired_engine_field_with_400():
     async def scenario(daemon, host, port):
         spec = {"requests": [{"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3,
                               "engine": "object"}]}
-        body = json.dumps(spec).encode("utf-8")
-        reply = await raw_exchange(
-            host,
-            port,
-            b"POST /v1/workload HTTP/1.1\r\nContent-Length: "
-            + str(len(body)).encode("ascii")
-            + b"\r\n\r\n"
-            + body,
-        )
+        reply = await raw_exchange(host, port, post_workload(json.dumps(spec).encode("utf-8")))
         return reply, daemon.metrics.rejected["bad_request"]
 
     reply, rejected = serve_in_process(scenario)
@@ -515,6 +511,16 @@ async def raw_exchange(host, port, data: bytes) -> bytes:
         return await asyncio.wait_for(reader.read(), timeout=10.0)
     finally:
         writer.close()
+
+
+def post_workload(body: bytes) -> bytes:
+    """A raw ``POST /v1/workload`` request carrying ``body``."""
+    return (
+        b"POST /v1/workload HTTP/1.1\r\nContent-Length: "
+        + str(len(body)).encode("ascii")
+        + b"\r\n\r\n"
+        + body
+    )
 
 
 def test_bad_content_length_is_answered_400_and_counted():
@@ -584,6 +590,70 @@ def test_too_many_header_lines_are_answered_400():
     reply, rejected = serve_in_process(scenario)
     assert reply.startswith(b"HTTP/1.1 400 ") and b"header lines" in reply
     assert rejected == 1
+
+
+def test_deeply_nested_json_body_is_answered_400():
+    """``json.loads`` raised RecursionError, which ``_submit`` did not catch:
+    the connection closed with no response and no rejection counted."""
+
+    async def scenario(daemon, host, port):
+        reply = await raw_exchange(host, port, post_workload(b"[" * 100_000))
+        return reply, daemon.metrics.rejected["bad_request"]
+
+    reply, rejected = serve_in_process(scenario)
+    assert reply.startswith(b"HTTP/1.1 400 ") and b"not valid JSON" in reply
+    assert rejected == 1
+
+
+def test_over_long_request_and_header_lines_are_answered_400():
+    """A line past the stream reader's 64 KiB limit made ``readline`` raise
+    ValueError out of the connection handler, which dropped the connection
+    without a response."""
+    long_request_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+    long_header_line = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(host, port, data)
+            for data in (long_request_line, long_header_line)
+        ]
+        healthy = await raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\n\r\n")
+        return replies, healthy, daemon.metrics.rejected["bad_request"]
+
+    replies, healthy, rejected = serve_in_process(scenario)
+    for reply in replies:
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"longer than the read limit" in reply
+    assert healthy.startswith(b"HTTP/1.1 200 ")
+    assert rejected == 2
+
+
+def test_daemon_answers_non_integer_numbers_with_400():
+    """Floats, booleans and numeric strings used to be coerced with ``int()``:
+    ``{"d": 3.9, "k": true}`` ran as d=3, k=1 with 200 OK."""
+    base = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2}
+    requests = [
+        {**base, "d": 3.9, "k": True},
+        {**base, "d": 3.0},
+        {**base, "k": "2"},
+        {**base, "states": [[0, 0.7, True]]},
+        {**base, "priority": 1.0},
+        {**base, "priority": True},
+    ]
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, post_workload(json.dumps({"requests": [request]}).encode())
+            )
+            for request in requests
+        ]
+        return replies, daemon.metrics.rejected["bad_request"]
+
+    replies, rejected = serve_in_process(scenario)
+    for request, reply in zip(requests, replies):
+        assert reply.startswith(b"HTTP/1.1 400 "), request
+        assert b"integer" in reply or b"rows of digits" in reply, request
+    assert rejected == len(requests)
 
 
 def test_stalled_body_times_out(monkeypatch):

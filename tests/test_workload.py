@@ -55,6 +55,14 @@ def test_spec_parses_and_round_trips(tmp_path):
         {"kind": "synthesize", "strategy": "mct", "d": "x", "k": 4},
         {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4, "states": [[0]]},
         {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 4, "bogus": 1},
+        # Only JSON integers: int() ran {"d": 3.9, "k": true} as d=3, k=1
+        # and the state [0, 0.7, true] as (0, 0, 1).
+        {"kind": "simulate", "strategy": "mct", "d": 3.9, "k": True},
+        {"kind": "simulate", "strategy": "mct", "d": 3.0, "k": 2},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": "2"},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0.7, True]]},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0, 1.0]]},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": ["001"]},
     ],
 )
 def test_spec_rejects_malformed_requests(raw):
