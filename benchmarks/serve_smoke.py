@@ -14,7 +14,11 @@ a small mixed workload through the HTTP front end via
   (``repro.exec.workload.GATHER_MAX_STATES``) returns outputs that differ
   from the gate's definition, or a ``sim_path`` other than ``"gather"``
   (small register, sent twice) or ``"propagate"`` (3^9 states);
-* the daemon does not exit 0 on SIGTERM (graceful drain).
+* the daemon does not exit 0 on SIGTERM (graceful drain);
+* after one row is dropped from the cached ``mct`` d=3 k=3 entry, a second
+  daemon on the same directory answers that simulate with ``"verify":
+  "standard"`` by anything but a failed row (``VerificationError``, no
+  ``outputs``, ``verify_result.key`` naming the entry), or does not drain.
 
 The scraped metrics snapshot is persisted to
 ``benchmarks/results/serve_smoke.json`` so the CI artifact upload
@@ -47,6 +51,7 @@ from _harness import emit_json
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.exec import load_table, lowered_key, save_table
 from repro.exec.workload import GATHER_MAX_STATES
 from repro.serve import ServeClient
 
@@ -67,6 +72,10 @@ PATH_SUBMITS = tuple(
       "states": [[0] * k + [1], [0] * k + [2], [1] + [0] * (k - 1) + [0]]}, path)
     for k, path in ((3, "gather"), (3, "gather"), (8, "propagate"))
 )
+
+#: Sent to a daemon whose cached ``mct`` d=3 k=3 entry lost one row.
+TAMPERED_SUBMIT = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
+                   "states": [[0, 0, 0, 1]], "verify": "standard"}
 
 REQUIRED_COUNTERS = (
     "requests", "queue_depth", "in_flight", "cache", "latency", "queue_wait",
@@ -99,6 +108,28 @@ def boot_daemon(cache_dir: pathlib.Path, workdir: pathlib.Path) -> tuple:
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"serve smoke FAILED: {message}")
+
+
+def drain(process) -> int:
+    """SIGTERM the daemon; check it drains cleanly and return its exit code."""
+    process.send_signal(signal.SIGTERM)
+    returncode = process.wait(timeout=60)
+    stderr = process.stderr.read()
+    check(returncode == 0, f"SIGTERM drain exited {returncode}: {stderr}")
+    check("drained cleanly" in stderr, f"no drain confirmation on stderr: {stderr!r}")
+    return returncode
+
+
+def drop_cached_row(cache_dir: pathlib.Path, strategy: str, d: int, k: int) -> str:
+    """Re-save the cached archive of ``strategy(d, k)`` without its middle
+    row (it still loads); returns the entry's key."""
+    key = lowered_key(strategy, d, k)
+    archives = list(cache_dir.rglob(f"{key}.npz"))
+    check(len(archives) == 1, f"expected one cached archive for {key}, found {archives}")
+    table = load_table(archives[0])
+    keep = [row != len(table) // 2 for row in range(len(table))]
+    save_table(archives[0], table.select(keep))
+    return key
 
 
 def mct_outputs(request) -> list:
@@ -168,13 +199,27 @@ def main() -> None:
             check(hit_rate is not None and hit_rate > 0.0,
                   f"warm resubmits produced no cache hits: {metrics['cache']}")
 
-            process.send_signal(signal.SIGTERM)
-            returncode = process.wait(timeout=60)
-            stderr = process.stderr.read()
-            check(returncode == 0,
-                  f"SIGTERM drain exited {returncode}: {stderr}")
-            check("drained cleanly" in stderr,
-                  f"no drain confirmation on stderr: {stderr!r}")
+            returncode = drain(process)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+        # A second daemon on a tampered entry: verify checks the served table.
+        key = drop_cached_row(tmp_path / "cache", "mct", 3, 3)
+        process, client = boot_daemon(tmp_path / "cache", tmp_path)
+        try:
+            status, payload = client.submit({"requests": [TAMPERED_SUBMIT]})
+            check(status == 200, f"tampered submit answered {status}: {payload}")
+            row = payload["rows"][0]
+            check(row.get("ok") is False
+                  and str(row.get("error", "")).startswith("VerificationError: "),
+                  f"tampered entry was not failed by verify: {row}")
+            check("outputs" not in row, f"failed verify row carries outputs: {row}")
+            tampered = row.get("verify_result") or {}
+            check(tampered == {"status": "failed", "key": key},
+                  f"verify_result {tampered} does not name the failed entry {key}")
+            tampered_returncode = drain(process)
         finally:
             if process.poll() is None:
                 process.kill()
@@ -186,11 +231,15 @@ def main() -> None:
         "cache": metrics["cache"],
         "queue_wait_count": metrics["queue_wait"]["count"],
         "drain_returncode": returncode,
+        "tampered_entry": {
+            "verify_status": tampered["status"],
+            "drain_returncode": tampered_returncode,
+        },
     }
     stem = "serve_smoke_quick" if args.quick else "serve_smoke"
     emit_json(stem, payload)
     print(f"serve smoke OK: {expected} requests, "
-          f"hit_rate={hit_rate:.3f}, drained cleanly")
+          f"hit_rate={hit_rate:.3f}, drained cleanly; tampered entry failed verify")
 
 
 if __name__ == "__main__":

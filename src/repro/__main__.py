@@ -192,7 +192,7 @@ def _cmd_synthesize(args) -> int:
     if args.verify:
         verify_budget = _verify_budget_from_args(args)
         try:
-            outcome = strategy.verify(result, args.d, args.k, budget=verify_budget)
+            outcome = strategy.verify(result.circuit, args.d, args.k, budget=verify_budget)
         except NotImplementedError:
             print("verify: no canonical specification for this strategy", file=sys.stderr)
             return 2
@@ -367,8 +367,7 @@ def _cmd_dse(args) -> int:
     from repro.dse.frontier import render_report
 
     if args.sweep is not None:
-        with open(args.sweep, "r", encoding="utf-8") as handle:
-            spec = SweepSpec.from_dict(json.load(handle))
+        spec = SweepSpec.from_json(args.sweep)
     else:
         spec = SweepSpec()  # small built-in default grid
     start = time.perf_counter()

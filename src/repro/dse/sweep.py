@@ -25,9 +25,11 @@ Two chunk modes:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -145,12 +147,27 @@ class SweepSpec:
         if unknown:
             raise DSEError(f"unknown sweep spec field(s) {sorted(unknown)}")
         kwargs = dict(raw)
-        for name in ("strategies", "pipelines"):
-            if name in kwargs:
-                kwargs[name] = tuple(str(x) for x in kwargs[name])
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-        return cls(**kwargs)
+        try:
+            for name in ("strategies", "pipelines"):
+                if name in kwargs:
+                    kwargs[name] = tuple(str(x) for x in kwargs[name])
+            if "dims" in kwargs:
+                kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as error:  # a field of the wrong type
+            raise DSEError(f"malformed sweep spec: {error}") from None
+
+    @classmethod
+    def from_json(cls, path: os.PathLike) -> "SweepSpec":
+        """Parse a sweep spec file; an unreadable or malformed file raises
+        :class:`DSEError`."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as error:
+            raise DSEError(f"cannot read sweep spec: {error}") from error
+        except (ValueError, RecursionError) as error:  # RecursionError: deep nesting
+            raise DSEError(f"sweep spec is not valid JSON: {error}") from error
+        return cls.from_dict(raw)
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -25,8 +25,9 @@ Execution has three stages:
 
 Simulate requests are batched: all listed basis states of one request
 evolve together.  A permutation circuit answers classically — one lookup
-into its cached whole-basis gather up to :data:`GATHER_MAX_STATES` basis
-states, index propagation through every row above that — and any other
+into its cached whole-basis gather up to
+:data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states, index
+propagation through every row above that — and any other
 circuit runs as a :class:`~repro.sim.batch.BatchedStatevector` on the
 requested backend.  Each simulate row names the path it took in
 ``"sim_path"``.
@@ -46,47 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
-from repro.exec.service import compile_lowered, lowered_key
+from repro.exec.service import CompileOutcome, compile_lowered, lowered_key
+from repro.sim.permutation import GATHER_MAX_STATES
 
 _KINDS = ("synthesize", "simulate", "estimate")
-
-#: Largest basis (``d**n`` states) on which a permutation simulate is
-#: answered by one lookup into the table's composed whole-basis gather
-#: (:meth:`~repro.ir.table.GateTable.permutation_index_table`) instead of
-#: pushing its states through every row
-#: (:meth:`~repro.ir.table.GateTable.apply_to_indices`, about ten numpy calls
-#: per row).  The gather is composed on first use and then held by the
-#: cached table, interned on its pools, so every repeat costs O(states).
-#: Larger registers keep index propagation, which never builds a ``d**n``
-#: array and so works far beyond statevector sizes.
-#:
-#: The value is the largest basis at which composing a fresh table costs no
-#: more than propagating one request's states through it, so a first
-#: request is no slower either.  Both costs grow with the row count, so
-#: their ratio depends on the basis size.  Measured on a 2-vCPU Intel Xeon
-#: VM, two runs (each a median of five; op tables cold; propagating 4
-#: states)::
-#:
-#:     circuit            basis     compose       propagate 4
-#:     mct d=4 k=3        1,024     2.3-2.6 ms    4.5-4.7 ms
-#:     mct d=3 k=6        2,187     32-35 ms      68-69 ms
-#:     pk  d=5 k=4        3,125     16-20 ms      29-30 ms
-#:     mct d=4 k=4        4,096     13-16 ms      15-16 ms
-#:     mct d=3 k=7        6,561     111-123 ms    104-120 ms
-#:     mct d=6 k=3        7,776     16-20 ms      10-11 ms
-#:     mct d=4 k=5       16,384     78-95 ms      20-28 ms
-#:
-#: The exception is a circuit with few rows per distinct operation, whose
-#: composition is dominated by building each operation's table: the
-#: clean-ancilla ladder at d=3, k=4 (2,187 states, 51 rows) composes in
-#: 0.9 ms against 0.4 ms, once per cached table.
-#:
-#: Memory is bounded in bytes: one ``int64`` gather of at most
-#: ``GATHER_MAX_STATES * 8`` bytes = 32 KiB per cached table, so a compile
-#: cache's in-process memo (128 tables by default) holds at most 4 MiB of
-#: them.  Composition also builds each distinct operation's table of the
-#: same size into the op-table cache of :mod:`repro.qudit.operations`.
-GATHER_MAX_STATES = 4096
 
 
 def json_int(value: object) -> int:
@@ -120,8 +84,9 @@ class WorkloadRequest:
     #: whole-basis gather at ``8 * d**n`` bytes.
     memory_budget: Optional[int] = None
     #: Verification level: a budget preset name (``smoke``/``standard``/
-    #: ``audit``) — the synthesised macro is checked against the strategy's
-    #: semantic spec under that budget (synthesize/simulate kinds only).
+    #: ``audit``) — the circuit the row is served from (the cached table) is
+    #: checked against the strategy's semantic spec under that budget before
+    #: any simulate runs (synthesize/simulate kinds only).
     verify: Optional[str] = None
 
     @classmethod
@@ -264,7 +229,7 @@ class WorkloadSpec:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as error:
             raise WorkloadError(f"cannot read workload spec: {error}") from error
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:  # RecursionError: deep nesting
             raise WorkloadError(f"workload spec is not valid JSON: {error}") from error
         return cls.from_dict(raw)
 
@@ -342,10 +307,12 @@ def execute_request(
                 cache=outcome.source,
                 compile_seconds=round(outcome.seconds, 6),
             )
+            if request.verify is not None:
+                # Before the simulate, so a row whose check fails carries
+                # no outputs.
+                _verify_served(request, outcome, row)
             if request.kind == "simulate":
                 row["outputs"], row["sim_path"] = _simulate(request, circuit)
-            if request.verify is not None:
-                row["verify_result"] = _verify_macro(request, outcome.strategy)
         row["ok"] = True
     except ReproError as error:
         row["ok"] = False
@@ -384,32 +351,37 @@ def execute_request_raw(
     return execute_request(request, cache, index=index)
 
 
-def _verify_macro(request: WorkloadRequest, strategy_name: str) -> Dict[str, object]:
-    """Check the request's macro against its strategy's semantic spec.
+def _verify_served(
+    request: WorkloadRequest, outcome: CompileOutcome, row: Dict[str, object]
+) -> None:
+    """Check the served circuit against its strategy's semantic spec.
 
-    The compile cache only holds the *lowered* circuit, so the macro-level
-    :class:`~repro.qudit.ancilla.SynthesisResult` is rebuilt here (cheap
-    relative to the verification itself).  A failed check raises
-    :class:`~repro.exceptions.VerificationError`, which the caller records
-    as the request's error.
+    The circuit is ``outcome.circuit``, a view of the table the compile
+    cache holds, so verify and simulate read the same artefact (and, for a
+    permutation table, the same composed gather).  The spec follows from
+    ``(d, k)`` alone.  ``row["verify_result"]`` names the checked table by
+    its cache key and reads ``"failed"`` until the check returns; a failed
+    check raises :class:`~repro.exceptions.VerificationError`, which the
+    caller records as the request's error.
     """
     from repro.synth import registry
     from repro.verify import VerificationBudget
 
-    strategy = registry.get(strategy_name)
-    result = strategy.synthesize(request.dim, request.k)
+    result = row["verify_result"] = {"status": "failed", "key": outcome.key}
+    strategy = registry.get(outcome.strategy)
     try:
         report = strategy.verify(
-            result, request.dim, request.k,
+            outcome.circuit, request.dim, request.k,
             budget=VerificationBudget.preset(request.verify),
         )
     except NotImplementedError:
-        return {"status": "unsupported"}
-    return {
-        "status": report.status,
-        "tier": report.decided_by,
-        "states_checked": int(report.states_checked),
-    }
+        result["status"] = "unsupported"
+        return
+    result.update(
+        status=report.status,
+        tier=report.decided_by,
+        states_checked=int(report.states_checked),
+    )
 
 
 def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
@@ -417,7 +389,8 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
 
     Returns the output digit strings and the path that produced them:
     ``"gather"`` or ``"propagate"`` for a permutation circuit (see
-    :data:`GATHER_MAX_STATES`), otherwise the backend's name.
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES`), otherwise the
+    backend's name.
     """
     from repro.sim import BatchedStatevector, get_backend
     from repro.utils.indexing import digits_to_index, indices_to_digits

@@ -549,7 +549,7 @@ def check_synthesis_semantics(
     if budget is None:
         budget = FUZZ_VERIFY_BUDGET
     try:
-        outcome = strategy.verify(result, instance.dim, instance.k, budget=budget)
+        outcome = strategy.verify(result.circuit, instance.dim, instance.k, budget=budget)
     except NotImplementedError:
         return None
     except VerificationError as error:

@@ -26,6 +26,51 @@ from repro.utils.indexing import digit_matrix, indices_to_digits, iterate_basis
 
 BasisState = Tuple[int, ...]
 
+#: Largest basis (``d**n`` states) on which a batch of basis states of a
+#: permutation circuit is answered by one lookup into the table's composed
+#: whole-basis gather (:meth:`~repro.ir.table.GateTable.permutation_index_table`)
+#: instead of pushing the states through every row
+#: (:meth:`~repro.ir.table.GateTable.apply_to_indices`, about ten numpy calls
+#: per row).  Both workload simulates (:mod:`repro.exec.workload`) and the
+#: sampled permutation-spec check (:func:`repro.verify.checks.spec_sampled`)
+#: take this crossover.  The gather is composed on first use and then held
+#: by the cached table, interned on its pools, so every repeat costs
+#: O(states).  Larger registers keep index propagation, which never builds a
+#: ``d**n`` array and so works far beyond statevector sizes.
+#:
+#: The value is the largest basis at which composing a fresh table costs no
+#: more than propagating one request's states through it, so a first
+#: request is no slower either.  Both costs grow with the row count, so
+#: their ratio depends on the basis size.  Measured on a 2-vCPU Intel Xeon
+#: VM, two runs (each a median of five; op tables cold; propagating 4
+#: states)::
+#:
+#:     circuit            basis     compose       propagate 4
+#:     mct d=4 k=3        1,024     2.3-2.6 ms    4.5-4.7 ms
+#:     mct d=3 k=6        2,187     32-35 ms      68-69 ms
+#:     pk  d=5 k=4        3,125     16-20 ms      29-30 ms
+#:     mct d=4 k=4        4,096     13-16 ms      15-16 ms
+#:     mct d=3 k=7        6,561     111-123 ms    104-120 ms
+#:     mct d=6 k=3        7,776     16-20 ms      10-11 ms
+#:     mct d=4 k=5       16,384     78-95 ms      20-28 ms
+#:
+#: The exception is a circuit with few rows per distinct operation, whose
+#: composition is dominated by building each operation's table: the
+#: clean-ancilla ladder at d=3, k=4 (2,187 states, 51 rows) composes in
+#: 0.9 ms against 0.4 ms, once per cached table.
+#:
+#: Memory is bounded in bytes for simulates and sampled checks: one
+#: ``int64`` gather of at most ``GATHER_MAX_STATES * 8`` bytes = 32 KiB per
+#: cached table, so a compile cache's in-process memo (128 tables by
+#: default) holds at most 4 MiB of them.  The exhaustive (dense-tier)
+#: permutation check is bounded by its budget instead: it composes the
+#: whole gather of the table it checks up to ``max_basis_states`` basis
+#: states (200,000, 1.6 MB, under the ``standard`` budget), and the table
+#: holds it like any other.  Composition also builds each distinct
+#: operation's table of the same size into the op-table cache of
+#: :mod:`repro.qudit.operations`.
+GATHER_MAX_STATES = 4096
+
 
 def apply_to_basis(circuit: QuditCircuit, state: Sequence[int]) -> BasisState:
     """Apply ``circuit`` to one computational basis state and return the result."""

@@ -51,14 +51,15 @@ from repro.applications.unitary_synthesis import random_unitary, synthesize_unit
 from repro.utils.indexing import digits_to_index, index_to_digits
 
 
-def _verify_mct(result: SynthesisResult, budget=None, **kwargs):
+def _verify_mct(strategy: Synthesizer, circuit, dim: int, k: int, budget=None, **kwargs):
+    """The ``|0^k⟩-X01`` spec: controls on wires ``0..k-1``, target on ``k``."""
     from repro.sim.verify import assert_mct_spec
 
     return assert_mct_spec(
-        result.circuit,
-        result.controls,
-        result.target,
-        clean_wires=result.clean_wires(),
+        circuit,
+        range(k),
+        k,
+        clean_wires=strategy.verified_clean_wires(circuit, dim, k),
         budget=budget,
         **kwargs,
     )
@@ -135,8 +136,8 @@ class MctStrategy(Synthesizer):
         borrowed = (ks >= 2).astype(np.int64)
         return ks + 1 + borrowed, {"borrowed": borrowed}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        return _verify_mct(result, budget=budget, **kwargs)
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
 
 
 class MctOddStrategy(MctStrategy):
@@ -218,11 +219,12 @@ class PkStrategy(Synthesizer):
         borrowed = (ks > 2).astype(np.int64)
         return ks + borrowed, {"borrowed": borrowed}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         from repro.sim.verify import assert_permutation_equals_function
 
+        self.verified_clean_wires(circuit, dim, k)
         return assert_permutation_equals_function(
-            result.circuit,
+            circuit,
             lambda digits: pk_map(dim, digits),
             wires=list(range(k)),
             budget=budget,
@@ -273,10 +275,10 @@ class McuStrategy(Synthesizer):
         clean = (ks >= 2).astype(np.int64)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         # Canonical payload is X01, so the spec is exactly the k-Toffoli's
         # (on the clean-ancilla subspace).
-        return _verify_mct(result, budget=budget, **kwargs)
+        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +317,8 @@ class CleanLadderStrategy(Synthesizer):
         clean = np.where(ks > 2, -(-(ks - 2) // max(1, dim - 2)), 0)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        return _verify_mct(result, budget=budget, **kwargs)
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
 
 
 class McuExponentialStrategy(Synthesizer):
@@ -418,9 +420,7 @@ class McuExponentialStrategy(Synthesizer):
     #: verify on bases too large for the dense matrix compare.
     supports_sampled_columns = True
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        import numpy as np
-
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         from repro.baselines.ancilla_free_exponential import toffoli_payload_su
         from repro.sim.unitary import multi_controlled_unitary_matrix
         from repro.sim.verify import assert_unitary_columns_equiv, assert_unitary_equiv
@@ -431,7 +431,8 @@ class McuExponentialStrategy(Synthesizer):
         # ancilla-free, so the block is columns 0..d-1), so each expected
         # column is written down directly — no basis² matrix.  The payload
         # block is always pinned into the sample.
-        size = dim**result.circuit.num_wires
+        self.verified_clean_wires(circuit, dim, k)
+        size = dim**circuit.num_wires
 
         def expected_column(col: int) -> np.ndarray:
             vector = np.zeros(size, dtype=complex)
@@ -444,7 +445,7 @@ class McuExponentialStrategy(Synthesizer):
         sampled_columns = kwargs.pop("sampled_columns", None)
         if sampled_columns is not None:
             return assert_unitary_columns_equiv(
-                result.circuit,
+                circuit,
                 expected_column,
                 samples=int(sampled_columns),
                 required_columns=range(dim),
@@ -459,7 +460,7 @@ class McuExponentialStrategy(Synthesizer):
             from repro.verify import TieredVerifier, resolve_budget
 
             report = TieredVerifier(resolve_budget(budget)).verify_unitary(
-                result.circuit,
+                circuit,
                 expected_factory=lambda: np.asarray(
                     multi_controlled_unitary_matrix(dim, k, payload)
                 ),
@@ -471,7 +472,7 @@ class McuExponentialStrategy(Synthesizer):
             return report.raise_if_failed()
         expected = multi_controlled_unitary_matrix(dim, k, payload)
         return assert_unitary_equiv(
-            result.circuit, np.asarray(expected), up_to_global_phase=True, **kwargs
+            circuit, np.asarray(expected), up_to_global_phase=True, **kwargs
         )
 
 
@@ -530,14 +531,14 @@ class IncrementStrategy(Synthesizer):
             **fields,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         from repro.sim.verify import assert_permutation_equals_function
 
         return assert_permutation_equals_function(
-            result.circuit,
+            circuit,
             lambda digits: increment_reference(dim, k, digits),
             wires=list(range(k)),
-            clean_wires=result.clean_wires(),
+            clean_wires=self.verified_clean_wires(circuit, dim, k),
             budget=budget,
             **kwargs,
         )
@@ -599,16 +600,17 @@ class ReversibleStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         from repro.sim.verify import assert_permutation_equals_function
 
+        self.verified_clean_wires(circuit, dim, k)
         table = random_reversible_function(dim, k, seed=0)
 
         def reference(digits):
             return index_to_digits(table[digits_to_index(digits, dim)], dim, k)
 
         return assert_permutation_equals_function(
-            result.circuit, reference, wires=list(range(k)), budget=budget, **kwargs
+            circuit, reference, wires=list(range(k)), budget=budget, **kwargs
         )
 
 
@@ -668,17 +670,17 @@ class UnitaryStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
         from repro.sim.verify import (
             assert_unitary_equiv,
             assert_unitary_equiv_with_clean_ancillas,
         )
 
+        clean = self.verified_clean_wires(circuit, dim, k)
         expected = random_unitary(dim**k, seed=0)
-        clean = result.clean_wires()
         if clean:
             return assert_unitary_equiv_with_clean_ancillas(
-                result.circuit,
+                circuit,
                 expected,
                 list(range(k)),
                 clean,
@@ -687,7 +689,7 @@ class UnitaryStrategy(Synthesizer):
                 **kwargs,
             )
         return assert_unitary_equiv(
-            result.circuit, expected, atol=1e-7, budget=budget, **kwargs
+            circuit, expected, atol=1e-7, budget=budget, **kwargs
         )
 
 

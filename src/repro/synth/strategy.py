@@ -15,8 +15,9 @@ object with
   circuit* (strategies with payload-dependent costs return documented
   models flagged ``exact=False`` instead);
 * an analytic ``layout(d, k)`` (wire count + ancilla histogram) and an
-  optional ``verify(result)`` semantic check used by the CLI's
-  ``synthesize --verify``.
+  optional ``verify(circuit, d, k)`` semantic check of any circuit built
+  for ``(d, k)`` — the macro circuit (the CLI's ``synthesize --verify``)
+  or the lowered table a compile cache serves (workload ``"verify"``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError, SynthesisError
+from repro.exceptions import DimensionError, SynthesisError, VerificationError
 from repro.qudit.ancilla import SynthesisResult
 from repro.resources.estimator import (
     AffineSpec,
@@ -190,12 +191,16 @@ class Synthesizer(abc.ABC):
                 column[index] = count
         return wires, ancillas
 
-    def verify(self, result: SynthesisResult, dim: int, k: int, budget=None, **kwargs):
-        """Semantic check of a synthesis produced by this strategy.
+    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+        """Semantic check of ``circuit`` against this strategy's ``(d, k)`` spec.
 
-        ``budget`` is a :class:`repro.verify.VerificationBudget` (or a preset
-        name like ``"smoke"``) bounding how much the check may spend; ``None``
-        keeps each strategy's historical full-strength check.  Returns the
+        ``circuit`` is any circuit built for ``(dim, k)``: the macro circuit
+        of :meth:`synthesize`, or its lowered form as a compile cache serves
+        it.  The spec follows from ``(dim, k)`` alone, with wire roles from
+        :meth:`layout` (see :meth:`verified_clean_wires`).  ``budget`` is a
+        :class:`repro.verify.VerificationBudget` (or a preset name like
+        ``"smoke"``) bounding how much the check may spend; ``None`` keeps
+        each strategy's historical full-strength check.  Returns the
         :class:`repro.verify.VerificationReport` of the run — note a report
         may come back *undecided* under a tight budget, which is a skip, not
         a pass.  Raises :class:`~repro.exceptions.VerificationError` on
@@ -203,6 +208,24 @@ class Synthesizer(abc.ABC):
         canonical specification (payload-dependent strategies).
         """
         raise NotImplementedError(f"strategy {self.name!r} has no canonical verifier")
+
+    def verified_clean_wires(self, circuit, dim: int, k: int) -> Tuple[int, ...]:
+        """Check ``circuit`` sits on :meth:`layout`'s register; its clean wires.
+
+        Every strategy lays out the same wire roles: controls (or data
+        wires) on ``0..k-1``, the Toffoli-family target on wire ``k``, and
+        its ancillas on the trailing wires.  The clean ones are returned
+        (the spec pins them to ``|0⟩``).  A circuit of another dimension or
+        wire count fails with :class:`~repro.exceptions.VerificationError`.
+        """
+        wires, ancillas = self.layout(dim, k)
+        if circuit.dim != dim or circuit.num_wires != wires:
+            raise VerificationError(
+                f"strategy {self.name!r} lays out d={dim}, k={k} on {wires} wires; "
+                f"circuit {circuit.name!r} has {circuit.num_wires} wires of "
+                f"dimension {circuit.dim}"
+            )
+        return tuple(range(wires - ancillas.get("clean", 0), wires))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -9,7 +9,9 @@ check:
 tier  name                cost model                                  budget knobs
 ====  ==================  ==========================================  ==========================
 1     structural          ``O(rows)`` column scans on the GateTable   always runs
-2     index-propagation   ``O(rows · samples)`` batched indices       ``samples``
+2     index-propagation   ``O(samples)`` lookups in the held gather   ``samples``
+                          up to ``GATHER_MAX_STATES`` states, else
+                          ``O(rows · samples)`` batched indices
 3     sampled-columns     a few statevector evolutions                ``sampled_columns``,
                           (``O(rows · d^n · cols)``)                  ``max_column_basis``
 4     dense               ``O(d^n)`` gather table (permutations) or   ``max_basis_states``,

@@ -8,6 +8,16 @@ sequences kernels by cost; the legacy ``assert_*`` helpers in
 :mod:`repro.sim.verify` are thin wrappers over the same kernels, so every
 entry point shares one set of (corrected) semantics.
 
+The permutation kernels compare whole digit matrices, never one state at a
+time.  The circuit's images come from its whole-basis gather
+(:func:`~repro.sim.permutation.permutation_index_table` — for a circuit
+served from the compile cache, the array simulate reads too) or, on bases
+above :data:`~repro.sim.permutation.GATHER_MAX_STATES`, from batched index
+propagation.  The expected images come from an :class:`ArraySpec`, which
+maps an ``(N, n)`` digit matrix in one call; :func:`mct_spec` and
+:func:`mc_shift_spec` build vectorized ones, and any other per-state
+callable is wrapped row by row with :meth:`ArraySpec.rowwise`.
+
 All imports from :mod:`repro.sim` are deferred to call time: ``repro.sim``
 imports :mod:`repro.verify` while building its public API, so a module-level
 import here would be circular.
@@ -27,6 +37,47 @@ Spec = Callable[[BasisState], Sequence[int]]
 
 #: Largest flat basis index representable by the batched int64 index paths.
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class ArraySpec:
+    """A permutation spec that maps a whole digit matrix in one call.
+
+    ``apply(states)`` takes an ``(N, n)`` integer array of basis digit rows
+    (wire 0 first) and returns their images as an array of the same shape.
+    The instance stays callable on one digit tuple, so a per-state caller
+    of a spec keeps working.
+    """
+
+    __slots__ = ("apply",)
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray]):
+        self.apply = apply
+
+    def __call__(self, state: BasisState) -> BasisState:
+        image = self.apply(np.asarray([state], dtype=np.int64))[0]
+        return tuple(image.tolist())
+
+    @classmethod
+    def rowwise(cls, spec: Spec) -> "ArraySpec":
+        """``spec`` itself if it is an :class:`ArraySpec`, else a wrapper
+        that calls the per-state ``spec`` once per row."""
+        if isinstance(spec, cls):
+            return spec
+
+        def apply(states: np.ndarray) -> np.ndarray:
+            width = states.shape[1]
+            images = []
+            for state in states.tolist():
+                image = tuple(spec(tuple(state)))
+                if len(image) != width:
+                    raise VerificationError(
+                        f"spec maps {tuple(state)} to {image}: {len(image)} digits "
+                        f"for {width} wires"
+                    )
+                images.append(image)
+            return np.asarray(images, dtype=np.int64).reshape(states.shape)
+
+        return cls(apply)
 
 
 def basis_size(dim: int, num_wires: int) -> int:
@@ -69,12 +120,25 @@ def sample_basis_states(
     per wire, so the sampler works on registers far beyond ``int64`` flat
     indices.
     """
+    states = _sample_digits(dim, num_wires, samples, seed, clean_wires)
+    return [tuple(row) for row in states.tolist()]
+
+
+def _sample_digits(
+    dim: int, num_wires: int, samples: int, seed: int, clean_wires: Sequence[int] = ()
+) -> np.ndarray:
+    """:func:`sample_basis_states` as an ``(samples, num_wires)`` digit array."""
     rng = np.random.default_rng(seed)
     states = rng.integers(0, dim, size=(samples, num_wires))
-    clean = [w for w in clean_wires]
+    clean = list(clean_wires)
     if clean:
         states[:, clean] = 0
-    return [tuple(int(digit) for digit in row) for row in states]
+    return states
+
+
+def _flat_indices(states: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
+    strides = np.array([dim**e for e in range(num_wires - 1, -1, -1)], dtype=np.int64)
+    return np.asarray(states, dtype=np.int64) @ strides
 
 
 def propagate_samples(circuit, states: Sequence[BasisState]) -> List[List[int]]:
@@ -88,12 +152,52 @@ def propagate_samples(circuit, states: Sequence[BasisState]) -> List[List[int]]:
     if not states:
         return []
     require_int64_basis(circuit.dim, circuit.num_wires, "sampled index propagation")
-    strides = np.array(
-        [circuit.dim**e for e in range(circuit.num_wires - 1, -1, -1)], dtype=np.int64
-    )
-    indices = np.asarray(states, dtype=np.int64) @ strides
+    indices = _flat_indices(states, circuit.dim, circuit.num_wires)
     images = circuit.to_table().apply_to_indices(indices)
     return indices_to_digits(images, circuit.dim, circuit.num_wires).tolist()
+
+
+def _basis_images(circuit, states: np.ndarray) -> np.ndarray:
+    """Digit images of the ``(N, n)`` basis digit rows ``states``.
+
+    Up to :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states they
+    are looked up in the circuit's composed whole-basis gather (a circuit
+    backed by a cached table composes it once and the table holds it);
+    above that they are propagated in one batched index pass, which never
+    builds a ``d^n`` array.
+    """
+    from repro.sim.permutation import GATHER_MAX_STATES, permutation_index_table
+
+    dim, num_wires = circuit.dim, circuit.num_wires
+    size = require_int64_basis(dim, num_wires, "sampled index propagation")
+    indices = _flat_indices(states, dim, num_wires)
+    if size <= GATHER_MAX_STATES:
+        images = permutation_index_table(circuit)[indices]
+    else:
+        images = circuit.to_table().apply_to_indices(indices)
+    return indices_to_digits(images, dim, num_wires)
+
+
+def _first_divergence(
+    spec: Spec, states: np.ndarray, images: np.ndarray
+) -> Optional[Tuple[int, BasisState, BasisState, BasisState]]:
+    """``(row, state, actual, expected)`` of the first row whose image is not
+    the spec's, or ``None`` when every row agrees."""
+    expected = np.asarray(ArraySpec.rowwise(spec).apply(states))
+    if expected.shape != states.shape:
+        raise VerificationError(
+            f"spec mapped a {states.shape} digit matrix to shape {expected.shape}"
+        )
+    bad = np.flatnonzero((images != expected).any(axis=1))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return (
+        row,
+        tuple(states[row].tolist()),
+        tuple(images[row].tolist()),
+        tuple(expected[row].tolist()),
+    )
 
 
 def sample_recipe(
@@ -202,14 +306,11 @@ def structural_check(circuit) -> Dict[str, int]:
     # Predicate validity for this dimension: a referenced predicate whose
     # control value is >= d can never fire, so the row silently degenerates
     # to the identity — exactly the vacuous-verification trap.
-    used: List[int] = []
-    for slot, wires, preds in (
-        ("a", table.wire_a, table.pred_a),
-        ("b", table.wire_b, table.pred_b),
-    ):
-        mask = ~star if slot == "a" else np.ones(len(table), bool)
-        ids = preds[mask & (wires >= 0) & (preds >= 0) & (preds < num_preds)]
-        used.extend(int(p) for p in ids)
+    used = [
+        table.pred_a[~star & (table.wire_a >= 0)],
+        table.pred_b[table.wire_b >= 0],
+    ]
+    extra_used: List[int] = []
     for eid in np.unique(extra[(extra >= 0) & (extra < num_extras)]):
         for wire, pid in pools.extras.entry(int(eid)):
             if not 0 <= wire < num_wires:
@@ -218,15 +319,17 @@ def structural_check(circuit) -> Dict[str, int]:
                     f"range for {num_wires} wires"
                 )
             if 0 <= pid < num_preds:
-                used.append(int(pid))
+                extra_used.append(int(pid))
             else:
                 problems.append(
                     f"extra-controls entry {int(eid)}: predicate id {pid} outside "
                     f"the pool (size {num_preds})"
                 )
+    used.append(np.asarray(extra_used, dtype=np.int64))
+    used_ids = np.unique(np.concatenate(used).astype(np.int64, copy=False))
+    used_ids = used_ids[(used_ids >= 0) & (used_ids < num_preds)]
     never_fire = 0
-    if used:
-        used_ids = np.unique(np.asarray(used, dtype=np.int64))
+    if used_ids.size:
         invalid = pools.preds.invalid_for(dim)
         for pid in used_ids[invalid[used_ids]]:
             problems.append(
@@ -253,26 +356,30 @@ def structural_check(circuit) -> Dict[str, int]:
 
 
 def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int:
-    """Whole-basis gather-table check of ``circuit`` against ``spec``."""
+    """Whole-basis gather-table check of ``circuit`` against ``spec``.
+
+    The gather is :func:`~repro.sim.permutation.permutation_index_table`'s;
+    for a circuit backed by a cached table it is the array simulate reads.
+    States with a ``clean_wires`` digit off ``0`` are outside the circuit's
+    contract and are masked out; the spec maps the rest in one
+    :meth:`ArraySpec.apply` call, compared against the images in one pass.
+    """
     from repro.sim.permutation import permutation_index_table
 
-    clean = tuple(clean_wires)
-    table = permutation_index_table(circuit)
-    sources = digit_matrix(circuit.dim, circuit.num_wires).tolist()
-    images = indices_to_digits(table, circuit.dim, circuit.num_wires).tolist()
-    checked = 0
-    for source, image in zip(sources, images):
-        state = tuple(source)
-        if any(state[w] != 0 for w in clean):
-            continue
-        checked += 1
-        expected = tuple(spec(state))
-        actual = tuple(image)
-        if actual != expected:
-            raise VerificationError(
-                f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected}"
-            )
-    return checked
+    dim, num_wires = circuit.dim, circuit.num_wires
+    gather = permutation_index_table(circuit)
+    sources = digit_matrix(dim, num_wires)
+    clean = list(clean_wires)
+    if clean:
+        in_contract = ~sources[:, clean].any(axis=1)
+        sources, gather = sources[in_contract], gather[in_contract]
+    divergence = _first_divergence(spec, sources, indices_to_digits(gather, dim, num_wires))
+    if divergence is not None:
+        _, state, actual, expected = divergence
+        raise VerificationError(
+            f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected}"
+        )
+    return len(sources)
 
 
 def spec_sampled(
@@ -282,27 +389,26 @@ def spec_sampled(
     seed: int,
     clean_wires: Sequence[int] = (),
 ) -> Tuple[int, str]:
-    """Sampled batched index-propagation check of ``circuit`` vs ``spec``.
+    """Sampled check of ``circuit`` vs ``spec`` on seeded basis states.
 
-    All samples propagate through ONE batched index pass (O(rows · samples)
-    stride arithmetic, no ``d^n`` table and no per-state Python loop), so the
-    sampled branch works on registers far beyond any statevector; only the
-    spec callback runs per state.  Returns ``(states_checked, replay)``.
+    The samples are :func:`sample_basis_states`'s.  Their images are looked
+    up in the circuit's whole-basis gather up to
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states and
+    propagated in one batched index pass above it, so the check works on
+    registers far beyond any statevector; the spec maps them in one
+    :meth:`ArraySpec.apply` call.  Returns ``(states_checked, replay)``.
     """
     clean = tuple(clean_wires)
-    states = sample_basis_states(
-        circuit.dim, circuit.num_wires, samples, seed, clean_wires=clean
-    )
-    images = propagate_samples(circuit, states)
+    states = _sample_digits(circuit.dim, circuit.num_wires, samples, seed, clean)
+    images = _basis_images(circuit, states)
     recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed, clean)
-    for row, (state, image) in enumerate(zip(states, images)):
-        expected = tuple(spec(state))
-        actual = tuple(image)
-        if actual != expected:
-            raise VerificationError(
-                f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected} "
-                f"(sampled check, seed={seed}, failing row {row}; rerun with {recipe}[{row}])"
-            )
+    divergence = _first_divergence(spec, states, images)
+    if divergence is not None:
+        row, state, actual, expected = divergence
+        raise VerificationError(
+            f"circuit {circuit.name!r} maps {state} to {actual}, expected {expected} "
+            f"(sampled check, seed={seed}, failing row {row}; rerun with {recipe}[{row}])"
+        )
     return len(states), recipe
 
 
@@ -438,10 +544,7 @@ def unitary_columns(
     digits = rng.integers(
         0, circuit.dim, size=(max(int(samples), 1), circuit.num_wires)
     )
-    strides = np.array(
-        [circuit.dim**e for e in range(circuit.num_wires - 1, -1, -1)], dtype=np.int64
-    )
-    drawn = digits.astype(np.int64) @ strides
+    drawn = _flat_indices(digits, circuit.dim, circuit.num_wires)
     pinned = np.asarray(list(required_columns), dtype=np.int64)
     columns = np.unique(np.concatenate([pinned, drawn]))
     if columns.size and (columns.min() < 0 or columns.max() >= size):
@@ -594,10 +697,11 @@ def mct_spec(
     *,
     control_values: Optional[Sequence[int]] = None,
     swap: Tuple[int, int] = (0, 1),
-) -> Spec:
+) -> ArraySpec:
     """Return the specification of a multi-controlled ``X_{ij}`` gate.
 
-    The returned function maps a basis state to the state with the target
+    The returned :class:`ArraySpec` maps each basis state (a digit row, or
+    one digit tuple when called directly) to the state with the target
     digit swapped between ``swap[0]`` and ``swap[1]`` exactly when every
     control digit matches its control value (default all zeros, the paper's
     ``|0^k⟩-Xij``); every other wire, and in particular any ancilla wire, is
@@ -613,16 +717,17 @@ def mct_spec(
     if i == j:
         raise VerificationError(f"swap digits must be distinct, got {tuple(swap)}")
 
-    def spec(state: BasisState) -> BasisState:
-        output = list(state)
-        if all(state[c] == v for c, v in zip(controls, values)):
-            if output[target] == i:
-                output[target] = j
-            elif output[target] == j:
-                output[target] = i
-        return tuple(output)
+    controls, fire_on = list(controls), np.asarray(values, dtype=np.int64)
 
-    return spec
+    def apply(states: np.ndarray) -> np.ndarray:
+        output = np.array(states, dtype=np.int64)
+        column = output[:, target]
+        fire = (output[:, controls] == fire_on).all(axis=1)
+        is_i, is_j = fire & (column == i), fire & (column == j)
+        column[is_i], column[is_j] = j, i
+        return output
+
+    return ArraySpec(apply)
 
 
 def mc_shift_spec(
@@ -632,17 +737,19 @@ def mc_shift_spec(
     shift: int = 1,
     *,
     control_values: Optional[Sequence[int]] = None,
-) -> Spec:
+) -> ArraySpec:
     """Specification of the multi-controlled ``X+shift`` gate (``|0^k⟩-X+y``)."""
     values = tuple(control_values) if control_values is not None else (0,) * len(controls)
     if len(values) != len(controls):
         raise VerificationError("control_values length must match the number of controls")
     _check_digit_range("control values", values, dim)
 
-    def spec(state: BasisState) -> BasisState:
-        output = list(state)
-        if all(state[c] == v for c, v in zip(controls, values)):
-            output[target] = (output[target] + shift) % dim
-        return tuple(output)
+    controls, fire_on = list(controls), np.asarray(values, dtype=np.int64)
 
-    return spec
+    def apply(states: np.ndarray) -> np.ndarray:
+        output = np.array(states, dtype=np.int64)
+        fire = (output[:, controls] == fire_on).all(axis=1)
+        output[fire, target] = (output[fire, target] + shift) % dim
+        return output
+
+    return ArraySpec(apply)

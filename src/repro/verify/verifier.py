@@ -9,7 +9,10 @@ VerificationBudget` allows:
 * permutation / wire-preservation checks decide at the **dense** tier
   (exhaustive gather-table enumeration) when the basis fits
   ``max_basis_states``, else at the **index-propagation** tier (sampled
-  batched :meth:`~repro.ir.table.GateTable.apply_to_indices`);
+  states, looked up in the composed gather up to
+  :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states and pushed
+  through batched :meth:`~repro.ir.table.GateTable.apply_to_indices` above
+  it);
 * unitary checks decide at the **dense** tier (matrix compare) when the
   basis fits ``max_dense_dim``, else at the **sampled-columns** tier when a
   column oracle is available and the basis fits ``max_column_basis``.

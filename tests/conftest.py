@@ -53,3 +53,27 @@ def circuit_matches_function(circuit, spec, limit: int = 250_000) -> bool:
     except VerificationError:
         return False
     return True
+
+
+@pytest.fixture
+def tampered_cache_dir(tmp_path):
+    """A compile-cache directory whose ``mct`` d=3 k=3 entry lost one row.
+
+    The entry is built, then its archive is re-saved with
+    :func:`repro.exec.serialize.save_table` minus its middle row, so it
+    still loads and only a check of the served table can tell.  Returns
+    ``(cache_dir, key)``.
+    """
+    import numpy as np
+
+    from repro.exec import CompileCache, compile_lowered
+    from repro.exec.serialize import save_table
+
+    cache = CompileCache(tmp_path)
+    key = compile_lowered("mct", 3, 3, cache=cache).key
+    table = cache.get(key).table
+    keep = np.ones(len(table), dtype=bool)
+    keep[len(table) // 2] = False
+    (archive,) = tmp_path.rglob(f"{key}.npz")
+    save_table(archive, table.select(keep))
+    return tmp_path, key

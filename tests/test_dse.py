@@ -299,3 +299,25 @@ def test_cli_dse_rejects_a_bad_spec(tmp_path, capsys):
     spec_path.write_text(json.dumps({"mystery": 1}), encoding="utf-8")
     assert main(["dse", "--sweep", str(spec_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,fragment",
+    [
+        ('{"dims": [3,', "sweep spec is not valid JSON"),  # malformed JSON
+        (None, "cannot read sweep spec"),  # missing file
+        ('{"dims": 5}', "malformed sweep spec"),  # fields of the wrong type
+        ('{"k_start": "a"}', "malformed sweep spec"),
+        ('{"dims": ["x"]}', "malformed sweep spec"),
+    ],
+)
+def test_cli_dse_bad_sweep_file_is_one_error_line(tmp_path, capsys, content, fragment):
+    """``dse --sweep`` used to end in a ``JSONDecodeError``,
+    ``FileNotFoundError``, ``TypeError`` or ``ValueError`` traceback instead
+    of one ``error:`` line."""
+    path = tmp_path / "sweep.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["dse", "--sweep", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and "Traceback" not in err

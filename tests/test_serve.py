@@ -487,11 +487,12 @@ def test_daemon_rejects_the_retired_engine_field_with_400():
 # ----------------------------------------------------------------------
 # HTTP front end over a raw socket (in-process daemon)
 # ----------------------------------------------------------------------
-def serve_in_process(scenario):
-    """Run ``await scenario(daemon, host, port)`` against a live daemon."""
+def serve_in_process(scenario, **config):
+    """Run ``await scenario(daemon, host, port)`` against a live daemon
+    (``config`` overrides :class:`ServeConfig` fields)."""
 
     async def main():
-        daemon = ServeDaemon(ServeConfig(port=0, drain_grace=5.0))
+        daemon = ServeDaemon(ServeConfig(**{"port": 0, "drain_grace": 5.0, **config}))
         await daemon.start()
         host, port = daemon._server.sockets[0].getsockname()[:2]
         try:
@@ -672,3 +673,24 @@ def test_stalled_body_times_out(monkeypatch):
 
     reply, waited = serve_in_process(scenario)
     assert reply == b"" and waited < 5.0
+
+
+def test_daemon_fails_the_verify_row_of_a_tampered_cache_entry(tampered_cache_dir):
+    """Verify used to re-synthesize the macro circuit: a cache entry missing
+    a row was served with wrong outputs under a ``verified`` row."""
+    cache_dir, key = tampered_cache_dir
+    request = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
+               "states": [[0, 0, 0, 1]], "verify": "standard"}
+
+    async def scenario(daemon, host, port):
+        body = json.dumps({"requests": [request]}).encode("utf-8")
+        return await raw_exchange(host, port, post_workload(body))
+
+    reply = serve_in_process(scenario, cache_dir=str(cache_dir))
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    payload = json.loads(body)
+    (row,) = payload["rows"]
+    assert payload["ok"] is False and row["ok"] is False
+    assert row["error"].startswith("VerificationError: ") and "outputs" not in row
+    assert row["verify_result"] == {"status": "failed", "key": key}

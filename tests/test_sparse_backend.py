@@ -478,7 +478,7 @@ class TestSampledVerification:
         assert strategy.supports_sampled_columns
         result = synthesize("mcu-exponential", 3, 7)
         assert result.circuit.dim**result.circuit.num_wires > 1024
-        strategy.verify(result, 3, 7, sampled_columns=4)
+        strategy.verify(result.circuit, 3, 7, sampled_columns=4)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from repro.core.toffoli import synthesize_mct
-from repro.exceptions import ReproError, SynthesisError
+from repro.exceptions import ReproError, SynthesisError, VerificationError
+from repro.exec import compile_lowered
 from repro.sim.permutation import permutation_index_table
 from repro.synth import AncillaBudget, auto_select, available, registry
+from repro.synth.strategy import Synthesizer
 from repro.__main__ import main as cli_main
 
 EXPECTED_NAMES = {
@@ -97,7 +99,7 @@ class TestRegistry:
             strategy = registry.get(name)
             k = max(3, strategy.capabilities.min_k)
             result = strategy.synthesize(3, k)
-            strategy.verify(result, 3, k)  # raises on failure
+            strategy.verify(result.circuit, 3, k)  # raises on failure
 
 
 class TestAutoDispatch:
@@ -194,3 +196,44 @@ class TestCli:
         )
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# verify(circuit, d, k): wire roles from the layout alone
+# ----------------------------------------------------------------------
+def _role_cases():
+    """Small (strategy, d, k) at both parities: k = 1 has no ancilla and
+    k = 3 has every strategy's ancilla (borrowed or clean)."""
+    for strategy in registry.all_strategies():
+        if type(strategy).verify is Synthesizer.verify:
+            continue
+        for d, k in ((3, 1), (3, 3), (4, 1), (4, 3)):
+            if (strategy.name, d, k) == ("unitary", 4, 3):
+                k = 2  # a 64x64 target unitary takes seconds at k = 3
+            if strategy.supports(d, k):
+                yield strategy.name, d, k
+
+
+@pytest.mark.parametrize("name,d,k", list(_role_cases()))
+def test_layout_roles_match_synthesis_and_both_circuits_verify(name, d, k):
+    strategy = registry.get(name)
+    result = strategy.synthesize(d, k)
+    wires, _ = strategy.layout(d, k)
+    roles = sorted(set(result.controls) | ({result.target} - {None}))
+    ancillas = sorted(result.ancillas)
+    assert roles + ancillas == list(range(wires))  # ancillas trail
+    if strategy.capabilities.family in ("toffoli", "mcu"):
+        assert result.controls == tuple(range(k)) and result.target == k
+    else:
+        assert roles == list(range(k))
+    assert strategy.verified_clean_wires(result.circuit, d, k) == tuple(result.clean_wires())
+    served = compile_lowered(name, d, k).circuit
+    for circuit in (result.circuit, served):
+        assert strategy.verify(circuit, d, k).ok
+
+
+def test_verify_rejects_a_circuit_on_another_register():
+    strategy = registry.get("mct")
+    circuit = strategy.synthesize(3, 4).circuit
+    with pytest.raises(VerificationError, match="lays out d=3, k=3 on 4 wires"):
+        strategy.verify(circuit, 3, 3)

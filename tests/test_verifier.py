@@ -32,6 +32,7 @@ from repro.sim import (
     mct_spec,
 )
 from repro.sim.verify import assert_unitary_columns_equiv
+from repro.utils.indexing import digit_matrix
 from repro.verify import (
     PRESET_NAMES,
     TIER_DENSE,
@@ -309,9 +310,9 @@ class TestEntryPointRouting:
 
         strategy = registry.get("mct")
         result = strategy.synthesize(3, 4)
-        report = strategy.verify(result, 3, 4, budget="smoke")
+        report = strategy.verify(result.circuit, 3, 4, budget="smoke")
         assert report.ok and report.decided_by == "index-propagation"
-        full = strategy.verify(result, 3, 4)
+        full = strategy.verify(result.circuit, 3, 4)
         assert full.ok and full.decided_by == "dense"
 
     def test_workload_verify_field(self):
@@ -366,3 +367,89 @@ class TestSmokeBudgetSweep:
         decided = sum(n for name, n in tier_hits.items() if name != "undecided")
         total = sum(tier_hits.values())
         assert total > 0 and decided / total >= 0.9
+
+
+# ----------------------------------------------------------------------
+# ArraySpec: one pass over the digit matrix agrees with the per-state spec
+# ----------------------------------------------------------------------
+def _fires(state, controls, values):
+    return all(state[c] == v for c, v in zip(controls, values))
+
+
+def mct_reference(controls, target, values, swap):
+    """The multi-controlled ``X_ij`` written out on one digit tuple."""
+    i, j = swap
+
+    def spec(state):
+        output = list(state)
+        if _fires(state, controls, values) and output[target] in (i, j):
+            output[target] = j if output[target] == i else i
+        return tuple(output)
+
+    return spec
+
+
+class TestArraySpec:
+    #: Controls on both sides of the target, not contiguous.
+    CONTROLS, TARGET = (0, 2, 3), 1
+
+    @pytest.mark.parametrize(
+        "values,swap",
+        [((0, 0, 0), (0, 1)), ((2, 0, 1), (0, 1)), ((1, 1, 2), (2, 1)), ((0, 2, 2), (0, 2))],
+    )
+    def test_mct_spec_agrees_per_state_and_over_the_whole_basis(self, values, swap):
+        spec = mct_spec(self.CONTROLS, self.TARGET, 3, control_values=values, swap=swap)
+        basis = digit_matrix(3, 5)
+        images = spec.apply(basis)
+        assert np.array_equal(basis, digit_matrix(3, 5))  # the input is not written
+        states = [tuple(row) for row in basis.tolist()]
+        expected = [mct_reference(self.CONTROLS, self.TARGET, values, swap)(s) for s in states]
+        assert [tuple(row) for row in images.tolist()] == expected
+        assert [spec(s) for s in states] == expected
+
+    @pytest.mark.parametrize("values,shift", [((0, 0, 0), 1), ((2, 0, 1), 2)])
+    def test_mc_shift_spec_agrees_per_state_and_over_the_whole_basis(self, values, shift):
+        spec = mc_shift_spec(self.CONTROLS, self.TARGET, 3, shift, control_values=values)
+        basis = digit_matrix(3, 5)
+        states = [tuple(row) for row in basis.tolist()]
+
+        def reference(state):
+            output = list(state)
+            if _fires(state, self.CONTROLS, values):
+                output[self.TARGET] = (output[self.TARGET] + shift) % 3
+            return tuple(output)
+
+        expected = [reference(s) for s in states]
+        assert [tuple(row) for row in spec.apply(basis).tolist()] == expected
+        assert [spec(s) for s in states] == expected
+
+    def test_rowwise_wraps_a_per_state_callable(self):
+        values, swap = (2, 0, 1), (0, 1)
+        spec = mct_spec(self.CONTROLS, self.TARGET, 3, control_values=values, swap=swap)
+        wrapped = checks.ArraySpec.rowwise(
+            mct_reference(self.CONTROLS, self.TARGET, values, swap)
+        )
+        basis = digit_matrix(3, 5)
+        assert np.array_equal(wrapped.apply(basis), spec.apply(basis))
+        assert checks.ArraySpec.rowwise(spec) is spec
+
+    def test_rowwise_rejects_an_image_of_the_wrong_arity(self):
+        wrapped = checks.ArraySpec.rowwise(lambda state: state[:2])
+        with pytest.raises(VerificationError, match="2 digits for 3 wires"):
+            wrapped.apply(digit_matrix(3, 3))
+
+    def test_sampled_tier_reads_the_gather_or_propagates_alike(self, monkeypatch):
+        from repro.sim import permutation
+
+        circuit = cx01_circuit(num_wires=4)
+        outcomes = []
+        for limit in (permutation.GATHER_MAX_STATES, 0):  # gather, then propagate
+            monkeypatch.setattr(permutation, "GATHER_MAX_STATES", limit)
+            assert checks.spec_sampled(circuit, cx01_spec(3, 4), 64, 5) == (
+                64,
+                "sample_basis_states(3, 4, 64, 5)",
+            )
+            with pytest.raises(VerificationError) as failure:
+                checks.spec_sampled(circuit, lambda state: tuple(state), 64, 5)
+            outcomes.append(str(failure.value))
+        assert outcomes[0] == outcomes[1] and "failing row" in outcomes[0]

@@ -516,3 +516,86 @@ def test_non_permutation_rows_name_their_backend():
     assert report.ok
     assert [row["sim_path"] for row in report.rows] == ["dense", "streaming"]
     assert report.rows[0]["outputs"] == report.rows[1]["outputs"]
+
+
+# ----------------------------------------------------------------------
+# Verify checks the table the row is served from
+# ----------------------------------------------------------------------
+#: A verified simulate of the ``mct`` d=3 k=3 gate on |0001⟩ (it fires: 0001 -> 0000).
+MCT_VERIFY_REQUEST = WorkloadRequest(
+    kind="simulate", strategy="mct", dim=3, k=3, states=((0, 0, 0, 1),), verify="standard"
+)
+
+
+def test_verify_fails_a_tampered_cache_entry(tampered_cache_dir):
+    """Verify used to re-synthesize the macro circuit and check that: with one
+    row dropped from the cached archive, a disk hit served wrong outputs and
+    its row still read ``verified``."""
+    cache_dir, key = tampered_cache_dir
+    row = execute_request(MCT_VERIFY_REQUEST, CompileCache(cache_dir))
+    assert row["cache"] == "disk"
+    assert row["ok"] is False and row["error"].startswith("VerificationError: ")
+    assert "outputs" not in row and "sim_path" not in row
+    assert row["verify_result"] == {"status": "failed", "key": key}
+
+
+def test_verify_passes_the_untouched_entry_and_names_its_key(tmp_path):
+    cache = CompileCache(tmp_path)
+    row = execute_request(MCT_VERIFY_REQUEST, cache)
+    assert row["ok"] and row["outputs"] == ["0000"]
+    assert row["verify_result"] == {
+        "status": "verified",
+        "key": lowered_key("mct", 3, 3),
+        "tier": "dense",
+        "states_checked": 81,
+    }
+
+
+#: The verify requests of the benchmark's ``serve_warm`` mix, with the tier
+#: that decides each and the number of states it checks.
+SERVE_WARM_VERIFY = [
+    ("mct", 3, 4, "smoke", "index-propagation", 128),
+    ("mct", 3, 5, "standard", "dense", 729),
+    ("mct", 4, 3, "standard", "dense", 1024),
+    ("mcu-exponential", 3, 3, "smoke", "sampled-columns", 7),
+    ("mcu-exponential", 3, 3, "standard", "dense", 81),
+    ("unitary", 3, 2, "standard", "dense", 9),
+]
+
+
+@pytest.mark.parametrize("strategy,d,k,level,tier,states", SERVE_WARM_VERIFY)
+def test_served_verify_keeps_each_tier_and_states_checked(strategy, d, k, level, tier, states):
+    request = WorkloadRequest(kind="synthesize", strategy=strategy, dim=d, k=k, verify=level)
+    cache = CompileCache()
+    for source in ("built", "memo"):
+        row = execute_request(request, cache)
+        assert row["ok"] and row["cache"] == source, row.get("error")
+        assert row["verify_result"] == {
+            "status": "verified",
+            "key": lowered_key(strategy, d, k),
+            "tier": tier,
+            "states_checked": states,
+        }
+
+
+def test_verify_request_path_never_synthesizes(monkeypatch):
+    request = WorkloadRequest(kind="synthesize", strategy="mct", dim=3, k=4, verify="standard")
+    cache = CompileCache()
+    assert execute_request(request, cache)["ok"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm verify request synthesized a circuit")
+
+    monkeypatch.setattr(type(registry.get("mct")), "synthesize", refuse)
+    row = execute_request(request, cache)
+    assert row["ok"] and row["verify_result"]["status"] == "verified"
+
+
+def test_cli_batch_deeply_nested_workload_is_one_error_line(tmp_path, capsys):
+    """``WorkloadSpec.from_json`` caught only ``ValueError``, so 100,000
+    ``[`` ended the CLI in a ``RecursionError`` traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["batch", "--workload", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload spec is not valid JSON") and "Traceback" not in err
