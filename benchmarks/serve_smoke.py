@@ -14,7 +14,10 @@ a small mixed workload through the HTTP front end via
   (``repro.exec.workload.GATHER_MAX_STATES``) returns outputs that differ
   from the gate's definition, or a ``sim_path`` other than ``"gather"``
   (small register, sent twice) or ``"propagate"`` (3^9 states);
-* the daemon does not exit 0 on SIGTERM (graceful drain);
+* the sequential submits, each asking for ``Connection: keep-alive``,
+  used more than two connections (``/metrics`` ``connections``);
+* the daemon does not exit 0 on SIGTERM (graceful drain), or takes 5 s or
+  more to do so with the client's kept-alive connection open and idle;
 * after one row is dropped from the cached ``mct`` d=3 k=3 entry, a second
   daemon on the same directory answers that simulate with ``"verify":
   "standard"`` by anything but a failed row (``VerificationError``, no
@@ -78,8 +81,16 @@ TAMPERED_SUBMIT = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
                    "states": [[0, 0, 0, 1]], "verify": "standard"}
 
 REQUIRED_COUNTERS = (
-    "requests", "queue_depth", "in_flight", "cache", "latency", "queue_wait",
+    "requests", "queue_depth", "in_flight", "connections", "cache", "latency",
+    "queue_wait",
 )
+
+#: Most connections the sequential submits of one client may open: its
+#: kept-alive one, plus one if the daemon closed that while it was idle.
+MAX_CONNECTIONS = 2
+
+#: Seconds a SIGTERM drain may take with an idle kept-alive connection open.
+DRAIN_SECONDS = 5.0
 
 
 def boot_daemon(cache_dir: pathlib.Path, workdir: pathlib.Path) -> tuple:
@@ -105,18 +116,34 @@ def boot_daemon(cache_dir: pathlib.Path, workdir: pathlib.Path) -> tuple:
     return process, client
 
 
+def release(process, client) -> None:
+    """Close the client's connections and the daemon's pipes; kill the
+    daemon if it is still running."""
+    client.close()
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=10)
+    process.stdout.close()
+    process.stderr.close()
+
+
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"serve smoke FAILED: {message}")
 
 
 def drain(process) -> int:
-    """SIGTERM the daemon; check it drains cleanly and return its exit code."""
+    """SIGTERM the daemon; check it drains cleanly within
+    :data:`DRAIN_SECONDS` and return its exit code."""
+    start = time.monotonic()
     process.send_signal(signal.SIGTERM)
     returncode = process.wait(timeout=60)
+    seconds = time.monotonic() - start
     stderr = process.stderr.read()
     check(returncode == 0, f"SIGTERM drain exited {returncode}: {stderr}")
     check("drained cleanly" in stderr, f"no drain confirmation on stderr: {stderr!r}")
+    check(seconds < DRAIN_SECONDS,
+          f"SIGTERM drain took {seconds:.1f} s with an idle kept-alive connection open")
     return returncode
 
 
@@ -198,12 +225,12 @@ def main() -> None:
             hit_rate = metrics["cache"].get("hit_rate")
             check(hit_rate is not None and hit_rate > 0.0,
                   f"warm resubmits produced no cache hits: {metrics['cache']}")
+            check(metrics["connections"] <= MAX_CONNECTIONS,
+                  f"{metrics['connections']} connections for one sequential client")
 
-            returncode = drain(process)
+            returncode = drain(process)  # the client's connection is still open
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+            release(process, client)
 
         # A second daemon on a tampered entry: verify checks the served table.
         key = drop_cached_row(tmp_path / "cache", "mct", 3, 3)
@@ -221,13 +248,12 @@ def main() -> None:
                   f"verify_result {tampered} does not name the failed entry {key}")
             tampered_returncode = drain(process)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+            release(process, client)
 
     payload = {
         "quick": args.quick,
         "requests": requests,
+        "connections": metrics["connections"],
         "cache": metrics["cache"],
         "queue_wait_count": metrics["queue_wait"]["count"],
         "drain_returncode": returncode,

@@ -122,6 +122,8 @@ class SweepSpec:
                 )
         if self.chunk_points < 1:
             raise DSEError("chunk_points must be >= 1")
+        if not self.strategies and not self.resolve_strategies():
+            raise DSEError(f"family {self.family!r} has no dispatchable strategy")
 
     def ks(self) -> np.ndarray:
         return np.arange(self.k_start, self.k_stop + 1, self.k_step, dtype=np.int64)
@@ -140,22 +142,31 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "SweepSpec":
+        """Parse a JSON sweep spec: integer fields take only JSON integers,
+        name fields only JSON strings and list fields only JSON lists."""
+        from repro.exec.workload import json_int, json_str
+
         if not isinstance(raw, dict):
             raise DSEError(f"a sweep spec must be an object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise DSEError(f"unknown sweep spec field(s) {sorted(unknown)}")
-        kwargs = dict(raw)
+        kwargs: Dict[str, object] = {}
         try:
-            for name in ("strategies", "pipelines"):
-                if name in kwargs:
-                    kwargs[name] = tuple(str(x) for x in kwargs[name])
-            if "dims" in kwargs:
-                kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as error:  # a field of the wrong type
-            raise DSEError(f"malformed sweep spec: {error}") from None
+            for name, value in raw.items():
+                if name in ("strategies", "pipelines", "dims"):
+                    if not isinstance(value, list):
+                        raise TypeError(f"expected a list, got {type(value).__name__}")
+                    parse = json_int if name == "dims" else json_str
+                    kwargs[name] = tuple(parse(x) for x in value)
+                elif name == "family":
+                    kwargs[name] = json_str(value)
+                else:
+                    kwargs[name] = json_int(value)
+        except TypeError as error:  # a field of the wrong type
+            raise DSEError(f"malformed sweep spec: {name}: {error}") from None
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: os.PathLike) -> "SweepSpec":

@@ -66,6 +66,18 @@ def json_int(value: object) -> int:
     return value
 
 
+def json_str(value: object) -> str:
+    """``value`` itself if it is a JSON string, else ``TypeError``.
+
+    The name fields of a request (``kind``, ``strategy``, ``backend``,
+    ``verify``) take only a string: ``str()`` would turn ``["mct"]`` or
+    ``null`` into a name and pass them on to fail later, or not at all.
+    """
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class WorkloadRequest:
     """One request of a batch workload."""
@@ -93,7 +105,13 @@ class WorkloadRequest:
     def from_dict(cls, raw: Dict[str, object], index: int) -> "WorkloadRequest":
         if not isinstance(raw, dict):
             raise WorkloadError(f"request {index} must be an object, got {type(raw).__name__}")
-        kind = str(raw.get("kind", ""))
+        for name in ("kind", "strategy", "backend", "verify"):
+            if name in raw:
+                try:
+                    json_str(raw[name])
+                except TypeError as error:
+                    raise WorkloadError(f"request {index}: {name}: {error}") from None
+        kind = raw.get("kind", "")
         if kind not in _KINDS:
             raise WorkloadError(
                 f"request {index}: unknown kind {kind!r}; expected one of {list(_KINDS)}"
@@ -110,7 +128,6 @@ class WorkloadRequest:
         if verify is not None:
             from repro.verify import PRESET_NAMES
 
-            verify = str(verify)
             if kind == "estimate":
                 raise WorkloadError(
                     f"request {index}: verify does not apply to estimate requests "
@@ -136,7 +153,7 @@ class WorkloadRequest:
             raise WorkloadError(f"request {index}: states only applies to simulate requests")
         from repro.sim import available_backends
 
-        backend = str(raw.get("backend", "dense"))
+        backend = raw.get("backend", "dense")
         if backend not in available_backends():
             raise WorkloadError(
                 f"request {index}: unknown backend {backend!r}; "
@@ -162,7 +179,7 @@ class WorkloadRequest:
                 raise WorkloadError(f"request {index}: {error}") from None
         return cls(
             kind=kind,
-            strategy=str(raw["strategy"]),
+            strategy=raw["strategy"],
             dim=dim,
             k=k,
             backend=backend,

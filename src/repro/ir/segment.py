@@ -58,6 +58,15 @@ def compose_gather(
             f"rows [{start}, {stop}) of {table.name!r} contain a dense unitary; "
             "only permutation segments compose into an index table"
         )
+    key = _segment_key(table, start, stop, inverse)
+    return _interned_gather(table, start, stop, inverse, key)
+
+
+def _interned_gather(
+    table: GateTable, start: int, stop: int, inverse: bool, key: tuple
+) -> np.ndarray:
+    """The gather of permutation rows ``[start, stop)`` interned under ``key``
+    (their :func:`_segment_key`), composed on first use."""
 
     def build() -> np.ndarray:
         if inverse:
@@ -72,7 +81,7 @@ def compose_gather(
         out.setflags(write=False)
         return out
 
-    return table.pools.segments.intern(_segment_key(table, start, stop, inverse), build)
+    return table.pools.segments.intern(key, build)
 
 
 class Segment:
@@ -80,16 +89,32 @@ class Segment:
 
     ``kind`` is ``"perm"`` (a run of permutation rows, applied as one
     composed gather) or ``"unitary"`` (a single dense-unitary row, applied
-    through the engine's einsum kernel).
+    through the engine's einsum kernel).  A ``"perm"`` segment builds its
+    content keys (forward and inverse) once; the gathers themselves stay in
+    the pools' bounded cache only.
     """
 
-    __slots__ = ("table", "start", "stop", "kind")
+    __slots__ = ("table", "start", "stop", "kind", "_keys")
 
     def __init__(self, table: GateTable, start: int, stop: int, kind: str):
         self.table = table
         self.start = int(start)
         self.stop = int(stop)
         self.kind = kind
+        self._keys = None
+
+    def _gather(self, inverse: bool) -> np.ndarray:
+        if self.kind != "perm":
+            raise GateError(
+                f"{self!r} is a dense unitary; only permutation segments "
+                "compose into an index table"
+            )
+        if self._keys is None:  # (forward, inverse), sharing the row bytes
+            forward = _segment_key(self.table, self.start, self.stop, False)
+            self._keys = (forward, (*forward[:2], True, forward[3]))
+        return _interned_gather(
+            self.table, self.start, self.stop, inverse, self._keys[inverse]
+        )
 
     @property
     def num_rows(self) -> int:
@@ -97,11 +122,11 @@ class Segment:
 
     def index_table(self) -> np.ndarray:
         """Forward composed table: basis state ``i`` maps to ``table[i]``."""
-        return compose_gather(self.table, self.start, self.stop)
+        return self._gather(False)
 
     def inverse_index_table(self) -> np.ndarray:
         """Gather form: output amplitude ``j`` pulls from ``table[j]``."""
-        return compose_gather(self.table, self.start, self.stop, inverse=True)
+        return self._gather(True)
 
     def op(self):
         """The decoded operation of a single-row (unitary) segment."""

@@ -10,6 +10,10 @@ of talking to the daemon from Python.  Supports both transports:
 
 Every call returns ``(status_code, decoded_json)``; transport failures
 raise :class:`~repro.exceptions.ServeError`.
+
+Requests ask for ``Connection: keep-alive``, and each calling thread keeps
+its own connection open between calls.  :meth:`ServeClient.close` (or
+leaving a ``with ServeClient(...)`` block) closes them all.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
@@ -38,7 +43,11 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
 
 class ServeClient:
-    """Blocking JSON client for one daemon address."""
+    """Blocking JSON client for one daemon address.
+
+    Safe to share between threads: each thread talks over its own
+    connection, reused from call to call.
+    """
 
     def __init__(self, address: str, timeout: float = 60.0):
         self.timeout = float(timeout)
@@ -58,38 +67,72 @@ class ServeClient:
                     '(expected "http://host:port" or "unix:/path.sock")'
                 )
             self._host, self._port = host, int(port)
+        #: One connection per calling thread, keyed by thread id.
+        self._connections: Dict[int, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call opens a new one."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened lazily by ``http.client``)."""
+        ident = threading.get_ident()
+        connection = self._connections.get(ident)
+        if connection is None:
+            if self._unix_path is not None:
+                connection = _UnixHTTPConnection(self._unix_path, self.timeout)
+            else:
+                connection = http.client.HTTPConnection(
+                    self._host, self._port, timeout=self.timeout
+                )
+            with self._lock:
+                self._connections[ident] = connection
+        return connection
+
     def request(
         self,
         method: str,
         path: str,
         payload: Optional[object] = None,
     ) -> Tuple[int, Dict[str, object]]:
-        if self._unix_path is not None:
-            connection: http.client.HTTPConnection = _UnixHTTPConnection(
-                self._unix_path, self.timeout
-            )
-        else:
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
         body = None
-        headers = {}
+        headers = {"Connection": "keep-alive"}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # and RemoteDisconnected
+                if not reused:
+                    raise
+                # The daemon closed the idle connection (its read deadline or
+                # a drain) before answering anything: once more, on a new one.
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
             text = response.read().decode("utf-8")
             status = response.status
         except (OSError, http.client.HTTPException) as error:
-            raise ServeError(f"daemon request {method} {path} failed: {error}") from error
-        finally:
             connection.close()
+            raise ServeError(f"daemon request {method} {path} failed: {error}") from error
         try:
             decoded = json.loads(text) if text else {}
         except ValueError as error:

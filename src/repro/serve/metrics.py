@@ -1,12 +1,13 @@
 """Live metrics for the serve daemon.
 
 Everything the ``/metrics`` endpoint reports is accumulated here: request
-counters (accepted / completed / failed / rejected-by-reason), queue and
-in-flight gauges, per-kind latency histograms, queue-wait latency, and the
-compile-cache counters folded in from the workers' per-request
-:class:`~repro.exec.cache.CacheStats` deltas — the *real* counters (see
-``repro.exec.workload.execute_with_stats``), so daemon hit rates match
-what :attr:`CompileCache.stats` would say, eviction counts included.
+counters (accepted / completed / failed / rejected-by-reason), connections
+accepted, queue and in-flight gauges, per-kind latency histograms,
+queue-wait latency, and the compile-cache counters folded in from the
+workers' per-request :class:`~repro.exec.cache.CacheStats` deltas — the
+*real* counters (see ``repro.exec.workload.execute_with_stats``), so
+daemon hit rates match what :attr:`CompileCache.stats` would say, eviction
+counts included.
 
 Histograms are Prometheus-shaped: cumulative ``le`` buckets over seconds,
 plus ``count`` and ``sum``.
@@ -74,6 +75,8 @@ class ServeMetrics:
         self.failed = 0
         self.rejected: Dict[str, int] = {reason: 0 for reason in REJECT_REASONS}
         self.in_flight = 0
+        #: Connections accepted (a kept-alive connection counts once).
+        self.connections = 0
         self.queue_wait = LatencyHistogram()
         self.request_latency: Dict[str, LatencyHistogram] = {}
         self.cache_stats = zero_cache_stats()
@@ -131,6 +134,7 @@ class ServeMetrics:
             "jobs": int(jobs),
             "queue_depth": int(queue_depth),
             "in_flight": int(self.in_flight),
+            "connections": self.connections,
             "requests": {
                 "accepted": self.accepted,
                 "completed": self.completed,

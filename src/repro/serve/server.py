@@ -14,14 +14,19 @@ them through the existing planner / compile-cache / fork-pool machinery:
   histogram and the merged compile-cache statistics (see
   :mod:`repro.serve.metrics`).
 
+A request that sends ``Connection: keep-alive`` keeps its connection open
+for the next request; any other request's response closes it.  Each
+request, including the wait for it on a kept-alive connection, must arrive
+whole within :data:`READ_TIMEOUT`.
+
 Requests are queued by ``(priority, arrival)`` — verify/estimate traffic
 overtakes heavy simulates — and executed by a worker pool: the PR-5 fork
 pool sharing one :class:`~repro.exec.cache.CompileCache` directory when
 ``jobs > 1``, an in-process thread otherwise.  Startup warms the cache
 (:meth:`CompileCache.warm_scan` plus an optional warmup-spec replay) and
-``SIGTERM`` drains gracefully: admission closes, queued and in-flight work
-finishes (pending submits still get their responses), then the daemon
-exits 0.
+``SIGTERM`` drains gracefully: admission closes, idle kept-alive
+connections close, queued and in-flight work finishes (pending submits
+still get their responses), then the daemon exits 0.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.bench.formatting import json_safe
 from repro.exceptions import ReproError, ServeError, WorkloadError
@@ -76,8 +81,9 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Seconds a client may take to send the request line, any header line, or
-#: the whole body.
+#: Seconds a client may take to send one whole request: on a kept-alive
+#: connection the wait for its first byte counts too, so an idle connection
+#: is closed after this long.
 READ_TIMEOUT = 30.0
 
 #: Largest request body read, in bytes; a larger ``Content-Length`` is
@@ -97,24 +103,30 @@ _REJECT_REASON = {
 
 
 async def _read_line(reader) -> bytes:
-    """Read one request or header line within :data:`READ_TIMEOUT`."""
+    """Read one request or header line; one over the read limit is a 400."""
     try:
-        return await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
+        return await reader.readline()
     except ValueError:  # readline's form of asyncio.LimitOverrunError
         raise ServeError("request or header line is longer than the read limit") from None
 
 
-async def _read_request(reader) -> Optional[Tuple[str, str, bytes]]:
-    """Read one HTTP request as ``(method, path, body)``; ``None`` if the
-    client closed without sending anything.
+async def _read_request(
+    reader, started: Callable[[], None]
+) -> Optional[Tuple[str, str, bytes, bool]]:
+    """Read one HTTP request as ``(method, path, body, keep_alive)``, where
+    ``keep_alive`` says the client sent ``Connection: keep-alive``; ``None``
+    if the client closed without sending anything.  ``started()`` is called
+    once the request line has arrived.
 
-    A malformed head raises :class:`ServeError` (400) and a body over
-    :data:`MAX_BODY_BYTES` raises :class:`OversizeError` (413), the latter
-    before any of the body is read.
+    The caller bounds the whole read with one deadline
+    (:data:`READ_TIMEOUT`).  A malformed head raises :class:`ServeError`
+    (400) and a body over :data:`MAX_BODY_BYTES` raises
+    :class:`OversizeError` (413), the latter before any of the body is read.
     """
     request_line = await _read_line(reader)
     if not request_line:
         return None
+    started()
     parts = request_line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise ServeError("malformed request line")
@@ -136,8 +148,10 @@ async def _read_request(reader) -> Optional[Tuple[str, str, bytes]]:
         raise OversizeError(
             f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
         )
-    body = await asyncio.wait_for(reader.readexactly(length), timeout=READ_TIMEOUT)
-    return method.upper(), target.split("?")[0], body
+    body = await reader.readexactly(length)
+    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+    keep_alive = "keep-alive" in tokens and "close" not in tokens
+    return method.upper(), target.split("?")[0], body, keep_alive
 
 
 @dataclass
@@ -279,6 +293,9 @@ class ServeDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._consumers: List["asyncio.Task"] = []
         self._connections: Set["asyncio.Task"] = set()
+        #: Kept-alive connections waiting for the request line of their
+        #: next request; a drain closes them at once.
+        self._idle: Set["asyncio.Task"] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -311,12 +328,15 @@ class ServeDaemon:
     async def drain(self) -> None:
         """Graceful shutdown: finish every queued and in-flight row.
 
-        Admission closes first (submits get 503), the queue is closed so
-        consumers exit once the backlog is done, pending submit handlers
-        write their responses, and only then do the listener and the pool
-        shut down.
+        Admission closes first (submits get 503) and idle kept-alive
+        connections are closed, the queue is closed so consumers exit once
+        the backlog is done, pending submit handlers write their responses
+        (with ``Connection: close``), and only then do the listener and the
+        pool shut down.
         """
         self.admission.begin_drain()
+        for task in self._idle:
+            task.cancel()
         self.queue.close()
         grace = self.config.drain_grace
         if self._consumers:
@@ -397,22 +417,41 @@ class ServeDaemon:
     # HTTP front end
     # ------------------------------------------------------------------
     async def _handle_client(self, reader, writer) -> None:
+        """Answer requests on one connection until a response closes it.
+
+        A response keeps the connection open only when its request was read
+        whole and asked for ``Connection: keep-alive``, and the daemon is
+        not draining; every other response says ``Connection: close``.
+        """
         task = asyncio.current_task()
         self._connections.add(task)
+        self.metrics.connections += 1
         try:
-            try:
-                request = await _read_request(reader)
-            except ServeError as error:
-                self.metrics.record_rejected(_REJECT_REASON.get(type(error), "bad_request"))
-                await self._respond(writer, error.status, {"error": str(error)})
-                return
-            if request is None:
-                return
-            status, payload = await self._route(*request)
-            await self._respond(writer, status, payload)
+            while True:
+                try:
+                    request = await asyncio.wait_for(
+                        _read_request(reader, lambda: self._idle.discard(task)),
+                        timeout=READ_TIMEOUT,
+                    )
+                except ServeError as error:
+                    self.metrics.record_rejected(
+                        _REJECT_REASON.get(type(error), "bad_request")
+                    )
+                    await self._respond(writer, error.status, {"error": str(error)})
+                    return
+                if request is None:
+                    return
+                method, path, body, keep_alive = request
+                status, payload = await self._route(method, path, body)
+                keep_alive = keep_alive and not self.admission.draining
+                await self._respond(writer, status, payload, keep_alive=keep_alive)
+                if not keep_alive:
+                    return
+                self._idle.add(task)
         except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):
-            pass  # client went away mid-request; nothing to answer
+            pass  # client went away or stalled mid-request; nothing to answer
         finally:
+            self._idle.discard(task)
             self._connections.discard(task)
             try:
                 writer.close()
@@ -504,13 +543,15 @@ class ServeDaemon:
         return 200, payload
 
     @staticmethod
-    async def _respond(writer, status: int, payload: Dict[str, object]) -> None:
+    async def _respond(
+        writer, status: int, payload: Dict[str, object], *, keep_alive: bool = False
+    ) -> None:
         body = json.dumps(json_safe(payload), ensure_ascii=False).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         writer.write(head.encode("latin-1") + body)
         await writer.drain()

@@ -162,6 +162,19 @@ def test_sweep_spec_validation_and_round_trip():
     # The retired ``budgets`` field is unknown now, not silently ignored.
     with pytest.raises(DSEError, match="budgets"):
         SweepSpec.from_dict({"budgets": [None]})
+    # Only JSON types: int() swept d=3 for 3.9 and k <= 1 for true, and a
+    # family without a dispatchable strategy swept nothing.
+    for raw in (
+        {"dims": [3.9]},
+        {"k_stop": True},
+        {"k_start": 2.5},
+        {"family": 7},
+        {"family": "nosuch"},
+        {"strategies": "mct"},
+        {"strategies": [7]},
+    ):
+        with pytest.raises(DSEError):
+            SweepSpec.from_dict(raw)
 
 
 def test_sweep_covers_grid_and_records_statuses(swept):
@@ -309,6 +322,11 @@ def test_cli_dse_rejects_a_bad_spec(tmp_path, capsys):
         ('{"dims": 5}', "malformed sweep spec"),  # fields of the wrong type
         ('{"k_start": "a"}', "malformed sweep spec"),
         ('{"dims": ["x"]}', "malformed sweep spec"),
+        ('{"dims": [3.9]}', "malformed sweep spec: dims"),  # used to sweep d=3
+        ('{"k_stop": true}', "malformed sweep spec: k_stop"),  # used to sweep k <= 1
+        ('{"k_start": 2.5}', "malformed sweep spec: k_start"),
+        ('{"family": 7}', "malformed sweep spec: family"),  # used to sweep nothing
+        ('{"family": "nosuch"}', "family 'nosuch' has no dispatchable strategy"),
     ],
 )
 def test_cli_dse_bad_sweep_file_is_one_error_line(tmp_path, capsys, content, fragment):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -257,7 +259,9 @@ class DaemonProcess:
         line = self.process.stdout.readline()
         if not line.startswith("serving on "):
             stderr = self.process.stderr.read()
-            self.kill()
+            self.process.kill()
+            self.process.wait(timeout=10)
+            self._close_pipes()
             raise AssertionError(f"daemon failed to start: {line!r}\n{stderr}")
         self.address = line.split()[-1]
         self.client = ServeClient(self.address, timeout=60.0)
@@ -274,6 +278,7 @@ class DaemonProcess:
         if self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
+        self.client.close()
         self._close_pipes()
 
     def _close_pipes(self):
@@ -437,10 +442,10 @@ def test_daemon_unix_socket_transport(tmp_path, daemon_factory):
     socket_path = str(tmp_path / "serve.sock")
     daemon = daemon_factory("--unix-socket", socket_path)
     assert daemon.address == f"unix:{socket_path}"
-    client = ServeClient(daemon.address)
-    assert client.healthz()[0] == 200
-    status, payload = client.submit({"requests": [
-        {"kind": "estimate", "strategy": "mct", "d": 3, "k": 20}]})
+    with ServeClient(daemon.address) as client:
+        assert client.healthz()[0] == 200
+        status, payload = client.submit({"requests": [
+            {"kind": "estimate", "strategy": "mct", "d": 3, "k": 20}]})
     assert status == 200 and payload["ok"]
     code, stderr = daemon.sigterm()
     assert code == 0 and "drained cleanly" in stderr
@@ -628,6 +633,34 @@ def test_over_long_request_and_header_lines_are_answered_400():
     assert rejected == 2
 
 
+def test_daemon_answers_non_string_names_with_400():
+    """``kind``, ``strategy``, ``backend`` and ``verify`` were read with
+    ``str()``: ``"strategy": ["mct"]`` or ``null`` passed validation and came
+    back as 200 with a failed row."""
+    base = {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 2}
+    requests = [
+        {**base, "strategy": ["mct"]},
+        {**base, "strategy": None},
+        {**base, "kind": ["synthesize"]},
+        {**base, "kind": "simulate", "backend": None},
+        {**base, "verify": ["smoke"]},
+    ]
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, post_workload(json.dumps({"requests": [request]}).encode())
+            )
+            for request in requests
+        ]
+        return replies, daemon.metrics.rejected["bad_request"], daemon.metrics.accepted
+
+    replies, rejected, accepted = serve_in_process(scenario)
+    for request, reply in zip(requests, replies):
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"expected a string" in reply, request
+    assert rejected == len(requests) and accepted == 0
+
+
 def test_daemon_answers_non_integer_numbers_with_400():
     """Floats, booleans and numeric strings used to be coerced with ``int()``:
     ``{"d": 3.9, "k": true}`` ran as d=3, k=1 with 200 OK."""
@@ -694,3 +727,167 @@ def test_daemon_fails_the_verify_row_of_a_tampered_cache_entry(tampered_cache_di
     assert payload["ok"] is False and row["ok"] is False
     assert row["error"].startswith("VerificationError: ") and "outputs" not in row
     assert row["verify_result"] == {"status": "failed", "key": key}
+
+
+# ----------------------------------------------------------------------
+# Kept-alive connections and the one read deadline
+# ----------------------------------------------------------------------
+KEEP_ALIVE = b"Connection: keep-alive\r\n"
+
+
+def get(path: str, *headers: bytes) -> bytes:
+    """A raw ``GET`` request for ``path`` carrying ``headers``."""
+    return b"GET " + path.encode("ascii") + b" HTTP/1.1\r\n" + b"".join(headers) + b"\r\n"
+
+
+async def read_response(reader):
+    """One response off an open connection: ``(head, decoded body)``."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=10.0)
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    body = await asyncio.wait_for(reader.readexactly(length), timeout=10.0)
+    return head, json.loads(body)
+
+
+def test_keep_alive_requests_share_one_connection():
+    """Every response used to close its connection, so each request paid a
+    connect, an accept and a close."""
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(get("/healthz", KEEP_ALIVE))
+            first = await read_response(reader)
+            writer.write(get("/metrics", KEEP_ALIVE))
+            second = await read_response(reader)
+        finally:
+            writer.close()
+        return first, second
+
+    (head, health), (metrics_head, metrics) = serve_in_process(scenario)
+    assert head.startswith(b"HTTP/1.1 200 ") and b"Connection: keep-alive\r\n" in head
+    assert health["status"] == "ok"
+    assert metrics_head.startswith(b"HTTP/1.1 200 ")
+    assert metrics["connections"] == 1
+
+
+def test_responses_without_keep_alive_close_the_connection():
+    headers = ((), (b"Connection: close\r\n",), (b"Connection: keep-alive, close\r\n",))
+
+    async def scenario(daemon, host, port):
+        # raw_exchange reads to EOF: each reply returns only once it closes.
+        replies = [await raw_exchange(host, port, get("/healthz", *extra)) for extra in headers]
+        metrics = await raw_exchange(host, port, get("/metrics"))
+        return replies, metrics
+
+    replies, metrics = serve_in_process(scenario)
+    for reply in replies:
+        assert reply.startswith(b"HTTP/1.1 200 ") and b"Connection: close\r\n" in reply
+    assert json.loads(metrics.partition(b"\r\n\r\n")[2])["connections"] == len(headers) + 1
+
+
+def test_malformed_second_request_is_answered_400_and_closed():
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(get("/healthz", KEEP_ALIVE))
+            head, _ = await read_response(reader)
+            writer.write(b"HELLO\r\n\r\n")
+            rest = await asyncio.wait_for(reader.read(), timeout=10.0)
+        finally:
+            writer.close()
+        return head, rest, daemon.metrics.rejected["bad_request"]
+
+    head, rest, rejected = serve_in_process(scenario)
+    assert b"Connection: keep-alive\r\n" in head
+    assert rest.startswith(b"HTTP/1.1 400 ") and b"malformed request line" in rest
+    assert b"Connection: close\r\n" in rest
+    assert rejected == 1
+
+
+def test_one_deadline_covers_the_whole_request(monkeypatch):
+    """Each line used to get its own deadline, so a client sending one header
+    line every 0.1 s under a 0.2 s deadline was never cut off until the
+    header-line bound (101 lines)."""
+    from repro.serve import server
+
+    monkeypatch.setattr(server, "READ_TIMEOUT", 0.2)
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        closed = asyncio.ensure_future(reader.read())
+        start = time.monotonic()
+        try:
+            writer.write(b"GET /healthz HTTP/1.1\r\n")
+            while not closed.done() and time.monotonic() - start < 3.0:
+                await asyncio.wait({closed}, timeout=0.1)
+                writer.write(b"X-Slow: 1\r\n")
+            try:
+                reply = await asyncio.wait_for(closed, timeout=10.0)
+            except ConnectionError:  # reset: the daemon closed with lines unread
+                reply = b""
+            return reply, time.monotonic() - start
+        finally:
+            writer.close()
+
+    reply, waited = serve_in_process(scenario)
+    assert reply == b"" and waited < 1.0
+
+
+def test_drain_closes_an_idle_kept_alive_connection_at_once(daemon_factory):
+    daemon = daemon_factory()
+    assert daemon.client.healthz()[0] == 200
+    # wait_ready, healthz and metrics all went over the one kept-alive
+    # connection, which stays open, idle, into the drain.
+    assert daemon.client.metrics()[1]["connections"] == 1
+    start = time.monotonic()
+    code, stderr = daemon.sigterm()
+    assert code == 0 and "drained cleanly" in stderr
+    assert time.monotonic() - start < 2.0
+
+
+def test_client_retries_once_when_the_daemon_closed_its_idle_connection(monkeypatch):
+    from repro.serve import server
+
+    monkeypatch.setattr(server, "READ_TIMEOUT", 0.2)
+
+    async def scenario(daemon, host, port):
+        loop = asyncio.get_running_loop()
+        # One thread, so both calls go through the same client connection.
+        with ServeClient(f"http://{host}:{port}") as client, ThreadPoolExecutor(1) as thread:
+            first = await loop.run_in_executor(thread, client.healthz)
+            await asyncio.sleep(0.5)  # past READ_TIMEOUT: the daemon closes it
+            second = await loop.run_in_executor(thread, client.healthz)
+        return first[0], second[0], daemon.metrics.connections
+
+    first, second, connections = serve_in_process(scenario)
+    assert first == second == 200
+    assert connections == 2  # the closed one and the retry's fresh one
+
+
+def test_threads_sharing_a_client_each_keep_their_own_connection():
+    threads = 8  # more than the cores, with frequent thread switches
+
+    async def scenario(daemon, host, port):
+        loop = asyncio.get_running_loop()
+        all_connected = threading.Barrier(threads, timeout=10.0)
+
+        def calls(client):
+            statuses = [client.healthz()[0]]
+            all_connected.wait()  # every thread is alive at once
+            statuses += [client.healthz()[0] for _ in range(3)]
+            return statuses
+
+        with ServeClient(f"http://{host}:{port}") as client, ThreadPoolExecutor(threads) as pool:
+            statuses = await asyncio.gather(
+                *(loop.run_in_executor(pool, calls, client) for _ in range(threads))
+            )
+        return statuses, daemon.metrics.connections
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        statuses, connections = serve_in_process(scenario)
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == [[200] * 4] * threads
+    assert connections == threads  # one per thread, each reused for its calls

@@ -139,6 +139,30 @@ class TestSegmentation:
         assert pool.builds == builds and pool.hits >= 1
         assert not first.flags.writeable
 
+    def test_apply_table_builds_each_segment_key_once(self, monkeypatch):
+        """``Segment.index_table`` rebuilt its content key (a stack of the
+        segment's rows and ``tobytes``) on every call, even when the gather
+        was already interned."""
+        from repro.exec import CompileCache, compile_lowered
+        from repro.ir import segment as segment_module
+
+        cache = CompileCache(None)
+        compile_lowered("unitary", 3, 2, cache=cache)
+        served = compile_lowered("unitary", 3, 2, cache=cache)
+        assert served.source == "memo"
+        table = served.circuit.cached_table  # the table the daemon serves
+        assert sum(s.kind == "perm" for s in segment_table(table)) > 1
+        dense = get_backend("dense")
+        data = np.eye(9, dtype=complex)
+        first = dense.apply_table(data, table)
+        keyed = []
+        build_key = segment_module._segment_key
+        monkeypatch.setattr(
+            segment_module, "_segment_key", lambda *args: keyed.append(args) or build_key(*args)
+        )
+        again = dense.apply_table(data, table)
+        assert keyed == [] and np.array_equal(again, first)
+
     def test_unitary_segment_exposes_its_op(self):
         circuit = QuditCircuit(1, 2)
         circuit.add_gate(SingleQuditUnitary(np.eye(2), label="I"), 0)

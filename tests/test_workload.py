@@ -63,6 +63,13 @@ def test_spec_parses_and_round_trips(tmp_path):
         {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0.7, True]]},
         {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0, 1.0]]},
         {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": ["001"]},
+        # Only JSON strings: str() passed ["mct"] and null on as names.
+        {"kind": "synthesize", "strategy": ["mct"], "d": 3, "k": 2},
+        {"kind": "synthesize", "strategy": None, "d": 3, "k": 2},
+        {"kind": ["synthesize"], "strategy": "mct", "d": 3, "k": 2},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "backend": None},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "backend": ["dense"]},
+        {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 2, "verify": ["smoke"]},
     ],
 )
 def test_spec_rejects_malformed_requests(raw):
