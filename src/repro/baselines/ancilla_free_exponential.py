@@ -39,24 +39,28 @@ from repro.qudit.operations import BaseOp, Operation
 def commutator_factors(unitary: np.ndarray, atol: float = 1e-6) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(V, W)`` with ``V† W V W† = U`` (matrix product) for ``U`` in SU(d).
 
-    Construction: Schur-diagonalise ``U = Q D Q†`` with ``D = diag(e^{iθ_j})``
-    and ``Σθ_j ≡ 0 (mod 2π)``.  With ``S`` the cyclic-shift permutation and
-    ``R = diag(e^{iφ_j})`` chosen so that ``φ_{j+1} − φ_j = θ_j`` (consistent
-    cyclically because the phases sum to zero), ``S† R S R† = D``.  Returning
-    ``V = Q S Q†`` and ``W = Q R Q†`` therefore satisfies the *circuit*
-    identity ``V† @ W @ V @ W† = U``: applying ``W†`` first, then ``V``, then
-    ``W``, then ``V†`` realises ``U`` on the fired subspace.
-    """
-    from scipy.linalg import schur
+    Construction: diagonalise ``U = Q D Q†`` with ``Q`` unitary,
+    ``D = diag(e^{iθ_j})`` and ``Σθ_j ≡ 0 (mod 2π)``.  With ``S`` the
+    cyclic-shift permutation and ``R = diag(e^{iφ_j})`` chosen so that
+    ``φ_{j+1} − φ_j = θ_j`` (consistent cyclically because the phases sum to
+    zero), ``S† R S R† = D``.  Returning ``V = Q S Q†`` and ``W = Q R Q†``
+    therefore satisfies the *circuit* identity ``V† @ W @ V @ W† = U``:
+    applying ``W†`` first, then ``V``, then ``W``, then ``V†`` realises ``U``
+    on the fired subspace.
 
+    ``Q`` is the QR orthonormalisation of ``np.linalg.eig``'s eigenvectors.
+    The eigenspaces of a normal matrix are mutually orthogonal, so the
+    Gram–Schmidt order of QR only mixes vectors within one (degenerate)
+    eigenspace, and each column of ``Q`` stays an eigenvector; ``θ_j`` is read
+    back from ``Q† U Q``.  The final ``allclose`` check guards the result.
+    """
     matrix = np.asarray(unitary, dtype=complex)
     d = matrix.shape[0]
     det = np.linalg.det(matrix)
     if abs(det - 1.0) > 1e-6:
         raise GateError("commutator factorisation requires a determinant-one unitary")
-    # Schur decomposition of a normal matrix: U = Q T Q† with T diagonal.
-    t, q = schur(matrix, output="complex")
-    thetas = np.angle(np.diag(t))
+    q, _ = np.linalg.qr(np.linalg.eig(matrix)[1])
+    thetas = np.angle(np.diag(q.conj().T @ matrix @ q))
     # Cumulative phases: φ_{j+1} − φ_j = θ_j  ⇒  φ_j = Σ_{m<j} θ_m, which is
     # cyclically consistent because the θ's sum to 0 (mod 2π) on SU(d).
     phis = np.concatenate([[0.0], np.cumsum(thetas)[:-1]])

@@ -45,6 +45,10 @@ from repro.resources.estimator import INT64_MAX, METRIC_FIELDS
 #: Ancilla kinds stored as dedicated columns (``AncillaKind`` values).
 ANCILLA_KINDS: Tuple[str, ...] = ("clean", "borrowed", "burnable", "garbage")
 
+#: Most ``k`` values one sweep may cover (each is a row per strategy,
+#: pipeline and dimension in the point store).
+MAX_SWEEP_KS = 1_000_000
+
 #: Row status: an exact (or model) estimate.
 STATUS_OK = 0
 #: Row status: metrics saturated at int64 (the Θ(2^k) baseline at k > 62).
@@ -109,6 +113,13 @@ class SweepSpec:
             raise DSEError(
                 f"bad k range: start={self.k_start}, stop={self.k_stop}, "
                 f"step={self.k_step}"
+            )
+        if self.k_stop > INT64_MAX:
+            raise DSEError(f"k_stop={self.k_stop} is past int64 ({INT64_MAX})")
+        points = (self.k_stop - self.k_start) // self.k_step + 1
+        if points > MAX_SWEEP_KS:
+            raise DSEError(
+                f"k range covers {points} values; a sweep covers at most {MAX_SWEEP_KS}"
             )
         if not self.dims:
             raise DSEError("a sweep needs at least one dimension")

@@ -27,7 +27,7 @@ from repro.exceptions import ReproError
 #: Bump whenever synthesis or lowering output changes for identical inputs
 #: (a new peephole rule, a changed template, a serialization format change).
 #: Every key embeds this, so stale artifacts are never deserialized.
-CODE_VERSION = "repro-exec-1"
+CODE_VERSION = "repro-exec-2"
 
 #: Version of the key layout itself (field names / ordering below).
 _KEY_LAYOUT = 2

@@ -151,6 +151,8 @@ class WorkloadRequest:
             ) from None
         if states and kind != "simulate":
             raise WorkloadError(f"request {index}: states only applies to simulate requests")
+        if states:
+            _check_states(states, raw["strategy"], dim, k, index)
         from repro.sim import available_backends
 
         backend = raw.get("backend", "dense")
@@ -221,6 +223,44 @@ class WorkloadRequest:
 
             strategy = registry.auto_select(self.dim, self.k).strategy.name
         return lowered_key(strategy, self.dim, self.k, salt=salt)
+
+
+def _check_states(
+    states: Tuple[Tuple[int, ...], ...], strategy: str, dim: int, k: int, index: int
+) -> None:
+    """Reject simulate states that no circuit of the request can take.
+
+    Every digit must lie in ``[0, d)`` and every row must have one length.
+    For a registered strategy that supports ``(d, k)``, that length must be
+    the wire count of its analytic :meth:`~repro.synth.strategy.Synthesizer.layout`.
+    ``"auto"`` and unknown names are left to the executed row, which checks
+    the width against the circuit it built (or fails on the name).
+    """
+    for row in states:
+        for digit in row:
+            if not 0 <= digit < dim:
+                raise WorkloadError(
+                    f"request {index}: state digit {digit} out of range for d={dim}"
+                )
+    widths = {len(row) for row in states}
+    if len(widths) > 1:
+        raise WorkloadError(
+            f"request {index}: states rows have unequal lengths {sorted(widths)}"
+        )
+    from repro.synth import registry
+
+    if strategy == "auto" or strategy not in registry.names():
+        return
+    synthesizer = registry.get(strategy)
+    if not synthesizer.supports(dim, k):
+        return
+    wires = synthesizer.layout(dim, k)[0]
+    (width,) = widths
+    if width != wires:
+        raise WorkloadError(
+            f"request {index}: states rows have {width} digits, "
+            f"{strategy} at d={dim}, k={k} has {wires} wires"
+        )
 
 
 @dataclass

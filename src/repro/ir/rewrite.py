@@ -7,16 +7,18 @@ gate-for-gate identical, which the test suite asserts:
 
 * :func:`drop_identities` — one vectorized mask over the payload/predicate
   annotation flags;
-* :func:`cancel_adjacent_inverses` — a single linear sweep with per-wire
-  last-op stacks (no backward rescans, no list copies) over plain int
-  columns;
+* :func:`cancel_adjacent_inverses` — numpy builds row signatures and
+  per-wire previous/next row links, then a heap replays the greedy sweep
+  touching only the rows a cancellation affects, so its Python work scales
+  with the cancellations, not with the rows;
 * :func:`fuse_single_qudit` — a single linear sweep with a per-wire
   last-touch index, composing payloads through the interned pools.
 """
 
 from __future__ import annotations
 
-from typing import List
+from heapq import heappop, heappush
+from typing import List, Tuple
 
 import numpy as np
 
@@ -105,72 +107,155 @@ def _row_wires(table: GateTable, i: int, targets, wires_a, wires_b, extras) -> L
     return wires
 
 
+#: Radix products at or above this renumber the partial row key densely first,
+#: so packing the signature columns never overflows int64.
+_PACK_LIMIT = 1 << 62
+
+
+def _row_incidences(table: GateTable) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, wires)``: every row's wires, row-major, in ``_row_wires`` order.
+
+    Row ``i`` owns incidences ``starts[i]:starts[i + 1]`` (target, control
+    slot a, control slot b, then its overflow list).  Rows with equal wire
+    columns therefore list the same wires in the same order.
+    """
+    spans = table.spans()
+    starts = np.zeros(len(table) + 1, dtype=np.int64)
+    np.cumsum(spans, out=starts[1:])
+    wires = np.empty(int(starts[-1]), dtype=np.int64)
+    head = starts[:-1]
+    wires[head] = table.target
+    has_a = table.wire_a >= 0
+    wires[(head + 1)[has_a]] = table.wire_a[has_a]
+    has_b = table.wire_b >= 0
+    slot_b = head + 1 + has_a
+    wires[slot_b[has_b]] = table.wire_b[has_b]
+    overflow = np.flatnonzero(table.extra >= 0)
+    if overflow.size:
+        slot_x = slot_b + has_b
+        eids = table.extra[overflow]
+        for eid in np.unique(eids).tolist():
+            entry = np.asarray([w for w, _ in table.pools.extras.entry(eid)], dtype=np.int64)
+            rows = overflow[eids == eid]
+            wires[slot_x[rows][:, None] + np.arange(entry.size)] = entry
+    return starts, wires
+
+
+def _row_signatures(table: GateTable) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sig, inv_sig)``: row ``j`` undoes row ``i`` structurally iff ``inv_sig[j] == sig[i]``.
+
+    Both pack the opcode, wire, predicate and overflow columns into one int64
+    key, then append a payload key: the structural id for permutations (the
+    inverse's id in ``inv_sig``), the sign for star rows (negated in
+    ``inv_sig``) and nothing for dense unitaries, whose inverse test is
+    numeric and left to :meth:`~repro.ir.pools.UnitaryGatePool.cancels`.
+    """
+    opcode = table.opcode.astype(np.int64)
+    key = opcode
+    span = 3
+    structure = (table.target, table.wire_a, table.wire_b, table.pred_a, table.pred_b, table.extra)
+    for column in structure:
+        size = int(column.max()) + 2
+        if span * size >= _PACK_LIMIT:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            span = int(key.max()) + 1
+        key = key * size + (column.astype(np.int64) + 1)
+        span *= size
+
+    perms = table.pools.perms
+    m_perm = opcode == OP_PERM
+    m_star = opcode == OP_STAR
+    payload = table.payload.astype(np.int64)
+    perm_ids = np.where(m_perm, payload, 0)
+    forward = np.where(m_perm, perms.struct_ids()[perm_ids] + 1, np.where(m_star, payload, 0))
+    # A never-interned inverse (-1) maps to 0, which no permutation's key uses.
+    backward = np.where(
+        m_perm, perms.inverse_struct_ids()[perm_ids] + 1, np.where(m_star, -payload, 0)
+    )
+    low = min(int(forward.min()), int(backward.min()))
+    size = max(int(forward.max()), int(backward.max())) - low + 1
+    if span * size >= _PACK_LIMIT:
+        key = np.unique(key, return_inverse=True)[1].reshape(-1)
+    key = key * size
+    return key + (forward - low), key + (backward - low)
+
+
 def cancel_adjacent_inverses(table: GateTable) -> GateTable:
     """Remove ``U, U†`` row pairs separated only by wire-disjoint rows.
 
-    Linear sweep: per-wire stacks of surviving row indices make "the nearest
-    prior row sharing a wire" an O(1) lookup, and cancellation pops exactly
-    the stack tops (two cancelling rows use identical wire sets), so the
-    whole pass is O(rows + wire incidences).
+    Replays the object pass's greedy left-to-right sweep, which cancels a
+    row against its nearest surviving prior row sharing a wire, with Python
+    work per cancellation rather than per row:
+
+    * numpy builds the row signatures and, from a stable sort of the wire
+      incidences, per-wire previous/next links (a doubly linked list of the
+      surviving rows on each wire);
+    * a heap is seeded with the rows whose nearest prior is their inverse;
+    * rows are popped in row order; each takes its nearest surviving prior
+      over all its wires from the links, and a cancelling pair is spliced
+      out of every wire list. The rows right after the pair are the only
+      ones whose nearest prior changed, so only they are pushed for a
+      re-check.
     """
     n = len(table)
     if not n:
         return table
-    opcode = table.opcode.tolist()
-    targets = table.target.tolist()
-    wires_a = table.wire_a.tolist()
-    wires_b = table.wire_b.tolist()
-    preds_a = table.pred_a.tolist()
-    preds_b = table.pred_b.tolist()
-    payloads = table.payload.tolist()
-    extras = table.extra.tolist()
+    sig, inv_sig = _row_signatures(table)
+    starts, wires = _row_incidences(table)
+    rows = np.repeat(np.arange(n, dtype=np.int64), table.spans())
+    sort_key = wires.astype(np.int16) if table.num_wires <= np.iinfo(np.int16).max else wires
+    order = np.argsort(sort_key, kind="stable")
+    same_wire = wires[order[1:]] == wires[order[:-1]]
+    earlier, later = order[:-1][same_wire], order[1:][same_wire]
+    prev_link = np.full(wires.size, -1, dtype=np.int64)
+    next_link = np.full(wires.size, -1, dtype=np.int64)
+    prev_link[later] = earlier
+    next_link[earlier] = later
 
-    perms = table.pools.perms
-    struct = perms.struct_ids().tolist()
-    inverse_struct = perms.inverse_struct_ids().tolist()
-    unitaries = table.pools.unitaries
-
-    def rows_cancel(j: int, i: int) -> bool:
-        if (
-            opcode[j] != opcode[i]
-            or targets[j] != targets[i]
-            or wires_a[j] != wires_a[i]
-            or wires_b[j] != wires_b[i]
-            or preds_a[j] != preds_a[i]
-            or preds_b[j] != preds_b[i]
-            or extras[j] != extras[i]
-        ):
-            return False
-        code = opcode[j]
-        if code == OP_STAR:
-            return payloads[j] == -payloads[i]
-        if code == OP_PERM:
-            partner = inverse_struct[payloads[j]]
-            return partner >= 0 and partner == struct[payloads[i]]
-        return unitaries.cancels(payloads[j], payloads[i])
-
-    alive = [True] * n
-    stacks: List[List[int]] = [[] for _ in range(table.num_wires)]
-    for i in range(n):
-        wires = _row_wires(table, i, targets, wires_a, wires_b, extras)
-        prior = -1
-        for w in wires:
-            stack = stacks[w]
-            if stack and stack[-1] > prior:
-                prior = stack[-1]
-        if prior >= 0 and rows_cancel(prior, i):
-            # Cancelling rows share one wire set, so ``prior`` tops them all.
-            for w in wires:
-                stacks[w].pop()
-            alive[prior] = False
-            alive[i] = False
-            continue
-        for w in wires:
-            stacks[w].append(i)
-    mask = np.asarray(alive, dtype=bool)
-    if mask.all():
+    nearest = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(nearest, rows, np.where(prev_link >= 0, rows[prev_link], -1))
+    partner = np.where(nearest >= 0, inv_sig[nearest], -1)
+    heap = np.flatnonzero(partner == sig).tolist()  # sorted, hence already a heap
+    if not heap:
         return table
-    return table.select(mask)
+
+    alive = np.ones(n, dtype=bool)
+    alive_v = memoryview(alive)
+    prev_v, next_v, rows_v = memoryview(prev_link), memoryview(next_link), memoryview(rows)
+    starts_v, sig_v, inv_v = memoryview(starts), memoryview(sig), memoryview(inv_sig)
+    opcode_v, payload_v = memoryview(table.opcode), memoryview(table.payload)
+    unitaries = table.pools.unitaries
+    last = -1
+    while heap:
+        i = heappop(heap)
+        if i == last:
+            continue
+        last = i
+        first, stop = starts_v[i], starts_v[i + 1]
+        prior = -1
+        for slot in range(first, stop):
+            link = prev_v[slot]
+            if link >= 0 and rows_v[link] > prior:
+                prior = rows_v[link]
+        if prior < 0 or inv_v[prior] != sig_v[i]:
+            continue
+        if opcode_v[i] == OP_UNITARY and not unitaries.cancels(payload_v[prior], payload_v[i]):
+            continue
+        # Equal signatures mean equal wire lists, so ``prior`` is the
+        # previous link of row ``i`` on every one of its wires.
+        alive_v[prior] = alive_v[i] = False
+        offset = starts_v[prior] - first
+        for slot in range(first, stop):
+            before = prev_v[slot + offset]
+            after = next_v[slot]
+            if before >= 0:
+                next_v[before] = after
+            if after >= 0:
+                prev_v[after] = before
+                heappush(heap, rows_v[after])
+    if alive.all():
+        return table
+    return table.select(alive)
 
 
 def fuse_single_qudit(table: GateTable) -> GateTable:

@@ -2,7 +2,7 @@
 
 A stdlib-only JSON-over-HTTP service on a TCP port or unix socket that
 accepts :class:`~repro.exec.workload.WorkloadSpec`-shaped submits and runs
-them through the existing planner / compile-cache / fork-pool machinery:
+them through the existing compile-cache / fork-pool machinery:
 
 * ``POST /v1/workload`` — body ``{"requests": [...]}`` (or a bare list);
   each request may add an integer ``"priority"`` override.  Responds with
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.bench.formatting import json_safe
-from repro.exceptions import ReproError, ServeError, WorkloadError
+from repro.exceptions import ServeError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.workload import (
@@ -51,7 +51,6 @@ from repro.exec.workload import (
     _init_worker,
     _worker_execute,
     execute_with_stats,
-    plan_workload,
     zero_cache_stats,
 )
 from repro.serve.admission import (
@@ -518,10 +517,8 @@ class ServeDaemon:
         except (WorkloadError, ServeError) as error:
             self.metrics.record_rejected("bad_request")
             return 400, {"error": f"{type(error).__name__}: {error}"}
-        try:
-            plan = plan_workload(spec, salt=self.config.salt)
-        except ReproError:  # e.g. "auto" resolution failed; workers will report
-            plan = None
+        # No plan here: resolving "auto" runs a cold calibration, which must
+        # not stall the event loop. The rows name the strategy they ran.
         start = time.perf_counter()
         try:
             jobs = self.admission.admit(
@@ -532,15 +529,18 @@ class ServeDaemon:
             return error.status, {"error": str(error), "rejected": len(spec.requests)}
         self.metrics.record_accepted(len(jobs))
         rows = await asyncio.gather(*(job.future for job in jobs))
-        payload: Dict[str, object] = {
+        compiles = [
+            (row.get("strategy"), row.get("d"), row.get("k"))
+            for row in rows
+            if row.get("kind") in ("synthesize", "simulate")
+        ]
+        return 200, {
             "ok": all(row.get("ok") for row in rows),
             "rows": list(rows),
             "seconds": round(time.perf_counter() - start, 6),
+            "unique_compiles": len(set(compiles)),
+            "dedup_savings": len(compiles) - len(set(compiles)),
         }
-        if plan is not None:
-            payload["unique_compiles"] = len(plan.compiles)
-            payload["dedup_savings"] = plan.dedup_savings
-        return 200, payload
 
     @staticmethod
     async def _respond(

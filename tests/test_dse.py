@@ -327,6 +327,12 @@ def test_cli_dse_rejects_a_bad_spec(tmp_path, capsys):
         ('{"k_start": 2.5}', "malformed sweep spec: k_start"),
         ('{"family": 7}', "malformed sweep spec: family"),  # used to sweep nothing
         ('{"family": "nosuch"}', "family 'nosuch' has no dispatchable strategy"),
+        # Used to end in "ValueError: Maximum allowed size exceeded".
+        (
+            '{"dims": [3], "k_stop": 100000000000000000000}',
+            "k_stop=100000000000000000000 is past int64",
+        ),
+        ('{"dims": [3], "k_stop": 5000000}', "k range covers 5000001 values"),
     ],
 )
 def test_cli_dse_bad_sweep_file_is_one_error_line(tmp_path, capsys, content, fragment):

@@ -37,6 +37,16 @@ def test_cache_oracle_seeded_block_stays_clean():
     assert report.oracle_runs == {"cache": 12}
 
 
+def test_lowering_oracle_seeded_block_stays_clean():
+    """Seeds 300-315, lowering oracle only: the object pass pipeline and the
+    table lowering (template expansion, then the columnar cancel pass that
+    replays the greedy sweep from a heap) must stay gate-for-gate identical
+    on the generator's lowerable circuits."""
+    report = fuzz_run(seed=300, max_cases=16, oracles=["lowering"])
+    assert report.ok, json.dumps(report.to_json(), indent=2, ensure_ascii=False)
+    assert report.oracle_runs == {"lowering": 16}
+
+
 def test_single_case_replay_matches_report_contract():
     """A case replays from its seed alone (the CI reproduction recipe)."""
     report = FuzzReport(seed=17)

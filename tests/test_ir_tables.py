@@ -34,6 +34,8 @@ from repro.qudit.controls import Value
 from repro.qudit.gates import XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.sim import Statevector, available_backends, get_backend, permutation_index_table
+from repro.sim.permutation import GATHER_MAX_STATES
+from repro.synth import registry as synth_registry
 
 
 # ----------------------------------------------------------------------
@@ -240,19 +242,106 @@ def reference_lowering(circuit):
     return default_lowering_pipeline(max_sweeps=_MAX_PASSES).run(circuit)
 
 
-@pytest.mark.parametrize("dim,k", [(3, 3), (4, 3), (5, 2), (6, 2)])
-def test_lowering_engines_gate_for_gate_identical(dim, k):
-    result = synthesize_mct(dim, k)
-    object_path = reference_lowering(result.circuit)
-    table_path = lower_to_g_gates(result.circuit)
+def assert_cancel_pass_matches(circuit, remap=None):
+    """The cancel kernel against the object pass on two probes of ``circuit``.
+
+    Followed by its inverse, every row cancels in one cascade; with each row
+    doubled, only involutions cancel, so the signatures and the numeric
+    dense check must say no to the rest.  ``remap`` (wire map, wire count)
+    relabels both probes' tables first.
+    """
+    mirrored = circuit.copy().compose(circuit.inverse())
+    doubled = QuditCircuit(circuit.num_wires, circuit.dim).extend(
+        [op for op in circuit.ops for _ in range(2)]
+    )
+    for probe in (mirrored, doubled):
+        table = probe.to_table()
+        if remap is not None:
+            table = table.remap_wires(*remap)
+        assert_ops_identical(
+            CancelAdjacentInverses().run(table.to_circuit()),
+            cancel_adjacent_inverses(table).to_circuit(),
+        )
+
+
+def overflow_circuit(dim, num_wires):
+    """Random ops with up to three controls, so some rows fill the overflow column."""
+    circuit = fuzz_generators.random_circuit(
+        7, num_wires=num_wires, dim=dim, num_ops=60, max_controls=3, name="overflow"
+    )
+    assert (circuit.to_table().extra >= 0).any()
+    return circuit
+
+
+#: (strategy, d, k) cases; ``"overflow"`` is :func:`overflow_circuit`.  The
+#: k = 11 cases are the sizes the estimator calibrates on.  Circuits with
+#: dense-unitary rows (mcu-exponential, the overflow table) are not lowered,
+#: so only their cancel pass is compared.
+LOWERING_CASES = [
+    pytest.param("mct", 3, 3, id="3-3"),
+    pytest.param("mct", 4, 3, id="4-3"),
+    pytest.param("mct", 5, 2, id="5-2"),
+    pytest.param("mct", 6, 2, id="6-2"),
+    pytest.param("mct", 3, 11, id="mct-3-11"),
+    pytest.param("mct", 4, 11, id="mct-4-11"),
+    pytest.param("pk", 3, 11, id="pk-3-11"),
+    pytest.param("mct-clean-ladder", 3, 6, id="mct-clean-ladder-3-6"),
+    pytest.param("mcu-exponential", 3, 3, id="mcu-exponential-3-3"),
+    pytest.param("reversible", 4, 3, id="reversible-4-3"),
+    pytest.param("reversible", 5, 2, id="reversible-5-2"),
+    pytest.param("overflow", 3, 5, id="overflow-3-5"),
+]
+
+
+@pytest.mark.parametrize("strategy,dim,k", LOWERING_CASES)
+def test_lowering_engines_gate_for_gate_identical(strategy, dim, k):
+    if strategy == "overflow":
+        circuit = overflow_circuit(dim, k)
+    else:
+        # The registry seeds the reversible strategy's random function.
+        circuit = synth_registry.synthesize(strategy, dim, k).circuit
+    # The cancel pass alone on macro rows: star, dense-unitary and
+    # overflow-control rows.
+    assert_cancel_pass_matches(circuit)
+    if not circuit.is_permutation:
+        return  # dense payloads are not lowered to G-gates
+    object_path = reference_lowering(circuit)
+    table_path = lower_to_g_gates(circuit)
     assert table_path.cached_table is not None
     assert table_path.is_g_circuit()
     assert_ops_identical(object_path, table_path)
     assert object_path.g_gate_count() == table_path.g_gate_count()
     assert object_path.depth() == table_path.depth()
-    np.testing.assert_array_equal(
-        permutation_index_table(object_path), permutation_index_table(table_path)
-    )
+    if dim**circuit.num_wires <= GATHER_MAX_STATES:
+        np.testing.assert_array_equal(
+            permutation_index_table(object_path), permutation_index_table(table_path)
+        )
+
+
+def test_cancel_pass_renumbers_signature_keys_before_they_overflow(monkeypatch):
+    """A tiny packing limit forces the dense renumbering that keeps the
+    packed row signatures inside int64 on wide registers and large pools."""
+    from repro.ir import rewrite
+
+    circuit = overflow_circuit(4, 5)
+    mirrored = circuit.copy().compose(circuit.inverse()).to_table()
+
+    def classes():
+        # Which of the rows' signatures and inverse signatures are equal.
+        sig, inv_sig = rewrite._row_signatures(mirrored)
+        return np.unique(np.concatenate([sig, inv_sig]), return_inverse=True)[1]
+
+    packed = classes()
+    monkeypatch.setattr(rewrite, "_PACK_LIMIT", 64)
+    np.testing.assert_array_equal(classes(), packed)
+    assert_cancel_pass_matches(circuit)
+
+
+def test_cancel_pass_on_a_register_wider_than_int16_keys():
+    """Past 32,767 wires the wire incidences sort on int64 keys; wires
+    65,536 apart would share an int16 key."""
+    mapping = {0: 0, 1: 65536, 2: 1, 3: 65537, 4: 2}
+    assert_cancel_pass_matches(overflow_circuit(3, 5), remap=(mapping, 65538))
 
 
 def test_lower_circuit_to_table_counts_without_materialising():

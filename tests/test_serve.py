@@ -473,6 +473,59 @@ def test_daemon_rejects_unknown_backend_and_stray_budget_with_400(daemon_factory
     assert code == 0 and "drained cleanly" in stderr
 
 
+def test_auto_submit_leaves_the_event_loop_answering(daemon_factory):
+    """The submit path used to plan the workload on the event loop, and
+    planning resolves ``auto`` through a cold calibration: about 1.8 s for
+    d=5, k=12, during which the daemon answered nothing else."""
+    daemon = daemon_factory()
+    spec = {"requests": [
+        {"kind": "synthesize", "strategy": "auto", "d": 5, "k": 12},
+        {"kind": "simulate", "strategy": "auto", "d": 5, "k": 12},
+    ]}
+    latencies = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        submitted = pool.submit(daemon.client.submit, spec)
+        while not submitted.done():
+            start = time.monotonic()
+            status, _ = daemon.client.healthz()  # this thread's own connection
+            latencies.append(time.monotonic() - start)
+            assert status == 200
+            time.sleep(0.05)
+        status, payload = submitted.result()
+    assert max(latencies) < 0.5, latencies
+    assert status == 200 and payload["ok"]
+    assert all(row["strategy"] != "auto" for row in payload["rows"])
+    # Counted from the rows' resolved strategies: one compile served both.
+    assert payload["unique_compiles"] == 1 and payload["dedup_savings"] == 1
+
+
+def test_daemon_answers_bad_simulate_states_with_400():
+    """States with a digit outside [0, d), rows of unequal length, or a width
+    other than the strategy's wire count used to compile and come back as a
+    failed row under 200 OK."""
+    base = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2}
+    requests = [
+        {**base, "states": [[]]},
+        {**base, "states": [[0, 0, 7]]},
+        {**base, "states": [[0, 0, 0], [0, 0]]},
+        {**base, "strategy": "auto", "states": [[0, 0, 3]]},
+    ]
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, post_workload(json.dumps({"requests": [request]}).encode())
+            )
+            for request in requests
+        ]
+        return replies, daemon.metrics.rejected["bad_request"], daemon.metrics.accepted
+
+    replies, rejected, accepted = serve_in_process(scenario)
+    for request, reply in zip(requests, replies):
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"state" in reply, request
+    assert rejected == len(requests) and accepted == 0
+
+
 def test_daemon_rejects_the_retired_engine_field_with_400():
     """``"engine"`` used to be accepted, so ``"object"`` compiled a second
     copy of the same circuit under its own cache key."""

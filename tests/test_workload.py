@@ -70,6 +70,15 @@ def test_spec_parses_and_round_trips(tmp_path):
         {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "backend": None},
         {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "backend": ["dense"]},
         {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 2, "verify": ["smoke"]},
+        # Simulate states checked at the boundary: these compiled and came
+        # back as failed rows (HTTP 200 from the daemon).
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[]]},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0, 7]]},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, -1, 0]]},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 2, "states": [[0, 0, 0], [0, 0]]},
+        {"kind": "simulate", "strategy": "mct", "d": 4, "k": 2, "states": [[0, 0, 0]]},
+        {"kind": "simulate", "strategy": "auto", "d": 3, "k": 2, "states": [[0, 0, 3]]},
+        {"kind": "simulate", "strategy": "auto", "d": 3, "k": 2, "states": [[0], [0, 0]]},
     ],
 )
 def test_spec_rejects_malformed_requests(raw):
@@ -159,18 +168,20 @@ def test_failing_request_is_reported_not_raised(tmp_path):
 
 
 def test_simulate_request_validates_states(tmp_path):
-    bad_width = WorkloadSpec.from_dict(
-        {"requests": [{"kind": "simulate", "strategy": "mct", "d": 3, "k": 4,
-                       "states": [[0, 0]]}]}
-    )
-    report = run_workload(bad_width, jobs=1, cache_dir=tmp_path)
+    """A registered strategy's state width and every digit are checked when
+    the request is parsed; ``auto`` and unknown names fail their row."""
+    base = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 4}
+    with pytest.raises(WorkloadError, match="has 5 wires"):
+        WorkloadSpec.from_dict({"requests": [{**base, "states": [[0, 0]]}]})
+    with pytest.raises(WorkloadError, match="digit 7 out of range"):
+        WorkloadSpec.from_dict({"requests": [{**base, "states": [[0, 0, 0, 0, 7]]}]})
+    late = WorkloadSpec.from_dict({"requests": [
+        {**base, "strategy": "auto", "states": [[0, 0]]},
+        {**base, "strategy": "no-such-strategy", "states": [[0, 0]]},
+    ]})
+    report = run_workload(late, jobs=1, cache_dir=tmp_path)
     assert not report.ok and "digits" in report.rows[0]["error"]
-    bad_digit = WorkloadSpec.from_dict(
-        {"requests": [{"kind": "simulate", "strategy": "mct", "d": 3, "k": 4,
-                       "states": [[0, 0, 0, 0, 7]]}]}
-    )
-    report = run_workload(bad_digit, jobs=1, cache_dir=tmp_path)
-    assert not report.ok and "out of range" in report.rows[0]["error"]
+    assert "no-such-strategy" in report.rows[1]["error"]
 
 
 @pytest.mark.parametrize("strategy,k", [("mct", 3), ("unitary", 2)])
