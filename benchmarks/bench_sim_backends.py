@@ -42,13 +42,12 @@ from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
 from repro.sim import (
     Statevector,
-    assert_mct_spec,
-    assert_unitary_equiv_with_clean_ancillas,
     available_backends,
     circuit_unitary,
     multi_controlled_unitary_matrix,
     permutation_index_table,
 )
+from repro.verify import assert_mct_spec, assert_unitary_equiv_with_clean_ancillas
 from repro.core.multi_controlled_unitary import random_unitary_gate, synthesize_mcu
 from repro.utils.indexing import digits_to_index, iterate_basis
 

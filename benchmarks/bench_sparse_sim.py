@@ -56,7 +56,7 @@ from repro.bench import render_table
 from repro.qudit.circuit import QuditCircuit
 from repro.sim import SparseState, get_backend
 from repro.sim.permutation import apply_to_basis
-from repro.sim.verify import sample_basis_states
+from repro.verify import sample_basis_states
 from repro.utils.indexing import indices_to_digits
 
 SPARSE_WALL_FLOOR = 10.0

@@ -26,9 +26,10 @@ import time
 import numpy as np
 
 from repro.core.lowering import lower_to_g_gates
-from repro.sim import SparseState, assert_mct_spec, get_backend
+from repro.sim import SparseState, get_backend
 from repro.synth import synthesize
 from repro.utils.indexing import indices_to_digits
+from repro.verify import VerificationBudget, assert_mct_spec
 
 DIM, CONTROLS = 3, 18
 
@@ -70,7 +71,12 @@ def main() -> None:
 
     # -- verified against the semantic spec, not trusted ---------------------
     start = time.perf_counter()
-    assert_mct_spec(macro, result.controls, result.target, max_states=1000, samples=256)
+    assert_mct_spec(
+        macro,
+        result.controls,
+        result.target,
+        budget=VerificationBudget(max_basis_states=1000, samples=256),
+    )
     elapsed = time.perf_counter() - start
     print(f"  spec verification : 256 sampled states (batched) in {elapsed * 1e3:.1f} ms")
 

@@ -44,7 +44,8 @@ from repro import (
 )
 from repro.core.lowering import _MAX_PASSES
 from repro.passes import default_lowering_pipeline
-from repro.sim import Statevector, assert_mct_spec, available_backends
+from repro.sim import Statevector, available_backends
+from repro.verify import VerificationBudget, assert_mct_spec
 
 
 def main() -> None:
@@ -309,7 +310,12 @@ def main() -> None:
         f"  sparse engine: nnz {state.nnz} -> {evolved.nnz}, "
         f"{evolved.nbytes} bytes vs {16 * size / 1e9:.1f} GB dense"
     )
-    assert_mct_spec(huge.circuit, huge.controls, huge.target, max_states=1000, samples=128)
+    assert_mct_spec(
+        huge.circuit,
+        huge.controls,
+        huge.target,
+        budget=VerificationBudget(max_basis_states=1000, samples=128),
+    )
     print("  verified against the mct spec: 128 sampled states, one batched index pass")
     print("  (examples/huge_register_oracle.py runs the full tour)")
 

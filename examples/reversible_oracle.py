@@ -23,7 +23,7 @@ from repro.applications import (
     reversible_lower_bound,
     synthesize_reversible_function,
 )
-from repro.sim import assert_permutation_equals_function
+from repro.verify import assert_permutation_equals_function
 from repro.utils.indexing import digits_to_index, index_to_digits
 
 

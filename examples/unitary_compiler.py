@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import count_gates
 from repro.applications import bullock_ancilla_count, random_unitary, synthesize_unitary
-from repro.sim import assert_unitary_equiv
+from repro.verify import assert_unitary_equiv
 
 
 def main() -> None:

@@ -10,16 +10,20 @@ Quick start
 -----------
 >>> from repro import synthesize_mct, verify
 >>> result = synthesize_mct(dim=3, num_controls=4)      # ancilla-free, odd d
->>> verify.assert_mct_spec(result.circuit, result.controls, result.target)
+>>> verify.assert_mct_spec(result.circuit, result.controls, result.target)  # doctest: +SKIP
 >>> result.circuit.num_ops()                            # doctest: +SKIP
+
+Every check lives in :mod:`repro.verify` and takes one ``budget=`` (``None``
+means the ``standard`` preset); an ``assert_*`` helper raises unless a tier
+decided the check.
 
 Simulation backends and the pass pipeline
 -----------------------------------------
 The simulators are vectorized and backend-pluggable: pass
 ``backend="dense"`` (flat gather tables, the default), ``backend="sparse"``
 (nonzero amplitudes only) or ``backend="streaming"`` (memory-tiled) to
-:class:`verify.Statevector`, :func:`verify.circuit_unitary` and the
-``verify.assert_*`` helpers; ``verify.available_backends()`` lists the
+:class:`sim.Statevector`, :func:`sim.circuit_unitary` and the unitary
+``verify.assert_*`` helpers; ``sim.available_backends()`` lists the
 registered engines.
 
 The composable pass pipeline (:mod:`repro.passes` — ``ExpandMacros`` plus
@@ -29,7 +33,7 @@ peephole cleanups that only ever shrink gate counts) is the reference that
 >>> from repro import lower_to_g_gates
 >>> from repro.passes import default_lowering_pipeline
 >>> lowered = lower_to_g_gates(result.circuit)          # same API as always
->>> state = verify.Statevector(5, 3, backend="streaming")  # pick an engine
+>>> state = sim.Statevector(5, 3, backend="streaming")  # pick an engine
 
 Columnar IR (struct-of-arrays gate tables)
 ------------------------------------------

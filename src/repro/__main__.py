@@ -57,8 +57,10 @@ def _verify_budget_from_args(args):
 
     ``--verify-tier`` names a preset (``smoke``/``standard``/``audit``);
     ``--verify-budget`` is a JSON object of field overrides applied on top
-    (on ``standard`` when no tier is named).  Returns ``None`` when neither
-    flag is set, which keeps each caller's historical full-strength check.
+    (on ``standard`` when no tier is named), each type-checked by
+    :class:`~repro.verify.VerificationBudget`.  Returns ``None`` when
+    neither flag is set: ``synthesize --verify`` then passes ``None`` on,
+    which means ``standard``, and ``fuzz`` keeps its own default budget.
     """
     from repro.verify import VerificationBudget
 
@@ -179,6 +181,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     budget = _budget_from_args(args)
+    verify_budget = _verify_budget_from_args(args)
     if args.name == "auto":
         strategy = auto_select(args.d, args.k, budget=budget).strategy
         print(f"auto dispatch picked: {strategy.name}")
@@ -190,26 +193,22 @@ def _cmd_synthesize(args) -> int:
     report = count_gates(result, lower=args.lower)
     print(render_table([report.as_row()], title="gate counts"))
     if args.verify:
-        verify_budget = _verify_budget_from_args(args)
         try:
             outcome = strategy.verify(result.circuit, args.d, args.k, budget=verify_budget)
         except NotImplementedError:
             print("verify: no canonical specification for this strategy", file=sys.stderr)
             return 2
-        if getattr(outcome, "undecided", False):
+        if outcome.undecided:
             print(
                 "verify: UNDECIDED — the budget ruled out every deciding tier "
                 "(raise --verify-tier or --verify-budget)",
                 file=sys.stderr,
             )
             return 2
-        if getattr(outcome, "decided_by", None):
-            print(
-                "verify: OK (matches the semantic specification; decided by the "
-                f"{outcome.decided_by} tier, {outcome.states_checked} states checked)"
-            )
-        else:
-            print("verify: OK (matches the semantic specification)")
+        print(
+            "verify: OK (matches the semantic specification; decided by the "
+            f"{outcome.decided_by} tier, {outcome.states_checked} states checked)"
+        )
     return 0
 
 
@@ -412,13 +411,15 @@ def _cmd_fuzz(args) -> int:
 
     if args.time_budget is None and args.max_cases is None:
         args.time_budget = 10.0
+    verify_budget = _verify_budget_from_args(args)
+    options = {} if verify_budget is None else {"verify_budget": verify_budget}
     report = fuzz_run(
         seed=args.seed,
         time_budget=args.time_budget,
         max_cases=args.max_cases,
         oracles=args.oracle or None,
         shrink=args.shrink,
-        verify_budget=_verify_budget_from_args(args),
+        **options,
     )
     payload = report.to_json()
     if args.report:

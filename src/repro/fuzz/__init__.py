@@ -2,8 +2,8 @@
 
 The repo carries four independent implementations of the paper's circuit
 semantics (the object pass pipeline as the reference for columnar
-lowering, object vs. table pass kernels, per-op vs. fused vs.
-whole-basis-gather simulation, analytic estimation vs. materialised
+lowering, object vs. table pass kernels, an op-by-op reference vs. fused
+and whole-basis-gather simulation, analytic estimation vs. materialised
 counting).  This package turns that redundancy into a test
 oracle: seeded random artifacts (:mod:`repro.fuzz.generators`) are pushed
 through every redundant path (:mod:`repro.fuzz.oracles`), and any

@@ -18,8 +18,8 @@ Three kinds of artifacts are generated, each fully determined by a seed:
   peephole passes, used to exercise ``Pass.run`` against ``run_table``.
 
 Basis-state sampling delegates to
-:func:`repro.sim.verify.sample_basis_states`, the same seeded code path the
-sampled ``assert_*`` fallbacks and the test-suite ``conftest`` helpers use.
+:func:`repro.verify.sample_basis_states`, the same seeded code path the
+sampled verification tiers and the test-suite ``conftest`` helpers use.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.passes import (
     FuseSingleQuditGates,
     PassPipeline,
 )
-from repro.sim.verify import sample_basis_states
+from repro.verify import sample_basis_states
 
 RngLike = Union[int, random.Random]
 

@@ -2,8 +2,8 @@
 
 The repo deliberately carries redundant implementations of the same
 semantics — the object pass pipeline as the reference for columnar
-lowering, object vs. table pass kernels, per-op vs. fused vs.
-whole-basis-gather simulation on every engine, analytic estimation vs.
+lowering, object vs. table pass kernels, an op-by-op reference vs. fused
+and whole-basis-gather simulation on every engine, analytic estimation vs.
 materialised counting, circuits vs. their ``GateTable`` twins.  Each
 oracle here runs one generated artifact through two or more of those paths
 and reports the first divergence as a human-readable message (``None``
@@ -17,9 +17,11 @@ Oracles
     agrees with the object implementation.
 ``backends``
     every registered simulation engine (``available_backends()`` — dense,
-    sparse, streaming, anything registered by the caller), per-op vs.
-    ``apply_table``, and (for permutation circuits) the whole-basis gather
-    table vs. the scalar ``apply_to_basis`` path.
+    sparse, streaming, anything registered by the caller) through
+    ``apply_table`` vs. the dense engine's op-by-op ``apply_op`` walk, and
+    (for permutation circuits) the table's whole-basis gather vs. one
+    composed op by op from each op's ``permutation_table`` and vs. the
+    scalar ``apply_to_basis`` path.
     A second, low-occupancy instance (permutation-heavy circuit, a
     superposition of a few basis states) targets the sparse engine's O(nnz)
     fast path, which dense random states would never reach.
@@ -100,19 +102,19 @@ _SPEC_SAMPLES = 128
 #: Tighter cap for dense-unitary verifies, which build a basis² matrix.
 _SPEC_UNITARY_LIMIT = 1_024
 
-#: Up to this basis, strategies advertising ``supports_sampled_columns``
-#: are verified by evolving a few pinned+sampled basis columns as one batch
-#: instead of skipping — one (basis, columns) array, no basis² matrix.
+#: Up to this basis, a strategy whose ``verify`` hands the verifier a column
+#: oracle (``mcu-exponential``) is checked above the dense cap by evolving a
+#: few pinned+sampled basis columns as one batch — one (basis, columns)
+#: array, no basis² matrix.
 _SPEC_SAMPLED_UNITARY_LIMIT = 65_536
 
 #: Columns drawn for the sampled-column unitary verify (the strategy pins
 #: its fired block on top of these).
 _SPEC_COLUMN_SAMPLES = 4
 
-#: Default budget of the ``synth-spec`` oracle: the historical caps above
-#: expressed as one :class:`repro.verify.VerificationBudget`, so the full
-#: fuzz sweep keeps its pre-tiered coverage exactly.  ``--verify-tier``
-#: swaps in a preset (e.g. ``smoke``) instead.
+#: Default budget of the ``synth-spec`` oracle: the caps above expressed as
+#: one :class:`repro.verify.VerificationBudget`.  ``--verify-tier`` or
+#: ``--verify-budget`` swaps in another budget instead.
 FUZZ_VERIFY_BUDGET = VerificationBudget(
     max_basis_states=_SPEC_BASIS_LIMIT,
     samples=_SPEC_SAMPLES,
@@ -267,9 +269,12 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
 
     The oracle iterates :func:`repro.sim.backend.available_backends`, so a
     backend registered after import (``streaming`` with a tiny budget, a
-    user's custom engine) is fuzzed automatically — both its per-op
-    ``apply_circuit`` walk and its fused ``apply_table`` path — against the
-    dense per-op reference.
+    user's custom engine) is fuzzed automatically — its fused
+    ``apply_table`` path against the object-level reference: the dense
+    engine's ``apply_op`` walk over the circuit's ops.  Every engine's
+    ``apply_circuit`` goes through the same table, so the walk and a gather
+    composed from each op's ``permutation_table`` are the only paths here
+    that never read it.
     """
     data = _random_state(circuit.dim, circuit.num_wires, state_seed)
     plain = _plain_copy(circuit)
@@ -278,30 +283,18 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
     for op in plain:
         reference = dense.apply_op(reference, op, circuit.dim, circuit.num_wires)
     table = circuit.to_table()
-    paths: List[Tuple[str, Callable[[], np.ndarray]]] = []
     for backend_name in available_backends():
-        engine = get_backend(backend_name)
-        if backend_name != "dense":
-            paths.append(
-                (
-                    f"{backend_name} per-op",
-                    lambda engine=engine: engine.apply_circuit(data.copy(), plain),
-                )
-            )
-        paths.append(
-            (
-                f"{backend_name} apply_table",
-                lambda engine=engine: engine.apply_table(data.copy(), table),
-            )
-        )
-    for name, evolve in paths:
-        evolved = np.asarray(evolve())
+        evolved = np.asarray(get_backend(backend_name).apply_table(data.copy(), table))
         if not np.allclose(evolved, reference, atol=1e-9):
             deviation = float(np.max(np.abs(evolved - reference)))
-            return f"{name} deviates from dense per-op by {deviation:.3e}"
+            return (
+                f"{backend_name} apply_table deviates from dense per-op by {deviation:.3e}"
+            )
     if not circuit.is_permutation:
         return None
-    object_table = permutation_index_table(plain)
+    object_table = np.arange(circuit.dim**circuit.num_wires)
+    for op in plain:
+        object_table = op.permutation_table(circuit.dim, circuit.num_wires)[object_table]
     columnar_table = table.permutation_index_table()
     if not np.array_equal(object_table, columnar_table):
         first = int(np.nonzero(object_table != columnar_table)[0][0])
@@ -522,15 +515,15 @@ def check_estimator(instance: SynthesisInstance) -> Optional[str]:
 def check_synthesis_semantics(
     instance: SynthesisInstance,
     *,
-    budget=None,
+    budget=FUZZ_VERIFY_BUDGET,
     tier_hits: Optional[Dict[str, int]] = None,
 ) -> Optional[str]:
     """Refinement check: the synthesised circuit meets its own specification.
 
     Routed through the tiered verifier (:mod:`repro.verify`): the strategy's
     ``verify`` escalates structural → sampled → exhaustive under ``budget``
-    (default :data:`FUZZ_VERIFY_BUDGET`, which mirrors the oracle's historical
-    caps — exhaustive up to ``_SPEC_BASIS_LIMIT`` basis states, then batched
+    (default :data:`FUZZ_VERIFY_BUDGET`, the oracle's caps — exhaustive up
+    to ``_SPEC_BASIS_LIMIT`` basis states, then batched
     sampled index propagation; dense unitary compares up to
     ``_SPEC_UNITARY_LIMIT``, then sampled columns up to
     ``_SPEC_SAMPLED_UNITARY_LIMIT``).  A budget too tight to decide an
@@ -546,8 +539,6 @@ def check_synthesis_semantics(
         result = strategy.synthesize(instance.dim, instance.k)
     except SynthesisError as error:
         return f"{instance.describe()}: supported instance failed to synthesise: {error}"
-    if budget is None:
-        budget = FUZZ_VERIFY_BUDGET
     try:
         outcome = strategy.verify(result.circuit, instance.dim, instance.k, budget=budget)
     except NotImplementedError:
@@ -644,7 +635,7 @@ def fuzz_case(
     case_seed: int,
     enabled: Sequence[str],
     report: FuzzReport,
-    verify_budget=None,
+    verify_budget=FUZZ_VERIFY_BUDGET,
 ) -> List[Divergence]:
     """Generate one seeded case and run every enabled oracle on it."""
     rng = random.Random(case_seed)
@@ -746,7 +737,7 @@ def fuzz_run(
     oracles: Optional[Sequence[str]] = None,
     shrink: bool = True,
     stop_on_first: bool = False,
-    verify_budget=None,
+    verify_budget=FUZZ_VERIFY_BUDGET,
 ) -> FuzzReport:
     """Fuzz until the wall-clock budget or the case budget is exhausted.
 
@@ -755,8 +746,9 @@ def fuzz_run(
     so a CI finding replays locally with ``--seed``.
 
     ``verify_budget`` (a :class:`repro.verify.VerificationBudget` or preset
-    name) bounds the ``synth-spec`` oracle's verification cost; ``None``
-    keeps the full-strength :data:`FUZZ_VERIFY_BUDGET`.
+    name; ``None`` means ``standard``, as everywhere) bounds the
+    ``synth-spec`` oracle's verification cost; it defaults to
+    :data:`FUZZ_VERIFY_BUDGET`.
     """
     enabled = tuple(oracles) if oracles else ORACLE_NAMES
     unknown = [name for name in enabled if name not in ORACLE_NAMES]

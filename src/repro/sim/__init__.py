@@ -1,9 +1,11 @@
-"""Simulators and verification helpers for qudit circuits.
+"""Simulators for qudit circuits.
 
 The simulation engines live in :mod:`repro.sim.backend` and are selected by
 name (``"dense"``, ``"sparse"``, ``"streaming"``; :func:`available_backends`
 lists them) wherever a ``backend=`` parameter appears —
-:class:`Statevector`, :func:`circuit_unitary` and the ``assert_*`` helpers.
+:class:`Statevector`, :func:`circuit_unitary` and the unitary checks of
+:mod:`repro.verify`, which checks circuits on these simulators (this package
+imports nothing from it).
 """
 
 from repro.sim.backend import (
@@ -41,17 +43,6 @@ from repro.sim.unitary import (
     controlled_unitary_matrix,
     multi_controlled_unitary_matrix,
 )
-from repro.sim.verify import (
-    assert_implements_permutation,
-    assert_mct_spec,
-    assert_permutation_equals_function,
-    assert_unitary_equiv,
-    assert_unitary_equiv_with_clean_ancillas,
-    assert_wires_preserved,
-    mc_shift_spec,
-    mct_spec,
-    sample_basis_states,
-)
 
 __all__ = [
     "DenseBackend",
@@ -80,13 +71,4 @@ __all__ = [
     "circuit_unitary",
     "controlled_unitary_matrix",
     "multi_controlled_unitary_matrix",
-    "assert_implements_permutation",
-    "assert_mct_spec",
-    "assert_permutation_equals_function",
-    "assert_unitary_equiv",
-    "assert_unitary_equiv_with_clean_ancillas",
-    "assert_wires_preserved",
-    "mc_shift_spec",
-    "mct_spec",
-    "sample_basis_states",
 ]

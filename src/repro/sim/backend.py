@@ -58,16 +58,11 @@ class SimulationBackend:
     def apply_circuit(self, data: np.ndarray, circuit: QuditCircuit) -> np.ndarray:
         """Apply every operation of ``circuit`` and return the evolved array.
 
-        Circuits with a live columnar table (e.g. the output of
-        ``lower_to_g_gates``) take the :meth:`apply_table` fast path, which
-        never materialises per-op Python objects.
+        Goes through the circuit's columnar table (:meth:`apply_table`);
+        ``to_table()`` is cached on the circuit, so a circuit built op by op
+        pays its conversion once.
         """
-        table = getattr(circuit, "cached_table", None)
-        if table is not None:
-            return self.apply_table(data, table)
-        for op in circuit:
-            data = self.apply_op(data, op, circuit.dim, circuit.num_wires)
-        return data
+        return self.apply_table(data, circuit.to_table())
 
     def apply_table(self, data: np.ndarray, table) -> np.ndarray:
         """Apply a columnar :class:`~repro.ir.table.GateTable` to ``data``.

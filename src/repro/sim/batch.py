@@ -135,9 +135,9 @@ class BatchedStatevector:
     ) -> "BatchedStatevector":
         """Apply ``circuit`` to every column in place and return ``self``.
 
-        Routes through the engine's :meth:`apply_circuit_batch`: the fused
-        table path when the circuit has a live columnar table, the engine's
-        per-op path otherwise; both carry the batch axis.
+        Routes through the engine's :meth:`apply_circuit_batch`, the fused
+        path over the circuit's columnar table, which carries the batch
+        axis.
         """
         if circuit.num_wires != self.num_wires or circuit.dim != self.dim:
             raise WireError("circuit and batched statevector shapes do not match")

@@ -8,21 +8,19 @@ circuit, which is dramatically cheaper than dense unitary simulation
 (``O(d^n * size)`` instead of ``O(d^{2n} * size)``) and is exact.
 
 The whole-basis queries are vectorized: :func:`permutation_index_table`
-composes the per-operation gather tables exposed by
-:meth:`repro.qudit.operations.BaseOp.permutation_table` (cached per
-``(op, n, d)``), so a circuit of ``m`` gates costs ``m`` numpy gathers
-instead of ``m * d^n`` Python-level gate applications.
+composes the circuit's columnar table, one numpy gather per distinct row,
+instead of ``m * d^n`` Python-level gate applications for ``m`` gates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
-from repro.utils.indexing import digit_matrix, indices_to_digits, iterate_basis
+from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
 
@@ -92,21 +90,14 @@ def apply_to_basis(circuit: QuditCircuit, state: Sequence[int]) -> BasisState:
 def permutation_index_table(circuit: QuditCircuit) -> np.ndarray:
     """The circuit's action on the full flat basis as one numpy index array.
 
-    Entry ``i`` is the flat index of the image of basis state ``i``.  Built by
-    composing the cached per-operation gather tables — fully vectorized.
-    Only feasible for small systems (``dim ** num_wires`` entries).
+    Entry ``i`` is the flat index of the image of basis state ``i``.  Composed
+    from the circuit's columnar table
+    (:meth:`~repro.ir.table.GateTable.permutation_index_table`), one gather
+    per *distinct* row, and held by the table; ``to_table()`` is cached on
+    the circuit.  Only feasible for small systems (``dim ** num_wires``
+    entries).
     """
-    cached = getattr(circuit, "cached_table", None)
-    if cached is not None:
-        # Columnar fast path: compose one gather per *distinct* row without
-        # materialising op objects.
-        return cached.permutation_index_table()
-    if not circuit.is_permutation:
-        raise GateError("circuit contains non-permutation gates; use the statevector simulator")
-    table = np.arange(circuit.dim**circuit.num_wires)
-    for op in circuit:
-        table = op.permutation_table(circuit.dim, circuit.num_wires)[table]
-    return table
+    return circuit.to_table().permutation_index_table()
 
 
 def permutation_table(circuit: QuditCircuit) -> List[int]:
@@ -166,23 +157,3 @@ def states_differing_on(
         (tuple(sources[i].tolist()), tuple(images[i].tolist()))
         for i in np.nonzero(changed)[0]
     ]
-
-
-def evaluate_spec(
-    spec: Callable[[BasisState], BasisState], dim: int, num_wires: int
-) -> Dict[BasisState, BasisState]:
-    """Tabulate a semantic specification function over the full basis."""
-    table = {}
-    for state in iterate_basis(dim, num_wires):
-        image = tuple(spec(state))
-        if len(image) != num_wires:
-            raise GateError("specification returned a state of the wrong length")
-        table[state] = image
-    return table
-
-
-def index_permutation_to_digit_map(table: Sequence[int], dim: int, num_wires: int) -> Dict[BasisState, BasisState]:
-    """Convert a flat-index permutation table into a digit-tuple mapping."""
-    sources = indices_to_digits(np.arange(len(table)), dim, num_wires).tolist()
-    images = indices_to_digits(np.asarray(table), dim, num_wires).tolist()
-    return {tuple(source): tuple(image) for source, image in zip(sources, images)}

@@ -241,7 +241,7 @@ class SparseBackend(SimulationBackend):
         return SparseState.from_dense(result, table.dim, table.num_wires, eps=self.eps)
 
     def apply_circuit_sparse(self, state: SparseState, circuit: QuditCircuit) -> SparseState:
-        return self.apply_table_sparse(state, self._table_of(circuit))
+        return self.apply_table_sparse(state, circuit.to_table())
 
     # ------------------------------------------------------------------
     # Registry interface (dense ndarray in, dense ndarray out)
@@ -267,9 +267,6 @@ class SparseBackend(SimulationBackend):
         if isinstance(result, SparseState):
             return result.to_dense()
         return result
-
-    def apply_circuit(self, data, circuit: QuditCircuit):
-        return self.apply_table(data, self._table_of(circuit))
 
     def apply_op(self, data, op, dim, num_wires):
         """Single-op path (``Statevector.apply_op``): one-row sparse pass."""
@@ -299,10 +296,6 @@ class SparseBackend(SimulationBackend):
     # ------------------------------------------------------------------
     # Core sparse evolution
     # ------------------------------------------------------------------
-    def _table_of(self, circuit: QuditCircuit):
-        table = getattr(circuit, "cached_table", None)
-        return table if table is not None else circuit.to_table()
-
     def _run(self, state: SparseState, table):
         """Evolve segment by segment; returns SparseState or a dense array.
 

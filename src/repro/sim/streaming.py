@@ -36,7 +36,6 @@ import tempfile
 import numpy as np
 
 from repro.exceptions import GateError
-from repro.qudit.circuit import QuditCircuit
 from repro.sim.backend import SimulationBackend, register_backend
 
 #: Default per-array budget: small enough to exercise tiling on the large
@@ -169,12 +168,7 @@ class StreamingBackend(SimulationBackend):
                 data = self._unitary_tiled(data, segment.op(), table.dim, table.num_wires)
         return data
 
-    def apply_circuit(self, data: np.ndarray, circuit: QuditCircuit) -> np.ndarray:
-        # Always lower to the columnar form: streaming wants maximal fused
-        # segments, and to_table() is cached on the circuit.
-        return self.apply_table(data, circuit.to_table())
-
-    # Per-op fallbacks (Statevector.apply_op and raw-circuit paths).
+    # Per-op path (Statevector.apply_op).
     def _apply_permutation(self, data, op, dim, num_wires):
         forward = op.permutation_table(dim, num_wires)
         inverse = np.empty_like(forward)

@@ -48,21 +48,27 @@ from repro.applications.reversible import (
     synthesize_reversible_function,
 )
 from repro.applications.unitary_synthesis import random_unitary, synthesize_unitary
+from repro.sim.unitary import multi_controlled_unitary_matrix
 from repro.utils.indexing import digits_to_index, index_to_digits
+from repro.verify import TieredVerifier
+from repro.verify.checks import function_spec, mct_spec
 
 
-def _verify_mct(strategy: Synthesizer, circuit, dim: int, k: int, budget=None, **kwargs):
+def _verify_mct(strategy: Synthesizer, circuit, dim: int, k: int, budget):
     """The ``|0^k⟩-X01`` spec: controls on wires ``0..k-1``, target on ``k``."""
-    from repro.sim.verify import assert_mct_spec
-
-    return assert_mct_spec(
-        circuit,
-        range(k),
-        k,
-        clean_wires=strategy.verified_clean_wires(circuit, dim, k),
-        budget=budget,
-        **kwargs,
+    clean = strategy.verified_clean_wires(circuit, dim, k)
+    report = TieredVerifier(budget).verify_permutation(
+        circuit, mct_spec(range(k), k, dim), clean_wires=clean
     )
+    return report.raise_if_failed()
+
+
+def _verify_function(circuit, function, k: int, budget, clean_wires=()):
+    """``function`` on the data wires ``0..k-1``, the identity elsewhere."""
+    report = TieredVerifier(budget).verify_permutation(
+        circuit, function_spec(function, range(k)), clean_wires=clean_wires
+    )
+    return report.raise_if_failed()
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +142,8 @@ class MctStrategy(Synthesizer):
         borrowed = (ks >= 2).astype(np.int64)
         return ks + 1 + borrowed, {"borrowed": borrowed}
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
+        return _verify_mct(self, circuit, dim, k, budget)
 
 
 class MctOddStrategy(MctStrategy):
@@ -219,17 +225,9 @@ class PkStrategy(Synthesizer):
         borrowed = (ks > 2).astype(np.int64)
         return ks + borrowed, {"borrowed": borrowed}
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        from repro.sim.verify import assert_permutation_equals_function
-
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         self.verified_clean_wires(circuit, dim, k)
-        return assert_permutation_equals_function(
-            circuit,
-            lambda digits: pk_map(dim, digits),
-            wires=list(range(k)),
-            budget=budget,
-            **kwargs,
-        )
+        return _verify_function(circuit, lambda digits: pk_map(dim, digits), k, budget)
 
 
 # ----------------------------------------------------------------------
@@ -275,10 +273,10 @@ class McuStrategy(Synthesizer):
         clean = (ks >= 2).astype(np.int64)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         # Canonical payload is X01, so the spec is exactly the k-Toffoli's
         # (on the clean-ancilla subspace).
-        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
+        return _verify_mct(self, circuit, dim, k, budget)
 
 
 # ----------------------------------------------------------------------
@@ -317,8 +315,8 @@ class CleanLadderStrategy(Synthesizer):
         clean = np.where(ks > 2, -(-(ks - 2) // max(1, dim - 2)), 0)
         return ks + 1 + clean, {"clean": clean}
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        return _verify_mct(self, circuit, dim, k, budget=budget, **kwargs)
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
+        return _verify_mct(self, circuit, dim, k, budget)
 
 
 class McuExponentialStrategy(Synthesizer):
@@ -415,22 +413,16 @@ class McuExponentialStrategy(Synthesizer):
         batch.metrics["single_qudit_gates"] = (ks == 0).astype(np.int64)
         return batch
 
-    #: The expected unitary has closed-form columns (identity outside the
-    #: |0^k⟩ block), so the synth-spec oracle may request a sampled-column
-    #: verify on bases too large for the dense matrix compare.
-    supports_sampled_columns = True
-
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         from repro.baselines.ancilla_free_exponential import toffoli_payload_su
-        from repro.sim.unitary import multi_controlled_unitary_matrix
-        from repro.sim.verify import assert_unitary_columns_equiv, assert_unitary_equiv
 
         payload = np.asarray(toffoli_payload_su(dim))
         # Column oracle: the expected matrix is the identity except for the
         # payload block at the all-zero control values (the circuit is
         # ancilla-free, so the block is columns 0..d-1), so each expected
         # column is written down directly — no basis² matrix.  The payload
-        # block is always pinned into the sample.
+        # block is always pinned into the sample, and the matrix is built
+        # only if the budget selects the dense tier.
         self.verified_clean_wires(circuit, dim, k)
         size = dim**circuit.num_wires
 
@@ -442,38 +434,16 @@ class McuExponentialStrategy(Synthesizer):
                 vector[col] = 1.0
             return vector
 
-        sampled_columns = kwargs.pop("sampled_columns", None)
-        if sampled_columns is not None:
-            return assert_unitary_columns_equiv(
-                circuit,
-                expected_column,
-                samples=int(sampled_columns),
-                required_columns=range(dim),
-                up_to_global_phase=True,
-                budget=budget,
-                **kwargs,
-            )
-        if budget is not None:
-            # Budget-driven: hand the verifier the cheap column oracle plus a
-            # lazy factory for the basis² matrix, so the dense compare is only
-            # materialised when the budget actually selects the dense tier.
-            from repro.verify import TieredVerifier, resolve_budget
-
-            report = TieredVerifier(resolve_budget(budget)).verify_unitary(
-                circuit,
-                expected_factory=lambda: np.asarray(
-                    multi_controlled_unitary_matrix(dim, k, payload)
-                ),
-                expected_column=expected_column,
-                required_columns=range(dim),
-                up_to_global_phase=True,
-                **kwargs,
-            )
-            return report.raise_if_failed()
-        expected = multi_controlled_unitary_matrix(dim, k, payload)
-        return assert_unitary_equiv(
-            circuit, np.asarray(expected), up_to_global_phase=True, **kwargs
+        report = TieredVerifier(budget).verify_unitary(
+            circuit,
+            expected_factory=lambda: np.asarray(
+                multi_controlled_unitary_matrix(dim, k, payload)
+            ),
+            expected_column=expected_column,
+            required_columns=range(dim),
+            up_to_global_phase=True,
         )
+        return report.raise_if_failed()
 
 
 # ----------------------------------------------------------------------
@@ -531,16 +501,13 @@ class IncrementStrategy(Synthesizer):
             **fields,
         )
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        from repro.sim.verify import assert_permutation_equals_function
-
-        return assert_permutation_equals_function(
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
+        return _verify_function(
             circuit,
             lambda digits: increment_reference(dim, k, digits),
-            wires=list(range(k)),
+            k,
+            budget,
             clean_wires=self.verified_clean_wires(circuit, dim, k),
-            budget=budget,
-            **kwargs,
         )
 
 
@@ -600,18 +567,14 @@ class ReversibleStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        from repro.sim.verify import assert_permutation_equals_function
-
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         self.verified_clean_wires(circuit, dim, k)
         table = random_reversible_function(dim, k, seed=0)
 
         def reference(digits):
             return index_to_digits(table[digits_to_index(digits, dim)], dim, k)
 
-        return assert_permutation_equals_function(
-            circuit, reference, wires=list(range(k)), budget=budget, **kwargs
-        )
+        return _verify_function(circuit, reference, k, budget)
 
 
 class UnitaryStrategy(Synthesizer):
@@ -670,27 +633,17 @@ class UnitaryStrategy(Synthesizer):
             **values,
         )
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
-        from repro.sim.verify import (
-            assert_unitary_equiv,
-            assert_unitary_equiv_with_clean_ancillas,
-        )
-
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         clean = self.verified_clean_wires(circuit, dim, k)
         expected = random_unitary(dim**k, seed=0)
+        verifier = TieredVerifier(budget)
         if clean:
-            return assert_unitary_equiv_with_clean_ancillas(
-                circuit,
-                expected,
-                list(range(k)),
-                clean,
-                atol=1e-7,
-                budget=budget,
-                **kwargs,
+            report = verifier.verify_unitary_clean_ancillas(
+                circuit, expected, list(range(k)), clean, atol=1e-7
             )
-        return assert_unitary_equiv(
-            circuit, expected, atol=1e-7, budget=budget, **kwargs
-        )
+        else:
+            report = verifier.verify_unitary(circuit, expected, atol=1e-7)
+        return report.raise_if_failed()
 
 
 def _controlled_transposition_cost(dim: int) -> Tuple[int, int]:

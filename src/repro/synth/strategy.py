@@ -191,21 +191,23 @@ class Synthesizer(abc.ABC):
                 column[index] = count
         return wires, ancillas
 
-    def verify(self, circuit, dim: int, k: int, *, budget=None, **kwargs):
+    def verify(self, circuit, dim: int, k: int, *, budget=None):
         """Semantic check of ``circuit`` against this strategy's ``(d, k)`` spec.
 
         ``circuit`` is any circuit built for ``(dim, k)``: the macro circuit
         of :meth:`synthesize`, or its lowered form as a compile cache serves
         it.  The spec follows from ``(dim, k)`` alone, with wire roles from
         :meth:`layout` (see :meth:`verified_clean_wires`).  ``budget`` is a
-        :class:`repro.verify.VerificationBudget` (or a preset name like
-        ``"smoke"``) bounding how much the check may spend; ``None`` keeps
-        each strategy's historical full-strength check.  Returns the
-        :class:`repro.verify.VerificationReport` of the run — note a report
-        may come back *undecided* under a tight budget, which is a skip, not
-        a pass.  Raises :class:`~repro.exceptions.VerificationError` on
-        failure and :class:`NotImplementedError` when the strategy has no
-        canonical specification (payload-dependent strategies).
+        :class:`repro.verify.VerificationBudget`, a preset name like
+        ``"smoke"``, or ``None`` for the ``standard`` preset; it bounds how
+        much the check may spend.  Returns the
+        :class:`repro.verify.VerificationReport` of the one
+        :class:`repro.verify.TieredVerifier` run — note a report may come
+        back *undecided* when the budget rules out every deciding tier,
+        which is a skip, not a pass.  Raises
+        :class:`~repro.exceptions.VerificationError` on failure and
+        :class:`NotImplementedError` when the strategy has no canonical
+        specification (payload-dependent strategies).
         """
         raise NotImplementedError(f"strategy {self.name!r} has no canonical verifier")
 

@@ -1,9 +1,9 @@
-"""Tiered verification: one budgeted verifier behind every entry point.
+"""Verification: one budgeted API behind every semantic check.
 
-This package unifies the library's verification paths — the ``assert_*``
-helpers in :mod:`repro.sim.verify`, the per-strategy
+Every verification path of the library — the ``assert_*`` helpers
+(:mod:`repro.verify.asserts`), the per-strategy
 :meth:`~repro.synth.strategy.Synthesizer.verify` implementations, the fuzz
-``synth-spec`` oracle, the CLI and the workload runner — behind one
+``synth-spec`` oracle, the CLI and the workload runner — goes through one
 :class:`TieredVerifier` that escalates cheap → expensive under a
 :class:`VerificationBudget`:
 
@@ -13,16 +13,15 @@ helpers in :mod:`repro.sim.verify`, the per-strategy
 >>> report.decided_by, report.states_checked              # doctest: +SKIP
 ('index-propagation', 128)
 
-For backward compatibility ``repro.verify`` also re-exports everything from
-:mod:`repro.sim` (the module historically aliased to this name), so
-``repro.verify.Statevector`` and ``repro.verify.assert_mct_spec`` keep
-working.  The re-export is lazy to avoid a circular import —
-``repro.sim.verify`` itself routes through this package.
+Every entry point takes ``budget=``: a :class:`VerificationBudget`, a
+preset name, or ``None``, which means the ``standard`` preset everywhere
+(:func:`resolve_budget`).  The verifier and ``Synthesizer.verify`` return
+*undecided* reports when the budget rules out every deciding tier; the
+``assert_*`` helpers raise on those as on failures.  The simulators the
+checks run on live in :mod:`repro.sim`.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from repro.verify.budget import (
     PRESET_NAMES,
@@ -36,8 +35,18 @@ from repro.verify.budget import (
     VerificationBudget,
 )
 from repro.verify.report import TierRecord, VerificationReport
-from repro.verify.verifier import TieredVerifier, Verifier, resolve_budget
+from repro.verify.verifier import TieredVerifier, resolve_budget
 from repro.verify import checks
+from repro.verify.checks import mc_shift_spec, mct_spec, sample_basis_states
+from repro.verify.asserts import (
+    assert_implements_permutation,
+    assert_mct_spec,
+    assert_permutation_equals_function,
+    assert_unitary_columns_equiv,
+    assert_unitary_equiv,
+    assert_unitary_equiv_with_clean_ancillas,
+    assert_wires_preserved,
+)
 
 __all__ = [
     "PRESET_NAMES",
@@ -52,18 +61,16 @@ __all__ = [
     "TierRecord",
     "VerificationReport",
     "TieredVerifier",
-    "Verifier",
     "resolve_budget",
     "checks",
+    "mc_shift_spec",
+    "mct_spec",
+    "sample_basis_states",
+    "assert_implements_permutation",
+    "assert_mct_spec",
+    "assert_permutation_equals_function",
+    "assert_unitary_columns_equiv",
+    "assert_unitary_equiv",
+    "assert_unitary_equiv_with_clean_ancillas",
+    "assert_wires_preserved",
 ]
-
-
-def __getattr__(name: str):
-    """Fall back to :mod:`repro.sim` for the historical ``repro.verify`` API."""
-    sim = importlib.import_module("repro.sim")
-    try:
-        return getattr(sim, name)
-    except AttributeError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None

@@ -21,12 +21,17 @@ tier  name                cost model                                  budget kno
 
 Budgets are immutable; derive variants with :meth:`VerificationBudget.replace`
 or start from a named preset (``smoke`` / ``standard`` / ``audit``) via
-:meth:`VerificationBudget.preset`.
+:meth:`VerificationBudget.preset`.  Every field is type-checked when a budget
+is built, so a malformed override (``--verify-budget`` JSON, say) fails
+there with :class:`~repro.exceptions.VerificationError` instead of deep
+inside a tier kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,6 +100,21 @@ class VerificationBudget:
     seed: Optional[int] = None
     atol: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in _SIZE_FIELDS:
+            _require(self, name, _is_count(getattr(self, name)), "an integer >= 0")
+        for name in ("allow_dense", "prefer_columns"):
+            _require(self, name, isinstance(getattr(self, name), bool), "true or false")
+        _require(self, "seed", self.seed is None or _is_count(self.seed), "an integer >= 0 or null")
+        atol = self.atol
+        finite = (
+            isinstance(atol, numbers.Real)
+            and not isinstance(atol, bool)
+            and math.isfinite(atol)
+            and atol >= 0
+        )
+        _require(self, "atol", atol is None or finite, "a finite number >= 0 or null")
+
     def replace(self, **overrides: object) -> "VerificationBudget":
         """Return a copy with ``overrides`` applied (unknown fields raise)."""
         known = {f.name for f in dataclasses.fields(self)}
@@ -127,9 +147,30 @@ class VerificationBudget:
         )
 
 
+_SIZE_FIELDS = (
+    "max_basis_states",
+    "samples",
+    "max_dense_dim",
+    "sampled_columns",
+    "max_column_basis",
+)
+
+
+def _is_count(value: object) -> bool:
+    """A non-negative Python int that is not a bool (``True`` is an int)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _require(budget: VerificationBudget, name: str, ok: bool, wanted: str) -> None:
+    if not ok:
+        raise VerificationError(
+            f"budget field {name!r} must be {wanted}, got {getattr(budget, name)!r}"
+        )
+
+
 #: Named budget presets.  ``smoke`` decides everything it can below the dense
-#: tier (CI smoke runs); ``standard`` mirrors the library's historical
-#: defaults; ``audit`` spends an order of magnitude more everywhere.
+#: tier (CI smoke runs); ``standard`` is what ``budget=None`` means everywhere;
+#: ``audit`` spends an order of magnitude more everywhere.
 PRESETS = {
     "smoke": VerificationBudget(
         max_basis_states=0,

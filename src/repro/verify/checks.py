@@ -4,23 +4,20 @@ Each function here is one *check kernel*: it runs a single verification
 strategy to completion and raises :class:`~repro.exceptions.VerificationError`
 on divergence, returning how many states it examined (and, for sampled
 kernels, a replay recipe).  The :class:`~repro.verify.verifier.TieredVerifier`
-sequences kernels by cost; the legacy ``assert_*`` helpers in
-:mod:`repro.sim.verify` are thin wrappers over the same kernels, so every
-entry point shares one set of (corrected) semantics.
+sequences kernels by cost, and every entry point (the ``assert_*`` helpers
+of :mod:`repro.verify.asserts`, each strategy's ``verify``) goes through it,
+so they all share one set of semantics.
 
 The permutation kernels compare whole digit matrices, never one state at a
-time.  The circuit's images come from its whole-basis gather
-(:func:`~repro.sim.permutation.permutation_index_table` — for a circuit
-served from the compile cache, the array simulate reads too) or, on bases
-above :data:`~repro.sim.permutation.GATHER_MAX_STATES`, from batched index
-propagation.  The expected images come from an :class:`ArraySpec`, which
-maps an ``(N, n)`` digit matrix in one call; :func:`mct_spec` and
+time.  The circuit's images come from one path, :func:`_basis_images`: its
+whole-basis gather (:func:`~repro.sim.permutation.permutation_index_table` —
+for a circuit served from the compile cache, the array simulate reads too)
+or, on bases above :data:`~repro.sim.permutation.GATHER_MAX_STATES`, batched
+index propagation.  The exhaustive kernels read the whole gather directly.
+The expected images come from an :class:`ArraySpec`, which maps an
+``(N, n)`` digit matrix in one call; :func:`mct_spec` and
 :func:`mc_shift_spec` build vectorized ones, and any other per-state
 callable is wrapped row by row with :meth:`ArraySpec.rowwise`.
-
-All imports from :mod:`repro.sim` are deferred to call time: ``repro.sim``
-imports :mod:`repro.verify` while building its public API, so a module-level
-import here would be circular.
 """
 
 from __future__ import annotations
@@ -30,6 +27,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import VerificationError
+from repro.ir.table import OP_PERM, OP_STAR, OP_UNITARY
+from repro.sim import permutation
+from repro.sim.backend import get_backend
+from repro.sim.unitary import circuit_unitary
 from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
@@ -88,7 +89,8 @@ def basis_size(dim: int, num_wires: int) -> int:
 def require_int64_basis(dim: int, num_wires: int, context: str) -> int:
     """Return ``d^n`` or raise when flat indices would overflow ``int64``.
 
-    The batched index paths (:func:`propagate_samples`, the sampled-column
+    The batched index paths (:func:`_basis_images` above
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES`, the sampled-column
     kernel) encode basis states as flat ``int64`` indices; past ``2^63 - 1``
     the stride arithmetic silently wraps, so refuse with a clear error.
     """
@@ -141,22 +143,6 @@ def _flat_indices(states: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
     return np.asarray(states, dtype=np.int64) @ strides
 
 
-def propagate_samples(circuit, states: Sequence[BasisState]) -> List[List[int]]:
-    """Images of sampled basis states, all propagated in ONE batched pass.
-
-    Encodes the digit rows to flat indices, pushes them through
-    :meth:`repro.ir.table.GateTable.apply_to_indices` (per-row stride
-    arithmetic on just the batch — no ``d^n`` table), and decodes back.
-    Row order is preserved, so callers can recover the failing sample index.
-    """
-    if not states:
-        return []
-    require_int64_basis(circuit.dim, circuit.num_wires, "sampled index propagation")
-    indices = _flat_indices(states, circuit.dim, circuit.num_wires)
-    images = circuit.to_table().apply_to_indices(indices)
-    return indices_to_digits(images, circuit.dim, circuit.num_wires).tolist()
-
-
 def _basis_images(circuit, states: np.ndarray) -> np.ndarray:
     """Digit images of the ``(N, n)`` basis digit rows ``states``.
 
@@ -166,13 +152,11 @@ def _basis_images(circuit, states: np.ndarray) -> np.ndarray:
     above that they are propagated in one batched index pass, which never
     builds a ``d^n`` array.
     """
-    from repro.sim.permutation import GATHER_MAX_STATES, permutation_index_table
-
     dim, num_wires = circuit.dim, circuit.num_wires
     size = require_int64_basis(dim, num_wires, "sampled index propagation")
     indices = _flat_indices(states, dim, num_wires)
-    if size <= GATHER_MAX_STATES:
-        images = permutation_index_table(circuit)[indices]
+    if size <= permutation.GATHER_MAX_STATES:
+        images = permutation.permutation_index_table(circuit)[indices]
     else:
         images = circuit.to_table().apply_to_indices(indices)
     return indices_to_digits(images, dim, num_wires)
@@ -223,8 +207,6 @@ def structural_check(circuit) -> Dict[str, int]:
     the row into a silent identity).  Returns summary stats; raises
     :class:`VerificationError` naming the first offending rows otherwise.
     """
-    from repro.ir.table import OP_PERM, OP_STAR, OP_UNITARY
-
     table = circuit.to_table()
     num_wires = table.num_wires
     dim = table.dim
@@ -364,10 +346,8 @@ def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int
     contract and are masked out; the spec maps the rest in one
     :meth:`ArraySpec.apply` call, compared against the images in one pass.
     """
-    from repro.sim.permutation import permutation_index_table
-
     dim, num_wires = circuit.dim, circuit.num_wires
-    gather = permutation_index_table(circuit)
+    gather = permutation.permutation_index_table(circuit)
     sources = digit_matrix(dim, num_wires)
     clean = list(clean_wires)
     if clean:
@@ -412,47 +392,53 @@ def spec_sampled(
     return len(states), recipe
 
 
-def wires_preserved_exhaustive(circuit, wires: Sequence[int]) -> int:
-    """Whole-basis check that ``circuit`` restores the watched wires."""
-    from repro.sim.permutation import states_differing_on
+def _moved_wires(
+    circuit, wires: Sequence[int], states: np.ndarray, images: np.ndarray
+) -> Optional[Tuple[int, str]]:
+    """``(row, message)`` for the first row whose image changed a watched
+    wire, or ``None`` when every row keeps them."""
+    wires = list(wires)
+    bad = np.flatnonzero((images[:, wires] != states[:, wires]).any(axis=1))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    state, output = tuple(states[row].tolist()), tuple(images[row].tolist())
+    mismatch = [w for w in wires if output[w] != state[w]]
+    return row, f"circuit {circuit.name!r} modified wires {mismatch} on input {state}: {output}"
 
-    wires = tuple(wires)
-    # Fully vectorized: states_differing_on compares the watched wires of
-    # every basis state with its image under the composed gather table.
-    offenders = states_differing_on(circuit, wires)
-    if offenders:
-        state, output = offenders[0]
-        mismatch = [w for w in wires if output[w] != state[w]]
-        raise VerificationError(
-            f"circuit {circuit.name!r} modified wires {mismatch} on input {state}: {output}"
-        )
-    return basis_size(circuit.dim, circuit.num_wires)
+
+def wires_preserved_exhaustive(circuit, wires: Sequence[int]) -> int:
+    """Whole-basis check that ``circuit`` restores the watched wires.
+
+    Every basis state is compared with its image under the circuit's
+    whole-basis gather, the one :func:`spec_exhaustive` reads.
+    """
+    dim, num_wires = circuit.dim, circuit.num_wires
+    sources = digit_matrix(dim, num_wires)
+    images = indices_to_digits(permutation.permutation_index_table(circuit), dim, num_wires)
+    moved = _moved_wires(circuit, wires, sources, images)
+    if moved is not None:
+        raise VerificationError(moved[1])
+    return len(sources)
 
 
 def wires_preserved_sampled(
     circuit, wires: Sequence[int], samples: int, seed: int
 ) -> Tuple[int, str]:
-    """Sampled batched check that ``circuit`` restores the watched wires."""
-    wires = tuple(wires)
-    states = sample_basis_states(circuit.dim, circuit.num_wires, samples, seed)
-    # Batched like the permutation-spec kernel: one index pass for all
-    # samples, then a vectorized compare of just the watched wires.
-    images = np.asarray(propagate_samples(circuit, states))
-    sources = np.asarray(states)
-    watched = list(wires)
-    diff = images[:, watched] != sources[:, watched]
-    bad_rows = np.nonzero(diff.any(axis=1))[0]
+    """Sampled check that ``circuit`` restores the watched wires.
+
+    The samples and their images are :func:`spec_sampled`'s; only the
+    watched wires are compared.  Returns ``(states_checked, replay)``.
+    """
+    states = _sample_digits(circuit.dim, circuit.num_wires, samples, seed)
+    images = _basis_images(circuit, states)
     recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed)
-    if bad_rows.size:
-        row = int(bad_rows[0])
-        state = tuple(int(v) for v in sources[row])
-        output = tuple(int(v) for v in images[row])
-        mismatch = [w for w in wires if output[w] != state[w]]
+    moved = _moved_wires(circuit, wires, states, images)
+    if moved is not None:
+        row, message = moved
         raise VerificationError(
-            f"circuit {circuit.name!r} modified wires {mismatch} on input "
-            f"{state}: {output} (sampled check, seed={seed}, failing row "
-            f"{row}; rerun with sample_basis_states({circuit.dim}, "
-            f"{circuit.num_wires}, {samples}, {seed})[{row}])"
+            f"{message} (sampled check, seed={seed}, failing row {row}; "
+            f"rerun with {recipe}[{row}])"
         )
     return len(states), recipe
 
@@ -489,8 +475,6 @@ def unitary_dense(
     backend=None,
 ) -> int:
     """Dense matrix compare of the circuit's unitary against ``expected``."""
-    from repro.sim.unitary import circuit_unitary
-
     actual = circuit_unitary(circuit, backend=backend)
     if actual.shape != expected.shape:
         raise VerificationError(
@@ -537,8 +521,6 @@ def unitary_columns(
     on the first column and must fit every other column — per-column phases
     would accept circuits that differ by a non-global diagonal.
     """
-    from repro.sim.backend import get_backend
-
     size = require_int64_basis(circuit.dim, circuit.num_wires, "sampled-column check")
     rng = np.random.default_rng(seed)
     digits = rng.integers(
@@ -606,41 +588,31 @@ def unitary_clean_subspace(
     The circuit is only required to implement ``expected`` on the subspace
     where every clean ancilla starts in ``|0⟩`` and to return the ancillas to
     ``|0⟩`` (i.e. not leak amplitude outside that subspace).  ``expected``
-    acts on the data wires only.
+    acts on the data wires only.  Wires in neither list start in ``|0⟩``;
+    amplitudes below ``1e-14`` count as zero.
     """
-    from repro.sim.unitary import circuit_unitary
-
-    data_wires = tuple(data_wires)
-    clean_wires = tuple(clean_wires)
+    data_wires, clean_wires = list(data_wires), list(clean_wires)
     full = circuit_unitary(circuit, backend=backend)
-    dim = circuit.dim
+    dim, num_wires = circuit.dim, circuit.num_wires
     size_data = dim ** len(data_wires)
     if expected.shape != (size_data, size_data):
         raise VerificationError("expected matrix shape does not match the data wires")
 
-    block = np.zeros((size_data, size_data), dtype=complex)
-    leakage = 0.0
-    for col_data in range(size_data):
-        col_digits = _merge_digits(circuit, data_wires, clean_wires, col_data)
-        col_index = sum(
-            digit * dim ** (circuit.num_wires - 1 - wire) for wire, digit in col_digits.items()
-        )
-        column = full[:, col_index]
-        for row_index, amplitude in enumerate(column):
-            if abs(amplitude) < 1e-14:
-                continue
-            digits = list(_index_digits(row_index, dim, circuit.num_wires))
-            if any(digits[w] != 0 for w in clean_wires):
-                leakage = max(leakage, abs(amplitude))
-                continue
-            row_data = 0
-            for wire in data_wires:
-                row_data = row_data * dim + digits[wire]
-            block[row_data, col_data] += amplitude
+    # Column j of the subspace: data digits of j on the data wires, 0 elsewhere.
+    strides = dim ** (num_wires - 1 - np.asarray(data_wires, dtype=np.int64))
+    columns = digit_matrix(dim, len(data_wires)) @ strides
+    amplitudes = full[:, columns]
+    amplitudes[np.abs(amplitudes) < 1e-14] = 0
+    rows = digit_matrix(dim, num_wires)
+    leaks = rows[:, clean_wires].any(axis=1)
+    leakage = float(np.abs(amplitudes[leaks]).max(initial=0.0))
     if leakage > atol:
         raise VerificationError(
             f"circuit {circuit.name!r} leaks amplitude {leakage:.3e} into non-zero ancilla states"
         )
+    data_rows = rows[~leaks][:, data_wires] @ (dim ** np.arange(len(data_wires) - 1, -1, -1))
+    block = np.zeros((size_data, size_data), dtype=complex)
+    np.add.at(block, data_rows, amplitudes[~leaks])
     if not np.allclose(block, expected, atol=atol):
         deviation = float(np.max(np.abs(block - expected)))
         raise VerificationError(
@@ -648,26 +620,6 @@ def unitary_clean_subspace(
             "on the clean-ancilla subspace"
         )
     return size_data
-
-
-def _merge_digits(circuit, data_wires, clean_wires, data_index):
-    dim = circuit.dim
-    digits = {wire: 0 for wire in range(circuit.num_wires)}
-    remaining = data_index
-    for wire in reversed(data_wires):
-        digits[wire] = remaining % dim
-        remaining //= dim
-    for wire in clean_wires:
-        digits[wire] = 0
-    return digits
-
-
-def _index_digits(index, dim, num_wires):
-    digits = [0] * num_wires
-    for position in range(num_wires - 1, -1, -1):
-        digits[position] = index % dim
-        index //= dim
-    return digits
 
 
 # ----------------------------------------------------------------------
@@ -753,3 +705,27 @@ def mc_shift_spec(
         return output
 
     return ArraySpec(apply)
+
+
+def function_spec(
+    function: Callable[[BasisState], Sequence[int]], wires: Sequence[int]
+) -> Spec:
+    """Specification of a map that applies ``function`` to ``wires`` only.
+
+    ``function`` receives and returns digit tuples of length ``len(wires)``;
+    every other wire is left untouched.  Used for reversible-function
+    synthesis (Theorem IV.2), ``P_k`` and the increment, where the function
+    acts on the data wires and any extra wire is an ancilla.
+    """
+    wires = tuple(wires)
+
+    def spec(state: BasisState) -> BasisState:
+        output = list(state)
+        image = tuple(function(tuple(state[w] for w in wires)))
+        if len(image) != len(wires):
+            raise VerificationError("reference function returned wrong arity")
+        for wire, digit in zip(wires, image):
+            output[wire] = digit
+        return tuple(output)
+
+    return spec

@@ -1,10 +1,9 @@
 """The tiered verifier: escalate cheap → expensive until a tier decides.
 
-:class:`Verifier` is the abstract interface every verification entry point
-routes through; :class:`TieredVerifier` is the budgeted implementation.  For
-each check it runs the structural tier first (always affordable), then picks
-the cheapest *deciding* tier the :class:`~repro.verify.budget.
-VerificationBudget` allows:
+:class:`TieredVerifier` is the budgeted verifier every verification entry
+point routes through.  For each check it runs the structural tier first
+(always affordable), then picks the cheapest *deciding* tier the
+:class:`~repro.verify.budget.VerificationBudget` allows:
 
 * permutation / wire-preservation checks decide at the **dense** tier
   (exhaustive gather-table enumeration) when the basis fits
@@ -20,12 +19,12 @@ VerificationBudget` allows:
 When the budget rules out every deciding tier the report comes back
 ``undecided`` — never a silent pass.  Every run returns a
 :class:`~repro.verify.report.VerificationReport` recording which tier
-decided and why, the states checked, the seeds, and a replay recipe.
+decided and why, the states checked, the seeds, and a replay recipe; the
+verifier itself never raises on divergence.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -51,8 +50,8 @@ from repro.verify.report import (
 )
 from repro.exceptions import VerificationError
 
-#: Historical default seeds of the sampled checks (kept so failure messages
-#: and replay recipes stay byte-compatible with the pre-tiered helpers).
+#: Default seeds of the sampled checks when the budget sets none (kept so
+#: failure messages and replay recipes stay byte-compatible).
 DEFAULT_SPEC_SEED = 7
 DEFAULT_WIRES_SEED = 11
 DEFAULT_COLUMNS_SEED = 13
@@ -61,7 +60,11 @@ BudgetLike = Union[VerificationBudget, str, None]
 
 
 def resolve_budget(budget: BudgetLike) -> VerificationBudget:
-    """Coerce ``None`` / preset-name / budget into a :class:`VerificationBudget`."""
+    """Coerce a budget, a preset name or ``None`` into a :class:`VerificationBudget`.
+
+    This is the one place ``None`` is read: it means the ``standard``
+    preset, for every entry point that takes a budget.
+    """
     if budget is None:
         return VerificationBudget.preset("standard")
     if isinstance(budget, str):
@@ -69,60 +72,7 @@ def resolve_budget(budget: BudgetLike) -> VerificationBudget:
     return budget
 
 
-class Verifier(abc.ABC):
-    """Interface shared by every verification entry point.
-
-    Implementations return a :class:`VerificationReport`; they never raise on
-    divergence themselves (callers that want exceptions use
-    :meth:`VerificationReport.raise_if_failed`).
-    """
-
-    @abc.abstractmethod
-    def verify_permutation(
-        self,
-        circuit,
-        spec: checks.Spec,
-        *,
-        clean_wires: Sequence[int] = (),
-    ) -> VerificationReport:
-        """Check that ``circuit`` maps basis states exactly as ``spec`` does."""
-
-    @abc.abstractmethod
-    def verify_wires_preserved(
-        self, circuit, wires: Sequence[int]
-    ) -> VerificationReport:
-        """Check that ``circuit`` restores ``wires`` on every basis input."""
-
-    @abc.abstractmethod
-    def verify_unitary(
-        self,
-        circuit,
-        expected: Optional[np.ndarray] = None,
-        *,
-        expected_factory: Optional[Callable[[], np.ndarray]] = None,
-        expected_column: Optional[Callable[[int], np.ndarray]] = None,
-        required_columns: Sequence[int] = (),
-        up_to_global_phase: bool = False,
-        atol: float = 1e-8,
-        backend=None,
-    ) -> VerificationReport:
-        """Check the circuit's unitary against a matrix and/or column oracle."""
-
-    @abc.abstractmethod
-    def verify_unitary_clean_ancillas(
-        self,
-        circuit,
-        expected: np.ndarray,
-        data_wires: Sequence[int],
-        clean_wires: Sequence[int],
-        *,
-        atol: float = 1e-8,
-        backend=None,
-    ) -> VerificationReport:
-        """Check ``expected`` on the clean-ancilla ``|0…0⟩`` subspace."""
-
-
-class TieredVerifier(Verifier):
+class TieredVerifier:
     """Budget-driven verifier escalating structural → sampled → exhaustive."""
 
     def __init__(self, budget: BudgetLike = None):
@@ -217,21 +167,59 @@ class TieredVerifier(Verifier):
         *,
         clean_wires: Sequence[int] = (),
     ) -> VerificationReport:
-        budget = self.budget
-        report = VerificationReport(
-            kind="permutation", circuit=circuit.name, status=STATUS_UNDECIDED
+        """Check that ``circuit`` maps basis states exactly as ``spec`` does.
+
+        States with a ``clean_wires`` digit off ``0`` are outside the
+        circuit's contract and are never checked.
+        """
+        clean = tuple(clean_wires)
+        return self._basis_ladder(
+            circuit,
+            "permutation",
+            DEFAULT_SPEC_SEED,
+            lambda: checks.spec_exhaustive(circuit, spec, clean),
+            lambda samples, seed: checks.spec_sampled(circuit, spec, samples, seed, clean),
         )
+
+    def verify_wires_preserved(
+        self, circuit, wires: Sequence[int]
+    ) -> VerificationReport:
+        """Check that ``circuit`` restores ``wires`` on every basis input."""
+        return self._basis_ladder(
+            circuit,
+            "wires-preserved",
+            DEFAULT_WIRES_SEED,
+            lambda: checks.wires_preserved_exhaustive(circuit, wires),
+            lambda samples, seed: checks.wires_preserved_sampled(
+                circuit, wires, samples, seed
+            ),
+        )
+
+    def _basis_ladder(
+        self,
+        circuit,
+        kind: str,
+        default_seed: int,
+        exhaustive: Callable[[], int],
+        sampled: Callable[[int, int], tuple],
+    ) -> VerificationReport:
+        """The tier ladder shared by the basis-state checks.
+
+        Structural first; then the whole basis (tier 4) when it fits
+        ``max_basis_states``, else ``samples`` seeded states (tier 2).
+        """
+        budget = self.budget
+        report = VerificationReport(kind=kind, circuit=circuit.name, status=STATUS_UNDECIDED)
         if not self._structural(circuit, report):
             return report
         size = checks.basis_size(circuit.dim, circuit.num_wires)
-        clean = tuple(clean_wires)
         if size <= budget.max_basis_states:
             self._skip(report, TIER_INDEX, "subsumed by exhaustive enumeration")
             return self._decide(
                 report,
                 TIER_DENSE,
                 f"exhaustive gather-table enumeration of {size} basis states",
-                lambda: checks.spec_exhaustive(circuit, spec, clean),
+                exhaustive,
             )
         dense_reason = f"basis {size} exceeds max_basis_states={budget.max_basis_states}"
         if budget.samples <= 0:
@@ -240,46 +228,12 @@ class TieredVerifier(Verifier):
             self._skip(report, TIER_INDEX, "budget draws no samples")
             self._skip(report, TIER_DENSE, dense_reason)
             return report
-        seed = budget.seed if budget.seed is not None else DEFAULT_SPEC_SEED
+        seed = budget.seed if budget.seed is not None else default_seed
         decided = self._decide(
             report,
             TIER_INDEX,
             f"batched index propagation of {budget.samples} sampled states",
-            lambda: checks.spec_sampled(circuit, spec, budget.samples, seed, clean),
-            seed=seed,
-        )
-        self._skip(report, TIER_DENSE, dense_reason)
-        return decided
-
-    def verify_wires_preserved(
-        self, circuit, wires: Sequence[int]
-    ) -> VerificationReport:
-        budget = self.budget
-        report = VerificationReport(
-            kind="wires-preserved", circuit=circuit.name, status=STATUS_UNDECIDED
-        )
-        if not self._structural(circuit, report):
-            return report
-        size = checks.basis_size(circuit.dim, circuit.num_wires)
-        if size <= budget.max_basis_states:
-            self._skip(report, TIER_INDEX, "subsumed by exhaustive enumeration")
-            return self._decide(
-                report,
-                TIER_DENSE,
-                f"exhaustive gather-table enumeration of {size} basis states",
-                lambda: checks.wires_preserved_exhaustive(circuit, wires),
-            )
-        dense_reason = f"basis {size} exceeds max_basis_states={budget.max_basis_states}"
-        if budget.samples <= 0:
-            self._skip(report, TIER_INDEX, "budget draws no samples")
-            self._skip(report, TIER_DENSE, dense_reason)
-            return report
-        seed = budget.seed if budget.seed is not None else DEFAULT_WIRES_SEED
-        decided = self._decide(
-            report,
-            TIER_INDEX,
-            f"batched index propagation of {budget.samples} sampled states",
-            lambda: checks.wires_preserved_sampled(circuit, wires, budget.samples, seed),
+            lambda: sampled(budget.samples, seed),
             seed=seed,
         )
         self._skip(report, TIER_DENSE, dense_reason)
@@ -301,6 +255,11 @@ class TieredVerifier(Verifier):
         atol: float = 1e-8,
         backend=None,
     ) -> VerificationReport:
+        """Check the circuit's unitary against a matrix and/or column oracle.
+
+        ``expected_factory`` builds the matrix only if the dense tier runs;
+        ``required_columns`` are always among the sampled columns.
+        """
         if expected is None and expected_factory is None and expected_column is None:
             raise VerificationError(
                 "verify_unitary needs an expected matrix, matrix factory, "
@@ -420,6 +379,7 @@ class TieredVerifier(Verifier):
         atol: float = 1e-8,
         backend=None,
     ) -> VerificationReport:
+        """Check ``expected`` on the clean-ancilla ``|0…0⟩`` subspace."""
         budget = self.budget
         report = VerificationReport(
             kind="unitary-clean-ancillas", circuit=circuit.name, status=STATUS_UNDECIDED

@@ -1,7 +1,7 @@
 """Shared pytest fixtures and helpers for the repro test suite.
 
 The samplers here are thin wrappers over the library's own seeded code
-paths — :func:`repro.sim.verify.sample_basis_states` for basis-state
+paths — :func:`repro.verify.sample_basis_states` for basis-state
 sampling and the ``assert_*`` verifiers for semantic checks — so the test
 suite and the fuzzing subsystem (:mod:`repro.fuzz`) exercise one
 implementation rather than each carrying a private sampler.
@@ -14,7 +14,11 @@ import random
 import pytest
 
 from repro.exceptions import VerificationError
-from repro.sim.verify import assert_implements_permutation, sample_basis_states
+from repro.verify import (
+    VerificationBudget,
+    assert_implements_permutation,
+    sample_basis_states,
+)
 from repro.utils.indexing import iterate_basis
 
 #: Seed of ``exhaustive_states``'s deterministic fallback sample (the
@@ -32,7 +36,7 @@ def exhaustive_states(dim: int, num_wires: int, limit: int = 250_000):
     """All basis states if the space is small enough, else a seeded sample.
 
     The sampled branch goes through the same
-    :func:`repro.sim.verify.sample_basis_states` code path the verifiers
+    :func:`repro.verify.sample_basis_states` code path the verifiers
     and the fuzz generators use.
     """
     total = dim**num_wires
@@ -45,11 +49,13 @@ def exhaustive_states(dim: int, num_wires: int, limit: int = 250_000):
 def circuit_matches_function(circuit, spec, limit: int = 250_000) -> bool:
     """Return True if the circuit maps every (sampled) basis state per ``spec``.
 
-    Delegates to :func:`repro.sim.verify.assert_implements_permutation`
+    Delegates to :func:`repro.verify.assert_implements_permutation`
     (exhaustive below ``limit`` basis states, seeded-sample fallback above).
     """
     try:
-        assert_implements_permutation(circuit, spec, max_states=limit)
+        assert_implements_permutation(
+            circuit, spec, budget=VerificationBudget(max_basis_states=limit)
+        )
     except VerificationError:
         return False
     return True

@@ -32,7 +32,7 @@ from repro.resources.cliffordt import (
     yeh_vdw_toffoli_model,
 )
 from repro.core.toffoli import synthesize_mct
-from repro.sim import assert_permutation_equals_function
+from repro.verify import assert_permutation_equals_function
 
 
 class TestArithmetic:

@@ -152,6 +152,23 @@ class TestBackendEquivalence:
                 ) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_object_circuit_evolves_like_an_apply_op_loop_bit_for_bit(self, seed):
+        # An object circuit (no cached table) runs through its table: one
+        # fused gather per permutation run, the same unitary kernel per row.
+        rng = random.Random(120 + seed)
+        circuit = random_mixed_circuit(rng, num_ops=12)
+        fourier = np.fft.fft(np.eye(3)) / np.sqrt(3)
+        circuit.add_gate(SingleQuditUnitary(fourier, label="F"), 0, [(1, Value(2))])
+        circuit.extend(random_mixed_circuit(rng, num_ops=12).ops)
+        assert circuit.cached_table is None
+        dense = get_backend("dense")
+        data = np.random.default_rng(seed).normal(size=(27, 2)).astype(complex)
+        expected = data.copy()
+        for op in circuit.ops:
+            expected = dense.apply_op(expected, op, 3, 3)
+        assert np.array_equal(dense.apply_circuit(data.copy(), circuit), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_circuit_unitary_identical_across_backends(self, seed):
         rng = random.Random(80 + seed)
         circuit = random_mixed_circuit(rng, num_wires=2, num_ops=6)

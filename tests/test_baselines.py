@@ -30,7 +30,7 @@ from repro.core.gate_counts import count_gates
 from repro.core.toffoli import synthesize_mct
 from repro.exceptions import GateError
 from repro.qudit.ancilla import AncillaKind
-from repro.sim import assert_mct_spec, assert_unitary_equiv, assert_wires_preserved
+from repro.verify import assert_mct_spec, assert_unitary_equiv, assert_wires_preserved
 from repro.sim.unitary import multi_controlled_unitary_matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

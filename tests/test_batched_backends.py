@@ -18,7 +18,7 @@ from repro.fuzz import random_circuit
 from repro.qudit.controls import Value
 from repro.qudit.operations import Operation
 from repro.sim import BatchedStatevector, Statevector, apply_to_basis_indices, get_backend
-from repro.sim.verify import sample_basis_states
+from repro.verify import sample_basis_states
 from repro.utils.indexing import digits_to_index
 
 BACKENDS = ("dense", "streaming", "sparse")

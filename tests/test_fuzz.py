@@ -33,7 +33,7 @@ from repro.passes import CancelAdjacentInverses, PassPipeline
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.gates import XPerm
 from repro.qudit.operations import Operation
-from repro.sim.verify import assert_implements_permutation
+from repro.verify import VerificationBudget, assert_implements_permutation
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +207,9 @@ def test_sampled_verification_error_reports_seed():
     circuit.add_gate(XPerm.transposition(3, 0, 1), 0)
     with pytest.raises(VerificationError, match=r"seed=41"):
         assert_implements_permutation(
-            circuit, lambda state: state, max_states=10, samples=50, seed=41
+            circuit,
+            lambda state: state,
+            budget=VerificationBudget(max_basis_states=10, samples=50, seed=41),
         )
 
 

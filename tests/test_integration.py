@@ -15,8 +15,8 @@ from repro.core.pk import pk_map
 from repro.core.toffoli_odd import mct_odd_ops
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.gates import XPlus
-from repro.sim import (
-    apply_to_basis,
+from repro.sim import apply_to_basis
+from repro.verify import (
     assert_implements_permutation,
     assert_mct_spec,
     assert_wires_preserved,

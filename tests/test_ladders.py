@@ -14,7 +14,11 @@ from repro.exceptions import SynthesisError
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Odd
 from repro.qudit.gates import XPerm
-from repro.sim import assert_implements_permutation, assert_wires_preserved, mc_shift_spec
+from repro.verify import (
+    assert_implements_permutation,
+    assert_wires_preserved,
+    mc_shift_spec,
+)
 
 
 class TestOddLadder:

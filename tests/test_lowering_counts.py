@@ -11,7 +11,8 @@ from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import EvenNonZero, Odd, Value
 from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
-from repro.sim import apply_to_basis, assert_implements_permutation
+from repro.sim import apply_to_basis
+from repro.verify import assert_implements_permutation
 from repro.utils.indexing import iterate_basis
 
 import numpy as np

@@ -8,7 +8,7 @@ from repro.exceptions import DimensionError, SynthesisError
 from repro.qudit.ancilla import AncillaKind
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.gates import XPerm, XPlus
-from repro.sim import (
+from repro.verify import (
     assert_implements_permutation,
     assert_unitary_equiv_with_clean_ancillas,
     assert_wires_preserved,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.pk import pk_h, pk_ladder, pk_map, pk_one_ancilla, synthesize_pk
 from repro.exceptions import DimensionError, SynthesisError, WireError
 from repro.qudit.circuit import QuditCircuit
-from repro.sim import assert_implements_permutation, assert_wires_preserved
+from repro.verify import assert_implements_permutation, assert_wires_preserved
 
 
 class TestPkSemantics:

@@ -15,7 +15,7 @@ from repro.applications.reversible import (
 )
 from repro.exceptions import SynthesisError
 from repro.qudit.circuit import QuditCircuit
-from repro.sim import assert_permutation_equals_function, assert_wires_preserved
+from repro.verify import assert_permutation_equals_function, assert_wires_preserved
 from repro.utils.indexing import digits_to_index, index_to_digits
 
 

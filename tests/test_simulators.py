@@ -11,15 +11,17 @@ from repro.qudit.operations import Operation
 from repro.sim import (
     Statevector,
     apply_to_basis,
-    assert_implements_permutation,
-    assert_unitary_equiv,
-    assert_wires_preserved,
     circuit_unitary,
     controlled_unitary_matrix,
     function_table,
     multi_controlled_unitary_matrix,
     permutation_parity,
     permutation_table,
+)
+from repro.verify import (
+    assert_implements_permutation,
+    assert_unitary_equiv,
+    assert_wires_preserved,
 )
 from repro.sim.permutation import states_differing_on
 

@@ -13,7 +13,7 @@ from repro.core.single_controlled import (
 from repro.exceptions import GateError
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import EvenNonZero, Odd, Value
-from repro.sim import assert_implements_permutation
+from repro.verify import assert_implements_permutation
 from repro.utils import permutations as perm
 
 

@@ -33,18 +33,19 @@ from repro.sim import (
     MATERIALIZE_LIMIT,
     SparseBackend,
     SparseState,
-    assert_mct_spec,
     available_backends,
     get_backend,
 )
-from repro.sim.verify import (
+from repro.synth import synthesize
+from repro.utils import permutations as perm_utils
+from repro.verify import (
+    VerificationBudget,
     assert_implements_permutation,
+    assert_mct_spec,
     assert_unitary_columns_equiv,
     assert_wires_preserved,
     sample_basis_states,
 )
-from repro.synth import synthesize
-from repro.utils import permutations as perm_utils
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -325,7 +326,10 @@ class TestHugeRegister:
         # apply_to_indices pass — milliseconds where a dense statevector
         # would need ~18.6 GB.
         assert_mct_spec(
-            result.circuit, result.controls, result.target, max_states=1000, samples=128
+            result.circuit,
+            result.controls,
+            result.target,
+            budget=VerificationBudget(max_basis_states=1000, samples=128),
         )
 
 
@@ -390,7 +394,9 @@ class TestSampledVerification:
 
         with pytest.raises(VerificationError) as excinfo:
             assert_implements_permutation(
-                circuit, expect_flip, max_states=1, samples=20, seed=7
+                circuit,
+                expect_flip,
+                budget=VerificationBudget(max_basis_states=1, samples=20, seed=7),
             )
         message = str(excinfo.value)
         assert "failing row 0" in message
@@ -402,7 +408,11 @@ class TestSampledVerification:
         circuit = QuditCircuit(2, 3, name="mover")
         circuit.add_gate(XPlus(3, 1), 0)
         with pytest.raises(VerificationError, match="failing row"):
-            assert_wires_preserved(circuit, [0], max_states=1, samples=16, seed=11)
+            assert_wires_preserved(
+                circuit,
+                [0],
+                budget=VerificationBudget(max_basis_states=1, samples=16, seed=11),
+            )
 
     def test_sampled_branch_agrees_with_exhaustive(self):
         circuit = mixed_circuit(6, num_ops=10, unitary=False)
@@ -416,7 +426,9 @@ class TestSampledVerification:
             return tuple((image // 3 ** (2 - w)) % 3 for w in range(3))
 
         assert_implements_permutation(circuit, spec)  # exhaustive
-        assert_implements_permutation(circuit, spec, max_states=1, samples=64)  # sampled
+        assert_implements_permutation(  # sampled
+            circuit, spec, budget=VerificationBudget(max_basis_states=1, samples=64)
+        )
 
     def test_column_sampled_unitary_check_accepts_the_truth(self):
         circuit = QuditCircuit(2, 2, name="h0")
@@ -429,7 +441,9 @@ class TestSampledVerification:
             vector[2 + low] = HADAMARD[1, high]
             return vector
 
-        assert_unitary_columns_equiv(circuit, expected_column, samples=4)
+        assert_unitary_columns_equiv(
+            circuit, expected_column, budget=VerificationBudget(sampled_columns=4)
+        )
 
     def test_column_sampled_unitary_check_rejects_a_corrupted_circuit(self):
         circuit = QuditCircuit(2, 2, name="h0-broken")
@@ -444,7 +458,9 @@ class TestSampledVerification:
             return vector
 
         with pytest.raises(VerificationError, match="sampled-column"):
-            assert_unitary_columns_equiv(circuit, expected_column, samples=4)
+            assert_unitary_columns_equiv(
+                circuit, expected_column, budget=VerificationBudget(sampled_columns=4)
+            )
 
     def test_column_sampled_check_rejects_non_global_phase(self):
         # diag(1, i) deviates per column: with up_to_global_phase=True the
@@ -464,21 +480,21 @@ class TestSampledVerification:
             assert_unitary_columns_equiv(
                 circuit,
                 expected_column,
-                samples=1,
                 required_columns=(0, 1),
                 up_to_global_phase=True,
+                budget=VerificationBudget(sampled_columns=1),
             )
 
     def test_mcu_exponential_verifies_past_the_dense_matrix_cap(self):
-        # Basis 3^8 = 6561 >> the 1024-cap of the dense matrix compare:
-        # before PR-8 this instance was skipped, now it is column-verified.
+        # Basis 3^8 = 6561 >> the 1024-cap of the dense matrix compare: the
+        # default budget decides it by sampled columns, building no matrix.
         from repro.synth.registry import get as get_strategy
 
         strategy = get_strategy("mcu-exponential")
-        assert strategy.supports_sampled_columns
         result = synthesize("mcu-exponential", 3, 7)
         assert result.circuit.dim**result.circuit.num_wires > 1024
-        strategy.verify(result.circuit, 3, 7, sampled_columns=4)
+        report = strategy.verify(result.circuit, 3, 7)
+        assert report.ok and report.decided_by == "sampled-columns"
 
 
 # ----------------------------------------------------------------------

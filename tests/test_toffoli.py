@@ -10,7 +10,8 @@ from repro.core.toffoli_odd import synthesize_mct_odd
 from repro.exceptions import DimensionError, SynthesisError
 from repro.qudit.ancilla import AncillaKind
 from repro.qudit.circuit import QuditCircuit
-from repro.sim import assert_mct_spec, assert_wires_preserved, permutation_parity
+from repro.sim import permutation_parity
+from repro.verify import assert_mct_spec, assert_wires_preserved
 
 
 class TestOddToffoli:

@@ -11,7 +11,7 @@ from repro.core.two_controlled import (
 from repro.exceptions import DimensionError, SynthesisError
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import EvenNonZero, Odd, Value
-from repro.sim import assert_implements_permutation, assert_wires_preserved
+from repro.verify import assert_implements_permutation, assert_wires_preserved
 from repro.utils import permutations as perm
 
 

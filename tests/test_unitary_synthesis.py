@@ -12,7 +12,7 @@ from repro.applications.unitary_synthesis import (
     synthesize_unitary,
 )
 from repro.exceptions import GateError, SynthesisError
-from repro.sim import assert_unitary_equiv, assert_unitary_equiv_with_clean_ancillas
+from repro.verify import assert_unitary_equiv, assert_unitary_equiv_with_clean_ancillas
 
 
 class TestTwoLevelUnitary:

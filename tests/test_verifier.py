@@ -24,24 +24,23 @@ from repro.exceptions import VerificationError, WorkloadError
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Value
 from repro.qudit.gates import SingleQuditUnitary, XPerm
-from repro.sim import (
-    assert_implements_permutation,
-    assert_mct_spec,
-    assert_unitary_equiv,
-    mc_shift_spec,
-    mct_spec,
-)
-from repro.sim.verify import assert_unitary_columns_equiv
 from repro.utils.indexing import digit_matrix
 from repro.verify import (
     PRESET_NAMES,
     TIER_DENSE,
     TIER_INDEX,
     TIER_STRUCTURAL,
+    UNBOUNDED,
     TieredVerifier,
     VerificationBudget,
     VerificationReport,
+    assert_implements_permutation,
+    assert_mct_spec,
+    assert_unitary_columns_equiv,
+    assert_unitary_equiv,
     checks,
+    mc_shift_spec,
+    mct_spec,
     resolve_budget,
 )
 
@@ -145,11 +144,10 @@ class TestInt64Guard:
         with pytest.raises(VerificationError, match="int64"):
             checks.require_int64_basis(5, 28, "t")
 
-    def test_propagate_samples_refuses_overflow(self):
+    def test_sampled_wires_kernel_refuses_overflow(self):
         circuit = self.huge_circuit()
-        states = checks.sample_basis_states(5, 28, 4, 7)
         with pytest.raises(VerificationError, match="int64"):
-            checks.propagate_samples(circuit, states)
+            checks.wires_preserved_sampled(circuit, [0], 4, 7)
 
     def test_sampler_itself_scales_past_int64(self):
         # The state sampler draws one digit per wire, so it works fine on
@@ -161,12 +159,18 @@ class TestInt64Guard:
     def test_permutation_check_surfaces_guard(self):
         circuit = self.huge_circuit()
         with pytest.raises(VerificationError, match="int64"):
-            assert_implements_permutation(circuit, lambda s: s, samples=4)
+            assert_implements_permutation(
+                circuit, lambda s: s, budget=VerificationBudget(samples=4)
+            )
 
     def test_sampled_columns_surface_guard(self):
         circuit = self.huge_circuit()
         with pytest.raises(VerificationError, match="int64"):
-            assert_unitary_columns_equiv(circuit, lambda col: None, samples=1)
+            assert_unitary_columns_equiv(
+                circuit,
+                lambda col: None,
+                budget=VerificationBudget(sampled_columns=1, max_column_basis=UNBOUNDED),
+            )
 
 
 # ----------------------------------------------------------------------
