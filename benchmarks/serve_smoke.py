@@ -14,6 +14,13 @@ a small mixed workload through the HTTP front end via
   (``repro.exec.workload.GATHER_MAX_STATES``) returns outputs that differ
   from the gate's definition, or a ``sim_path`` other than ``"gather"``
   (small register, sent twice) or ``"propagate"`` (3^9 states);
+* a ``mcu-exponential`` simulate on either side of the held-operator cap
+  (``repro.sim.unitary.OPERATOR_MAX_STATES``) returns outputs other than
+  X01 on the target exactly when every control is 0, or a ``sim_path``
+  other than ``"operator"`` (3^3 states, sent twice) or ``"dense"``
+  (3^6 states);
+* a ``mcu-exponential`` d=3 k=3 synthesize with ``"verify": "standard"``
+  does not read ``verified``;
 * the sequential submits, each asking for ``Connection: keep-alive``,
   used more than two connections (``/metrics`` ``connections``);
 * the daemon does not exit 0 on SIGTERM (graceful drain), or takes 5 s or
@@ -56,6 +63,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.exec import load_table, lowered_key, save_table
 from repro.exec.workload import GATHER_MAX_STATES
+from repro.sim.unitary import OPERATOR_MAX_STATES
 from repro.serve import ServeClient
 
 SPEC = {
@@ -68,13 +76,26 @@ SPEC = {
 }
 
 #: (request, expected ``sim_path``) per submit: ``mct`` at d=3 on 3^4 and
-#: 3^9 basis states (odd d: k controls on wires 0..k-1, the target on
-#: wire k, no ancilla).
+#: 3^9 basis states, ``mcu-exponential`` (a dense-unitary table) on 3^3 and
+#: 3^6 (both: k controls on wires 0..k-1, the target on wire k, no
+#: ancilla).
 PATH_SUBMITS = tuple(
-    ({"kind": "simulate", "strategy": "mct", "d": 3, "k": k,
+    ({"kind": "simulate", "strategy": strategy, "d": 3, "k": k,
       "states": [[0] * k + [1], [0] * k + [2], [1] + [0] * (k - 1) + [0]]}, path)
-    for k, path in ((3, "gather"), (3, "gather"), (8, "propagate"))
+    for strategy, k, path in (
+        ("mct", 3, "gather"), ("mct", 3, "gather"), ("mct", 8, "propagate"),
+        ("mcu-exponential", 2, "operator"), ("mcu-exponential", 2, "operator"),
+        ("mcu-exponential", 5, "dense"),
+    )
 )
+
+#: The fast path and the cap of each strategy's simulates.
+FAST_PATHS = {"mct": ("gather", GATHER_MAX_STATES),
+              "mcu-exponential": ("operator", OPERATOR_MAX_STATES)}
+
+#: A served ``mcu-exponential`` table checked by the dense tier.
+VERIFY_SUBMIT = {"kind": "synthesize", "strategy": "mcu-exponential", "d": 3, "k": 3,
+                 "verify": "standard"}
 
 #: Sent to a daemon whose cached ``mct`` d=3 k=3 entry lost one row.
 TAMPERED_SUBMIT = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
@@ -159,7 +180,7 @@ def drop_cached_row(cache_dir: pathlib.Path, strategy: str, d: int, k: int) -> s
     return key
 
 
-def mct_outputs(request) -> list:
+def x01_outputs(request) -> list:
     """The ``|0^k⟩-X01`` definition: swap the target's 0 and 1 when every
     control is 0."""
     k = request["k"]
@@ -197,26 +218,34 @@ def main() -> None:
                 check(len(payload["rows"]) == len(SPEC["requests"]),
                       f"submit #{attempt} returned {len(payload['rows'])} rows")
 
-            # Permutation simulates on both sides of the gather crossover.
+            # Simulates on both sides of the gather and operator caps.
             for request, path in PATH_SUBMITS:
                 basis = request["d"] ** (request["k"] + 1)
-                check((basis <= GATHER_MAX_STATES) == (path == "gather"),
+                fast, cap = FAST_PATHS[request["strategy"]]
+                check((basis <= cap) == (path == fast),
                       f"{basis} basis states no longer take the {path} path")
                 status, payload = client.submit({"requests": [request]})
                 check(status == 200 and payload.get("ok") is True,
                       f"simulate on {basis} states answered {status}: {payload}")
                 row = payload["rows"][0]
-                check(row.get("outputs") == mct_outputs(request),
-                      f"outputs {row.get('outputs')} != {mct_outputs(request)}")
+                check(row.get("outputs") == x01_outputs(request),
+                      f"outputs {row.get('outputs')} != {x01_outputs(request)}")
                 check(row.get("sim_path") == path,
                       f"sim_path {row.get('sim_path')!r} != {path!r} on {basis} states")
+
+            status, payload = client.submit({"requests": [VERIFY_SUBMIT]})
+            check(status == 200 and payload.get("ok") is True,
+                  f"verified synthesize answered {status}: {payload}")
+            verified = payload["rows"][0].get("verify_result") or {}
+            check(verified.get("status") == "verified",
+                  f"mcu-exponential verify_result {verified}")
 
             status, metrics = client.metrics()
             check(status == 200, f"/metrics answered {status}")
             for counter in REQUIRED_COUNTERS:
                 check(counter in metrics, f"/metrics missing {counter!r}")
             requests = metrics["requests"]
-            expected = (1 + resubmits) * len(SPEC["requests"]) + len(PATH_SUBMITS)
+            expected = (1 + resubmits) * len(SPEC["requests"]) + len(PATH_SUBMITS) + 1
             check(requests["accepted"] == expected,
                   f"accepted {requests['accepted']} != {expected}")
             check(requests["completed"] == expected,

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import DimensionError, SynthesisError
 from repro.qudit.ancilla import AncillaKind, SynthesisResult
 from repro.qudit.circuit import QuditCircuit
@@ -141,3 +143,20 @@ def increment_reference(dim: int, n: int, state: Sequence[int], amount: int = 1)
     """Reference semantics used by the tests: ``state + amount mod d^n``."""
     index = digits_to_index(state, dim)
     return index_to_digits((index + amount) % dim**n, dim, n)
+
+
+def increment_rows(dim: int, states, amount: int = 1) -> np.ndarray:
+    """:func:`increment_reference` of every row of an ``(N, n)`` digit matrix.
+
+    A ripple add from the least significant (last) column: each column
+    keeps its digit of the running sum and passes the carry on, and the
+    carry out of the first column is dropped (mod ``d^n``).  The digits stay
+    small, so any register width works.
+    """
+    out = np.array(states, dtype=np.int64)
+    carry = np.full(out.shape[0], amount, dtype=np.int64)
+    for wire in range(out.shape[1] - 1, -1, -1):
+        total = out[:, wire] + carry
+        out[:, wire] = total % dim
+        carry = total // dim
+    return out

@@ -14,7 +14,8 @@ The odd-``d`` k-Toffoli of Fig. 10 is assembled from three ``|0⟩-X01`` gates
 interleaved with ``P_k`` / ``P_k†`` and parity-class flips, so ``P_k`` is the
 real workhorse of Theorem III.6.
 
-This module provides the reference semantics (:func:`pk_map`), the Fig. 8
+This module provides the reference semantics (:func:`pk_map`, and
+:func:`pk_h_rows` for a whole digit matrix at once), the Fig. 8
 ladder (``k − 2`` borrowed ancillas) and the Fig. 9 halving construction
 (one borrowed ancilla), plus a standalone :func:`synthesize_pk` entry point.
 """
@@ -22,6 +23,8 @@ ladder (``k − 2`` borrowed ancillas) and the Fig. 9 halving construction
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import DimensionError, SynthesisError, WireError
 from repro.qudit.ancilla import AncillaKind, SynthesisResult
@@ -52,6 +55,23 @@ def pk_h(dim: int, values: Sequence[int]) -> int:
     if last_nonzero is not None and controls[last_nonzero] % 2 == 1:
         return target
     return (target - 1) % dim
+
+
+def pk_h_rows(dim: int, values) -> np.ndarray:
+    """:func:`pk_h` of every row of an ``(N, k)`` digit matrix in one pass.
+
+    Sweeps the control columns left to right, keeping each row's last
+    non-zero control digit (0 while there is none), so an odd one keeps the
+    target and anything else steps it down by one.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape[1] < 1:
+        raise SynthesisError("P_k needs at least one input")
+    last = np.zeros(values.shape[0], dtype=np.int64)
+    for column in values[:, :-1].T:
+        last = np.where(column != 0, column, last)
+    target = values[:, -1]
+    return np.where(last % 2 == 1, target, (target - 1) % dim)
 
 
 def pk_map(dim: int, values: Sequence[int]) -> Tuple[int, ...]:

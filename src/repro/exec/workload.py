@@ -27,8 +27,10 @@ Simulate requests are batched: all listed basis states of one request
 evolve together.  A permutation circuit answers classically — one lookup
 into its cached whole-basis gather up to
 :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states, index
-propagation through every row above that — and any other
-circuit runs as a :class:`~repro.sim.batch.BatchedStatevector` on the
+propagation through every row above that.  Any other circuit on the
+``dense`` backend reads the columns of the dense operator its table holds
+up to :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states, and
+otherwise runs as a :class:`~repro.sim.batch.BatchedStatevector` on the
 requested backend.  Each simulate row names the path it took in
 ``"sim_path"``.
 """
@@ -44,11 +46,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.service import CompileOutcome, compile_lowered, lowered_key
 from repro.sim.permutation import GATHER_MAX_STATES
+from repro.utils.indexing import basis_fits_int64, require_int64_basis
 
 _KINDS = ("synthesize", "simulate", "estimate")
 
@@ -151,8 +156,17 @@ class WorkloadRequest:
             ) from None
         if states and kind != "simulate":
             raise WorkloadError(f"request {index}: states only applies to simulate requests")
-        if states:
-            _check_states(states, raw["strategy"], dim, k, index)
+        if kind == "simulate" or verify is not None:
+            # Both address basis states by int64 flat index.
+            wires = _layout_wires(raw["strategy"], dim, k)
+            if states:
+                _check_states(states, raw["strategy"], dim, k, wires, index)
+            if wires is not None and not basis_fits_int64(dim, wires):
+                raise WorkloadError(
+                    f"request {index}: {raw['strategy']} at d={dim}, k={k} has {wires} "
+                    f"wires, and {dim}^{wires} basis states exceed the int64 flat-index "
+                    "range (2^63 - 1) that simulate and verify address"
+                )
         from repro.sim import available_backends
 
         backend = raw.get("backend", "dense")
@@ -225,16 +239,34 @@ class WorkloadRequest:
         return lowered_key(strategy, self.dim, self.k, salt=salt)
 
 
+def _layout_wires(strategy: str, dim: int, k: int) -> Optional[int]:
+    """The wire count of ``strategy`` at ``(d, k)`` from its analytic
+    :meth:`~repro.synth.strategy.Synthesizer.layout`, or ``None`` for
+    ``"auto"``, an unknown name or an unsupported ``(d, k)`` (the executed
+    row checks those against the circuit it builds, or fails on the name).
+    """
+    from repro.synth import registry
+
+    if strategy == "auto" or strategy not in registry.names():
+        return None
+    synthesizer = registry.get(strategy)
+    if not synthesizer.supports(dim, k):
+        return None
+    return synthesizer.layout(dim, k)[0]
+
+
 def _check_states(
-    states: Tuple[Tuple[int, ...], ...], strategy: str, dim: int, k: int, index: int
+    states: Tuple[Tuple[int, ...], ...],
+    strategy: str,
+    dim: int,
+    k: int,
+    wires: Optional[int],
+    index: int,
 ) -> None:
     """Reject simulate states that no circuit of the request can take.
 
-    Every digit must lie in ``[0, d)`` and every row must have one length.
-    For a registered strategy that supports ``(d, k)``, that length must be
-    the wire count of its analytic :meth:`~repro.synth.strategy.Synthesizer.layout`.
-    ``"auto"`` and unknown names are left to the executed row, which checks
-    the width against the circuit it built (or fails on the name).
+    Every digit must lie in ``[0, d)`` and every row must have one length:
+    ``wires``, the layout's wire count, when :func:`_layout_wires` knows it.
     """
     for row in states:
         for digit in row:
@@ -247,16 +279,8 @@ def _check_states(
         raise WorkloadError(
             f"request {index}: states rows have unequal lengths {sorted(widths)}"
         )
-    from repro.synth import registry
-
-    if strategy == "auto" or strategy not in registry.names():
-        return
-    synthesizer = registry.get(strategy)
-    if not synthesizer.supports(dim, k):
-        return
-    wires = synthesizer.layout(dim, k)[0]
     (width,) = widths
-    if width != wires:
+    if wires is not None and width != wires:
         raise WorkloadError(
             f"request {index}: states rows have {width} digits, "
             f"{strategy} at d={dim}, k={k} has {wires} wires"
@@ -424,6 +448,10 @@ def _verify_served(
     from repro.synth import registry
     from repro.verify import VerificationBudget
 
+    # No tier can check a register past int64, and that is no verdict on
+    # the circuit: the row fails with no verify_result (from_dict refuses
+    # such a request for a registered strategy).
+    require_int64_basis(request.dim, outcome.circuit.num_wires, "verify")
     result = row["verify_result"] = {"status": "failed", "key": outcome.key}
     strategy = registry.get(outcome.strategy)
     try:
@@ -446,10 +474,13 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
 
     Returns the output digit strings and the path that produced them:
     ``"gather"`` or ``"propagate"`` for a permutation circuit (see
-    :data:`~repro.sim.permutation.GATHER_MAX_STATES`), otherwise the
-    backend's name.
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES`), ``"operator"`` for a
+    non-permutation circuit whose dense operator the table holds (the
+    ``dense`` backend with no ``memory_budget``, up to
+    :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states), otherwise
+    the backend's name.
     """
-    from repro.sim import BatchedStatevector, get_backend
+    from repro.sim.unitary import held_operator
     from repro.utils.indexing import digits_to_index, indices_to_digits
 
     rows = request.states or ((0,) * circuit.num_wires,)
@@ -464,10 +495,10 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
             raise WorkloadError(
                 f"simulate state {i} digit {bad[0]} out of range for d={request.dim}"
             )
+    indices = [digits_to_index(digits, request.dim) for digits in rows]
     if circuit.is_permutation:
         # Classical batched path: only the B flat indices move.
         table = circuit.to_table()
-        indices = [digits_to_index(digits, request.dim) for digits in rows]
         basis = request.dim**circuit.num_wires
         if basis <= GATHER_MAX_STATES and (  # the gather holds 8-byte int64s
             request.memory_budget is None or 8 * basis <= request.memory_budget
@@ -475,8 +506,24 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
             images, path = table.permutation_index_table()[indices], "gather"
         else:
             images, path = table.apply_to_indices(indices), "propagate"
-        digits = indices_to_digits(images, request.dim, circuit.num_wires)
-        return ["".join(str(int(x)) for x in row) for row in digits], path
+    else:
+        operator = None
+        if request.memory_budget is None:
+            operator = held_operator(circuit, request.backend)
+        if operator is None:
+            return _simulate_statevector(request, circuit, rows)
+        # Column i is |i⟩ evolved: its most probable row, as
+        # BatchedStatevector.most_probable() picks it.
+        images = np.argmax(np.abs(operator[:, indices]) ** 2, axis=0)
+        path = "operator"
+    digits = indices_to_digits(images, request.dim, circuit.num_wires)
+    return ["".join(str(int(x)) for x in row) for row in digits], path
+
+
+def _simulate_statevector(request: WorkloadRequest, circuit, rows) -> Tuple[List[str], str]:
+    """Evolve ``rows`` as a batched statevector on the request's backend."""
+    from repro.sim import BatchedStatevector, get_backend
+
     backend = get_backend(request.backend)
     if request.memory_budget is not None:  # from_dict: backend is streaming
         from repro.sim.streaming import StreamingBackend

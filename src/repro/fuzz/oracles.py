@@ -18,10 +18,11 @@ Oracles
 ``backends``
     every registered simulation engine (``available_backends()`` — dense,
     sparse, streaming, anything registered by the caller) through
-    ``apply_table`` vs. the dense engine's op-by-op ``apply_op`` walk, and
-    (for permutation circuits) the table's whole-basis gather vs. one
+    ``apply_table`` vs. the dense engine's op-by-op ``apply_op`` walk;
+    for permutation circuits the table's whole-basis gather vs. one
     composed op by op from each op's ``permutation_table`` and vs. the
-    scalar ``apply_to_basis`` path.
+    scalar ``apply_to_basis`` path, and for the others the dense operator
+    the table holds (``held_operator``) vs. the walk on the identity.
     A second, low-occupancy instance (permutation-heavy circuit, a
     superposition of a few basis states) targets the sparse engine's O(nnz)
     fast path, which dense random states would never reach.
@@ -66,6 +67,7 @@ from repro.qudit.operations import Operation, StarShiftOp
 from repro.resources.estimator import METRIC_FIELDS
 from repro.sim import available_backends, get_backend
 from repro.sim.permutation import apply_to_basis, permutation_index_table
+from repro.sim.unitary import held_operator
 from repro.verify import VerificationBudget
 from repro.utils.indexing import indices_to_digits
 from repro.fuzz.generators import (
@@ -291,7 +293,7 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
                 f"{backend_name} apply_table deviates from dense per-op by {deviation:.3e}"
             )
     if not circuit.is_permutation:
-        return None
+        return _check_held_operator(circuit, plain)
     object_table = np.arange(circuit.dim**circuit.num_wires)
     for op in plain:
         object_table = op.permutation_table(circuit.dim, circuit.num_wires)[object_table]
@@ -314,6 +316,25 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
                 f"apply_to_basis maps {state} to {scalar} but the gather table "
                 f"gives {gathered}"
             )
+    return None
+
+
+def _check_held_operator(circuit: QuditCircuit, plain: QuditCircuit) -> Optional[str]:
+    """The dense operator the table holds (up to
+    :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` states) is read-only and
+    equals the identity pushed through the dense ``apply_op`` walk."""
+    held = held_operator(circuit)
+    if held is None:
+        return None
+    if held.flags.writeable:
+        return "the held dense operator is writable"
+    dense = get_backend("dense")
+    walked = np.eye(held.shape[0], dtype=complex)
+    for op in plain:
+        walked = dense.apply_op(walked, op, circuit.dim, circuit.num_wires)
+    deviation = float(np.max(np.abs(held - walked)))
+    if deviation > 1e-12:
+        return f"held dense operator deviates from the per-op walk by {deviation:.3e}"
     return None
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from repro.exceptions import GateError, WireError
 from repro.ir.pools import PoolSet
 from repro.qudit.operations import BaseOp, Operation, StarShiftOp
+from repro.utils.indexing import require_int64_basis
 
 #: Row opcodes.
 OP_PERM = 0
@@ -219,7 +220,14 @@ class GateTable:
         )
         return Operation(gate, target, controls)
 
-    def _unique_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+    def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(the distinct rows as one ``(u, 8)`` matrix, row -> distinct-index map).
+
+        Computed once and held by the table.  A lowered table repeats a few
+        dozen row forms thousands of times, so a per-row kernel that reads
+        only its row's columns (decoding, the structural check) runs over
+        ``u`` rows instead of all of them.
+        """
         cached = self._cache.get("unique_rows")
         if cached is None:
             rows = np.stack(self.columns, axis=1) if len(self) else np.zeros((0, 8), np.int64)
@@ -238,7 +246,7 @@ class GateTable:
         """
         cached = self._cache.get("unique_ops")
         if cached is None:
-            uniq, inverse = self._unique_rows()
+            uniq, inverse = self.distinct_rows()
             cached = ([self._decode_row(row) for row in uniq], inverse)
             self._cache["unique_ops"] = cached
         return cached
@@ -519,7 +527,10 @@ class GateTable:
         (:meth:`repro.qudit.operations.BaseOp.map_indices`) — O(rows · B)
         time, O(min(B, chunk_size)) transient memory, and never a ``d^n``
         table, so it works on registers far beyond any statevector
-        (``d^n >= 10^9``).  ``out=`` reuses a caller-provided ``int64``
+        (``d^n >= 10^9``) up to ``2^63 - 1`` states; a larger register, whose
+        flat indices ``int64`` cannot hold, raises
+        :class:`~repro.exceptions.WireError` instead of wrapping.  ``out=``
+        reuses a caller-provided ``int64``
         buffer of the same shape; batches larger than ``chunk_size`` are
         propagated in slices to bound the transient arrays.
         """
@@ -531,8 +542,10 @@ class GateTable:
                 f"{label!r}; basis indices only propagate through permutation "
                 "rows — use the statevector simulator for this circuit"
             )
+        size = require_int64_basis(
+            self.dim, self.num_wires, f"index propagation through {self.name!r}"
+        )
         acc = np.asarray(indices, dtype=np.int64)
-        size = self.dim**self.num_wires
         if acc.size and (acc.min() < 0 or acc.max() >= size):
             raise WireError(
                 f"basis index out of range for {self.num_wires} wires of dimension {self.dim}"

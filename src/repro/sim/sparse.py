@@ -42,7 +42,7 @@ import numpy as np
 from repro.exceptions import GateError, WireError
 from repro.qudit.circuit import QuditCircuit
 from repro.sim.backend import DenseBackend, SimulationBackend, register_backend
-from repro.utils.indexing import digits_to_index, indices_to_digits
+from repro.utils.indexing import digits_to_index, indices_to_digits, require_int64_basis
 
 #: Largest dense register ``to_dense`` / transparent densification will
 #: materialise (amplitude count; 2 GiB of complex128).  Beyond this the
@@ -233,8 +233,12 @@ class SparseBackend(SimulationBackend):
         Stays sparse unless unitary expansion pushes occupancy past
         ``max_occupancy``, in which case the state densifies mid-run (the
         register must then fit :data:`MATERIALIZE_LIMIT`) and the result is
-        re-compressed on exit so the return type is stable.
+        re-compressed on exit so the return type is stable.  A register
+        whose flat indices overflow ``int64`` (more than ``2^63 - 1`` basis
+        states) raises :class:`~repro.exceptions.WireError`: the index
+        arithmetic would wrap.
         """
+        require_int64_basis(table.dim, table.num_wires, "sparse simulation")
         result = self._run(state, table)
         if isinstance(result, SparseState):
             return result

@@ -34,7 +34,7 @@ from repro.synth.strategy import BOTH_PARITIES, Capabilities, EVEN, ODD, Synthes
 from repro.core.toffoli import mct_ops
 from repro.core.toffoli_even import synthesize_mct_even
 from repro.core.toffoli_odd import synthesize_mct_odd
-from repro.core.pk import pk_map, synthesize_pk
+from repro.core.pk import pk_h_rows, synthesize_pk
 from repro.core.multi_controlled_unitary import synthesize_mcu
 from repro.core.single_controlled import controlled_transposition_g_ops
 from repro.baselines.ancilla_free_exponential import synthesize_mcu_exponential
@@ -42,16 +42,16 @@ from repro.baselines.clean_ancilla_ladder import (
     clean_ancilla_count,
     synthesize_mct_clean_ladder,
 )
-from repro.applications.arithmetic import increment_reference, synthesize_increment
+from repro.applications.arithmetic import increment_rows, synthesize_increment
 from repro.applications.reversible import (
     random_reversible_function,
     synthesize_reversible_function,
 )
 from repro.applications.unitary_synthesis import random_unitary, synthesize_unitary
 from repro.sim.unitary import multi_controlled_unitary_matrix
-from repro.utils.indexing import digits_to_index, index_to_digits
+from repro.utils.indexing import indices_to_digits
 from repro.verify import TieredVerifier
-from repro.verify.checks import function_spec, mct_spec
+from repro.verify.checks import ArraySpec, array_function_spec, mct_spec
 
 
 def _verify_mct(strategy: Synthesizer, circuit, dim: int, k: int, budget):
@@ -63,12 +63,36 @@ def _verify_mct(strategy: Synthesizer, circuit, dim: int, k: int, budget):
     return report.raise_if_failed()
 
 
-def _verify_function(circuit, function, k: int, budget, clean_wires=()):
-    """``function`` on the data wires ``0..k-1``, the identity elsewhere."""
+def _verify_function(circuit, spec: ArraySpec, budget, clean_wires=()):
+    """Check ``circuit`` against a data-wire ``spec`` (an :class:`ArraySpec`)."""
     report = TieredVerifier(budget).verify_permutation(
-        circuit, function_spec(function, range(k)), clean_wires=clean_wires
+        circuit, spec, clean_wires=clean_wires
     )
     return report.raise_if_failed()
+
+
+def pk_spec(dim: int, k: int) -> ArraySpec:
+    """``P_k`` on the data wires ``0..k-1``: ``h`` rewrites wire ``k-1``."""
+
+    def apply(data: np.ndarray) -> np.ndarray:
+        data[:, -1] = pk_h_rows(dim, data)
+        return data
+
+    return array_function_spec(apply, range(k))
+
+
+def increment_spec(dim: int, k: int) -> ArraySpec:
+    """``+1 mod d^k`` on the data wires ``0..k-1`` (wire 0 most significant)."""
+    return array_function_spec(lambda data: increment_rows(dim, data), range(k))
+
+
+def reversible_spec(dim: int, k: int) -> ArraySpec:
+    """The canonical seed-0 bijection on the data wires, as a table lookup."""
+    table = np.asarray(random_reversible_function(dim, k, seed=0), dtype=np.int64)
+    strides = dim ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return array_function_spec(
+        lambda data: indices_to_digits(table[data @ strides], dim, k), range(k)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +251,7 @@ class PkStrategy(Synthesizer):
 
     def verify(self, circuit, dim: int, k: int, *, budget=None):
         self.verified_clean_wires(circuit, dim, k)
-        return _verify_function(circuit, lambda digits: pk_map(dim, digits), k, budget)
+        return _verify_function(circuit, pk_spec(dim, k), budget)
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +528,7 @@ class IncrementStrategy(Synthesizer):
     def verify(self, circuit, dim: int, k: int, *, budget=None):
         return _verify_function(
             circuit,
-            lambda digits: increment_reference(dim, k, digits),
-            k,
+            increment_spec(dim, k),
             budget,
             clean_wires=self.verified_clean_wires(circuit, dim, k),
         )
@@ -569,12 +592,7 @@ class ReversibleStrategy(Synthesizer):
 
     def verify(self, circuit, dim: int, k: int, *, budget=None):
         self.verified_clean_wires(circuit, dim, k)
-        table = random_reversible_function(dim, k, seed=0)
-
-        def reference(digits):
-            return index_to_digits(table[digits_to_index(digits, dim)], dim, k)
-
-        return _verify_function(circuit, reference, k, budget)
+        return _verify_function(circuit, reversible_spec(dim, k), budget)
 
 
 class UnitaryStrategy(Synthesizer):

@@ -15,6 +15,36 @@ import numpy as np
 
 from repro.exceptions import DimensionError, WireError
 
+#: Largest flat basis index an ``int64`` holds.  The batched index paths
+#: (:meth:`~repro.ir.table.GateTable.apply_to_indices`, the sparse engine,
+#: the sampled verification tiers) carry basis states as ``int64`` flat
+#: indices, so they serve registers of at most this many states.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def basis_fits_int64(dim: int, num_wires: int) -> bool:
+    """Whether the register's size ``d^n`` fits an ``int64`` (at most
+    ``2^63 - 1``, so every flat index does too), decided exactly."""
+    # d >= 2, so 64 or more wires never fit; this also keeps d**n small.
+    return num_wires < 64 and int(dim) ** int(num_wires) <= INT64_MAX
+
+
+def require_int64_basis(dim: int, num_wires: int, context: str) -> int:
+    """Return ``d^n``, or raise :class:`~repro.exceptions.WireError` when
+    the register's flat indices would overflow ``int64``.
+
+    Past ``2^63 - 1`` the stride arithmetic of the batched index paths
+    silently wraps (and an index that large cannot even be stored), so they
+    refuse the register instead of returning wrong images.
+    """
+    if not basis_fits_int64(dim, num_wires):
+        raise WireError(
+            f"{context}: basis of {dim}^{num_wires} states exceeds the int64 "
+            f"flat-index range (2^63 - 1); this register is too large for the "
+            f"batched index paths"
+        )
+    return int(dim) ** int(num_wires)
+
 
 def digits_to_index(digits: Sequence[int], dim: int) -> int:
     """Convert a digit tuple (wire 0 most significant) to a flat index."""

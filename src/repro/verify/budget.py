@@ -8,15 +8,18 @@ check:
 ====  ==================  ==========================================  ==========================
 tier  name                cost model                                  budget knobs
 ====  ==================  ==========================================  ==========================
-1     structural          ``O(rows)`` column scans on the GateTable   always runs
+1     structural          one pass over the GateTable's distinct      always runs
+                          rows
 2     index-propagation   ``O(samples)`` lookups in the held gather   ``samples``
                           up to ``GATHER_MAX_STATES`` states, else
                           ``O(rows · samples)`` batched indices
 3     sampled-columns     a few statevector evolutions                ``sampled_columns``,
-                          (``O(rows · d^n · cols)``)                  ``max_column_basis``
+                          (``O(rows · d^n · cols)``), or columns of   ``max_column_basis``
+                          the held operator up to
+                          ``OPERATOR_MAX_STATES`` states
 4     dense               ``O(d^n)`` gather table (permutations) or   ``max_basis_states``,
-                          ``O(d^2n)`` matrices (unitaries)            ``max_dense_dim``,
-                                                                      ``allow_dense``
+                          ``O(d^2n)`` matrices (unitaries; the held   ``max_dense_dim``,
+                          operator up to ``OPERATOR_MAX_STATES``)     ``allow_dense``
 ====  ==================  ==========================================  ==========================
 
 Budgets are immutable; derive variants with :meth:`VerificationBudget.replace`

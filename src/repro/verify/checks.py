@@ -15,9 +15,16 @@ for a circuit served from the compile cache, the array simulate reads too)
 or, on bases above :data:`~repro.sim.permutation.GATHER_MAX_STATES`, batched
 index propagation.  The exhaustive kernels read the whole gather directly.
 The expected images come from an :class:`ArraySpec`, which maps an
-``(N, n)`` digit matrix in one call; :func:`mct_spec` and
-:func:`mc_shift_spec` build vectorized ones, and any other per-state
-callable is wrapped row by row with :meth:`ArraySpec.rowwise`.
+``(N, n)`` digit matrix in one call; :func:`mct_spec`,
+:func:`mc_shift_spec` and :func:`array_function_spec` build vectorized ones,
+and a user's per-state callable is wrapped row by row with
+:meth:`ArraySpec.rowwise`.
+
+The unitary kernels read one matrix per circuit: up to
+:data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states on the dense
+engine, the operator its table composes once and holds
+(:func:`~repro.sim.unitary.held_operator`).  Only that simulation artefact
+is held; every check still runs in full on every call.
 """
 
 from __future__ import annotations
@@ -26,18 +33,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import VerificationError
+from repro.exceptions import VerificationError, WireError
 from repro.ir.table import OP_PERM, OP_STAR, OP_UNITARY
 from repro.sim import permutation
 from repro.sim.backend import get_backend
-from repro.sim.unitary import circuit_unitary
+from repro.sim.unitary import circuit_unitary, held_operator
+from repro.utils import indexing
 from repro.utils.indexing import digit_matrix, indices_to_digits
 
 BasisState = Tuple[int, ...]
 Spec = Callable[[BasisState], Sequence[int]]
 
 #: Largest flat basis index representable by the batched int64 index paths.
-INT64_MAX = int(np.iinfo(np.int64).max)
+INT64_MAX = indexing.INT64_MAX
 
 
 class ArraySpec:
@@ -87,21 +95,19 @@ def basis_size(dim: int, num_wires: int) -> int:
 
 
 def require_int64_basis(dim: int, num_wires: int, context: str) -> int:
-    """Return ``d^n`` or raise when flat indices would overflow ``int64``.
+    """Return ``d^n`` or raise :class:`VerificationError` when flat indices
+    would overflow ``int64``.
 
-    The batched index paths (:func:`_basis_images` above
+    The verifier's face of :func:`repro.utils.indexing.require_int64_basis`:
+    the batched index paths (:func:`_basis_images` above
     :data:`~repro.sim.permutation.GATHER_MAX_STATES`, the sampled-column
-    kernel) encode basis states as flat ``int64`` indices; past ``2^63 - 1``
-    the stride arithmetic silently wraps, so refuse with a clear error.
+    kernel) encode basis states as flat ``int64`` indices and refuse a
+    larger register before any check runs.
     """
-    size = basis_size(dim, num_wires)
-    if size > INT64_MAX:
-        raise VerificationError(
-            f"{context}: basis of {dim}^{num_wires} states exceeds the int64 "
-            f"flat-index range (2^63 - 1); this register is too large for the "
-            f"batched index paths"
-        )
-    return size
+    try:
+        return indexing.require_int64_basis(dim, num_wires, context)
+    except WireError as error:
+        raise VerificationError(str(error)) from None
 
 
 def sample_basis_states(
@@ -199,15 +205,85 @@ def sample_recipe(
 
 
 def structural_check(circuit) -> Dict[str, int]:
-    """Cheap ``O(rows)`` sanity scan of the circuit's columnar form.
+    """Cheap sanity scan of the circuit's columnar form.
 
     Validates opcodes, wire ranges and distinctness, predicate/payload pool
     ids, and that every referenced control predicate is *valid* for the
     circuit dimension (a control value ``>= d`` can never fire, which turns
     the row into a silent identity).  Returns summary stats; raises
     :class:`VerificationError` naming the first offending rows otherwise.
+
+    One combined pass over the table's distinct rows decides the clean case
+    (:func:`_clean_never_fire`); only when it finds a defect are the
+    offending rows listed check by check (:func:`_structural_problems`).
     """
     table = circuit.to_table()
+    never_fire = _clean_never_fire(table)
+    if never_fire is None:
+        problems, never_fire = _structural_problems(table)
+        if problems:
+            shown = "; ".join(problems[:5])
+            more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
+            raise VerificationError(
+                f"circuit {circuit.name!r} failed the structural check: {shown}{more}"
+            )
+    return {
+        "rows": len(table),
+        "never_fire_controls": never_fire,
+    }
+
+
+def _clean_never_fire(table) -> Optional[int]:
+    """The count of distinct never-firing control predicates the table uses,
+    or ``None`` when any structural check fails.
+
+    Every row check reads its own row only, so the table's distinct rows
+    (:meth:`~repro.ir.table.GateTable.distinct_rows`) decide it in one
+    vectorized pass, whatever the row count.
+    """
+    rows = table.distinct_rows()[0]
+    pools, num_wires = table.pools, table.num_wires
+    num_preds = len(pools.preds)
+    opcode, target, wire_a, wire_b, pred_a, pred_b, payload, extra = rows.T
+    star = opcode == OP_STAR
+    has_a, has_b = wire_a >= 0, wire_b >= 0
+    pred_rows_a = has_a & ~star
+    payload_top = np.where(
+        opcode == OP_UNITARY, max(len(pools.unitaries), 1), max(len(pools.perms), 1)
+    )
+    bad = (
+        (opcode < OP_PERM) | (opcode > OP_STAR)
+        | (target < 0) | (target >= num_wires)
+        | (wire_a < -1) | (wire_a >= num_wires) | (wire_b < -1) | (wire_b >= num_wires)
+        | (star & ~has_a)
+        # An in-range wire equal to an in-range target is a control (>= 0).
+        | (wire_a == target) | (wire_b == target) | (has_a & (wire_a == wire_b))
+        | (pred_rows_a & ((pred_a < 0) | (pred_a >= num_preds)))
+        | (has_b & ((pred_b < 0) | (pred_b >= num_preds)))
+        | np.where(
+            star, (payload != 1) & (payload != -1), (payload < 0) | (payload >= payload_top)
+        )
+        | (extra < -1) | (extra >= len(pools.extras))
+    )
+    if bad.any():
+        return None
+    used = np.zeros(max(num_preds, 1), dtype=bool)
+    used[pred_a[pred_rows_a]] = True
+    used[pred_b[has_b]] = True
+    eids = extra[extra >= 0]
+    for eid in np.unique(eids).tolist() if eids.size else ():
+        for wire, pid in pools.extras.entry(eid):
+            if not (0 <= wire < num_wires and 0 <= pid < num_preds):
+                return None
+            used[pid] = True
+    if (used & pools.preds.invalid_for(table.dim)).any():
+        return None
+    return int((used & pools.preds.never_fires(table.dim)).sum())
+
+
+def _structural_problems(table) -> Tuple[List[str], int]:
+    """Every structural defect of ``table``, check by check, naming up to three
+    offending rows per check, and the never-firing predicate count."""
     num_wires = table.num_wires
     dim = table.dim
     pools = table.pools
@@ -320,16 +396,7 @@ def structural_check(circuit) -> Dict[str, int]:
             )
         never_fire = int(pools.preds.never_fires(dim)[used_ids].sum())
 
-    if problems:
-        shown = "; ".join(problems[:5])
-        more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise VerificationError(
-            f"circuit {circuit.name!r} failed the structural check: {shown}{more}"
-        )
-    return {
-        "rows": len(table),
-        "never_fire_controls": never_fire,
-    }
+    return problems, never_fire
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +541,13 @@ def unitary_dense(
     up_to_global_phase: bool = False,
     backend=None,
 ) -> int:
-    """Dense matrix compare of the circuit's unitary against ``expected``."""
+    """Dense matrix compare of the circuit's unitary against ``expected``.
+
+    The circuit's matrix is :func:`~repro.sim.unitary.circuit_unitary`'s:
+    up to :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states on the
+    dense engine, the operator its table holds (for a circuit served from
+    the compile cache, the array simulate reads too).
+    """
     actual = circuit_unitary(circuit, backend=backend)
     if actual.shape != expected.shape:
         raise VerificationError(
@@ -519,7 +592,10 @@ def unitary_columns(
     checked (the fired block), since a uniform draw over a huge basis would
     almost never hit them.  With ``up_to_global_phase`` one phase is aligned
     on the first column and must fit every other column — per-column phases
-    would accept circuits that differ by a non-global diagonal.
+    would accept circuits that differ by a non-global diagonal.  A circuit
+    whose table holds its dense operator
+    (:func:`~repro.sim.unitary.held_operator`) has the columns read from it
+    instead of evolved.
     """
     size = require_int64_basis(circuit.dim, circuit.num_wires, "sampled-column check")
     rng = np.random.default_rng(seed)
@@ -531,9 +607,13 @@ def unitary_columns(
     columns = np.unique(np.concatenate([pinned, drawn]))
     if columns.size and (columns.min() < 0 or columns.max() >= size):
         raise VerificationError(f"required column out of range for basis {size}")
-    data = np.zeros((size, columns.size), dtype=complex)
-    data[columns, np.arange(columns.size)] = 1.0
-    evolved = np.asarray(get_backend(backend).apply_circuit_batch(data, circuit))
+    operator = held_operator(circuit, backend)
+    if operator is not None:
+        evolved = operator[:, columns]
+    else:
+        data = np.zeros((size, columns.size), dtype=complex)
+        data[columns, np.arange(columns.size)] = 1.0
+        evolved = np.asarray(get_backend(backend).apply_circuit_batch(data, circuit))
     recipe = (
         f"unitary_columns(circuit, expected_column, samples={samples}, "
         f"required_columns={tuple(int(c) for c in pinned.tolist())}, seed={seed})"
@@ -589,7 +669,9 @@ def unitary_clean_subspace(
     where every clean ancilla starts in ``|0⟩`` and to return the ancillas to
     ``|0⟩`` (i.e. not leak amplitude outside that subspace).  ``expected``
     acts on the data wires only.  Wires in neither list start in ``|0⟩``;
-    amplitudes below ``1e-14`` count as zero.
+    amplitudes below ``1e-14`` count as zero.  The circuit's matrix is
+    :func:`~repro.sim.unitary.circuit_unitary`'s, the held operator up to
+    :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states.
     """
     data_wires, clean_wires = list(data_wires), list(clean_wires)
     full = circuit_unitary(circuit, backend=backend)
@@ -707,15 +789,37 @@ def mc_shift_spec(
     return ArraySpec(apply)
 
 
+def array_function_spec(
+    function: Callable[[np.ndarray], np.ndarray], wires: Sequence[int]
+) -> ArraySpec:
+    """:func:`function_spec` for a function of whole digit matrices.
+
+    ``function`` maps the ``(N, len(wires))`` digits the states hold on
+    ``wires`` to their images in one call; every other wire is left
+    untouched.  The strategies' own specs (``P_k``, the increment, the
+    reversible function) are built this way, so a check never calls a
+    Python function per basis state.
+    """
+    wires = list(wires)
+
+    def apply(states: np.ndarray) -> np.ndarray:
+        output = np.array(states, dtype=np.int64)
+        output[:, wires] = function(output[:, wires])
+        return output
+
+    return ArraySpec(apply)
+
+
 def function_spec(
     function: Callable[[BasisState], Sequence[int]], wires: Sequence[int]
 ) -> Spec:
     """Specification of a map that applies ``function`` to ``wires`` only.
 
     ``function`` receives and returns digit tuples of length ``len(wires)``;
-    every other wire is left untouched.  Used for reversible-function
-    synthesis (Theorem IV.2), ``P_k`` and the increment, where the function
-    acts on the data wires and any extra wire is an ancilla.
+    every other wire is left untouched.  The checks wrap it row by row
+    (:meth:`ArraySpec.rowwise`); it serves user callables such as
+    :func:`~repro.verify.asserts.assert_implements_function`'s, and
+    :func:`array_function_spec` is its vectorized twin.
     """
     wires = tuple(wires)
 

@@ -101,3 +101,24 @@ def test_streaming_seeded_block_stays_clean():
     """
     report = fuzz_run(seed=100, max_cases=8, oracles=["backends"])
     assert report.ok, json.dumps(report.to_json(), indent=2, ensure_ascii=False)
+
+
+def test_backends_oracle_covers_the_held_operator(monkeypatch):
+    """Seeds 400-439, backends oracle: every non-permutation case within
+    ``OPERATOR_MAX_STATES`` compares the operator its table holds with the
+    dense ``apply_op`` walk on the identity (and finds it read-only)."""
+    from repro.fuzz import oracles
+
+    held = []
+    compose = oracles.held_operator
+
+    def counted(circuit, backend=None):
+        operator = compose(circuit, backend)
+        held.append(operator is not None)
+        return operator
+
+    monkeypatch.setattr(oracles, "held_operator", counted)
+    report = fuzz_run(seed=400, max_cases=40, oracles=["backends"])
+    assert report.ok, json.dumps(report.to_json(), indent=2, ensure_ascii=False)
+    assert report.oracle_runs == {"backends": 80}
+    assert sum(held) >= 10

@@ -526,6 +526,31 @@ def test_daemon_answers_bad_simulate_states_with_400():
     assert rejected == len(requests) and accepted == 0
 
 
+def test_daemon_answers_simulate_and_verify_past_int64_with_400():
+    """``mct`` at d=3, k=39 has 3^40 basis states, past int64: a simulate
+    used to come back 200 with every output wrong, and a verify 200 with a
+    failed row, though no check could run."""
+    base = {"strategy": "mct", "d": 3, "k": 39}
+    requests = [
+        {**base, "kind": "simulate", "states": [[0] * 39 + [1]]},
+        {**base, "kind": "synthesize", "verify": "smoke"},
+    ]
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, post_workload(json.dumps({"requests": [request]}).encode())
+            )
+            for request in requests
+        ]
+        return replies, daemon.metrics.rejected["bad_request"], daemon.metrics.accepted
+
+    replies, rejected, accepted = serve_in_process(scenario)
+    for request, reply in zip(requests, replies):
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"int64" in reply, request
+    assert rejected == len(requests) and accepted == 0
+
+
 def test_daemon_rejects_the_retired_engine_field_with_400():
     """``"engine"`` used to be accepted, so ``"object"`` compiled a second
     copy of the same circuit under its own cache key."""

@@ -532,7 +532,7 @@ def test_non_permutation_rows_name_their_backend():
     ]})
     report = run_workload(spec)
     assert report.ok
-    assert [row["sim_path"] for row in report.rows] == ["dense", "streaming"]
+    assert [row["sim_path"] for row in report.rows] == ["operator", "streaming"]
     assert report.rows[0]["outputs"] == report.rows[1]["outputs"]
 
 
