@@ -6,6 +6,7 @@ import pytest
 
 from repro.applications import grover_circuit, run_grover
 from repro.bench import render_table
+from repro.sim import DenseBackend
 
 from _harness import emit_table
 
@@ -33,6 +34,9 @@ def test_table_e12_grover(benchmark):
 
 
 @pytest.mark.parametrize("dim,n,marked", [(3, 2, (2, 1))])
-@pytest.mark.parametrize("backend", ["dense", "streaming", "sparse"])
+@pytest.mark.parametrize(
+    "backend",
+    ["dense", pytest.param(DenseBackend(memory_budget="4K"), id="dense-budgeted"), "sparse"],
+)
 def test_benchmark_grover_simulation(benchmark, dim, n, marked, backend):
     benchmark(lambda: run_grover(dim, n, marked, backend=backend))

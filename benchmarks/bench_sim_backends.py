@@ -7,7 +7,7 @@ Verifies a lowered multi-controlled Toffoli and times each path:
   applied to every one of the ``d^n`` basis states in a pure-Python loop;
 * ``vectorized table`` — the composed whole-basis gather table;
 * ``statevector[<backend>]`` — a uniform state through every registered
-  engine (``available_backends()``: dense, sparse, streaming).
+  engine (``available_backends()``: dense, sparse).
 
 The vectorized table must equal the legacy one, every engine must produce
 identical statevector amplitudes and pass the same ``verify.assert_*``

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Segment fusion and streaming-memory benchmark (PR-6).
+"""Segment fusion and memory-budget benchmark.
 
 Two guarded measurements:
 
@@ -7,12 +7,16 @@ Two guarded measurements:
   the segment-fused ``dense.apply_table`` (the whole permutation circuit
   collapses to a single composed gather) vs the pre-fusion per-op walk
   (one gather per table row, reproduced verbatim below).  Floor: 3x.
-* **dense_over_streaming_rss** — peak resident-set growth of evolving a
-  batched statevector through ``dense`` vs ``streaming`` under a small
-  byte budget.  Each side runs in a fresh subprocess (``--worker``) because
-  ``ru_maxrss`` is a process-lifetime high-water mark; the input state is
-  allocated and touched *before* the baseline sample so only the engine's
-  own working set is attributed.  Floor: dense grows at least 2x more.
+* **dense_over_streaming_rss** (named for the ``streaming`` engine whose
+  kernels the budgeted dense engine now runs) — peak resident-set growth
+  of evolving a batched statevector through the dense engine without a
+  budget vs under a small byte budget (``DenseBackend(memory_budget=...)``,
+  which tiles and spills to memmap scratch).  Each side runs in a fresh subprocess
+  (``--worker``) because ``ru_maxrss`` is a process-lifetime high-water
+  mark; the input state and the composed gathers are allocated and touched
+  *before* the baseline sample so only the kernels' own working set is
+  attributed (the budget does not bound composition).  Floor: the
+  unbudgeted engine grows at least 2x more.
 
 Usage::
 
@@ -43,7 +47,7 @@ from repro import lower_to_g_gates, synthesize_mct
 from repro.bench import render_table
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.gates import XPlus
-from repro.sim import StreamingBackend, get_backend
+from repro.sim import DenseBackend, get_backend
 
 FUSION_SPEEDUP_FLOOR = 3.0
 RSS_RATIO_FLOOR = 2.0
@@ -98,12 +102,12 @@ def measure_fusion(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Memory: dense vs streaming peak RSS growth, one subprocess per engine
+# Memory: unbudgeted vs budgeted peak RSS growth, one subprocess per engine
 # ----------------------------------------------------------------------
 def memory_case(quick: bool) -> dict:
     # Few distinct (gate, target) forms: the per-op permutation tables the
     # composition walks are shared cache entries on both sides, so the RSS
-    # difference isolates the engines' own scratch arrays.
+    # difference isolates the kernels' own scratch arrays.
     return {
         "dim": 3,
         "num_wires": 10 if quick else 12,
@@ -124,12 +128,13 @@ def build_memory_circuit(case: dict) -> QuditCircuit:
 def run_worker(engine_name: str, case: dict) -> int:
     """Apply the probe circuit; print the engine's peak RSS growth (bytes).
 
-    Everything both engines share — the composed segment gathers, the
+    ``engine_name`` is ``"dense"`` (no budget) or ``"budgeted"`` (the case's
+    budget).  Everything both share — the composed segment gathers, the
     per-op permutation tables, the input state — is allocated and touched
     *before* the baseline watermark, and the input is filled in place
     (``standard_normal(out=...)``, no float temporaries), so the reported
-    growth is the engine's own scratch: the full output array for dense,
-    the tile working set for streaming.
+    growth is the kernels' own scratch: the full output array without a
+    budget, the tile working set under one.
     """
     from repro.ir.segment import segment_table
 
@@ -143,8 +148,8 @@ def run_worker(engine_name: str, case: dict) -> int:
     rng = np.random.default_rng(1)
     data = np.empty((size, case["batch"]), dtype=complex)
     rng.standard_normal(out=data.view(np.float64))
-    if engine_name == "streaming":
-        engine = StreamingBackend(case["budget"])
+    if engine_name == "budgeted":
+        engine = DenseBackend(memory_budget=case["budget"])
     else:
         engine = get_backend(engine_name)
     rss0 = peak_rss_bytes()  # engine work starts here
@@ -158,7 +163,7 @@ def run_worker(engine_name: str, case: dict) -> int:
 def measure_memory(case: dict) -> dict:
     growth = {}
     checksums = {}
-    for engine_name in ("dense", "streaming"):
+    for engine_name in ("dense", "budgeted"):
         process = subprocess.run(
             [
                 sys.executable,
@@ -175,17 +180,17 @@ def measure_memory(case: dict) -> dict:
         payload = json.loads(process.stdout.strip().splitlines()[-1])
         growth[engine_name] = payload["rss_growth_bytes"]
         checksums[engine_name] = payload["checksum"]
-    if not np.allclose(checksums["dense"], checksums["streaming"], atol=1e-9):
-        raise SystemExit("FAIL: dense and streaming workers disagree on the state")
-    # Streaming's measured growth can undershoot its budget (dropped pages,
+    if not np.allclose(checksums["dense"], checksums["budgeted"], atol=1e-9):
+        raise SystemExit("FAIL: the unbudgeted and budgeted workers disagree on the state")
+    # The budgeted growth can undershoot its budget (dropped pages,
     # allocator headroom); clamping the denominator to the budget — the
-    # residency bound the engine claims — keeps the ratio conservative.
+    # bound the kernels claim — keeps the ratio conservative.
     return {
         **case,
         "state_bytes": (case["dim"] ** case["num_wires"]) * case["batch"] * 16,
         "dense_rss_growth_bytes": growth["dense"],
-        "streaming_rss_growth_bytes": growth["streaming"],
-        "dense_over_streaming_rss": growth["dense"] / max(growth["streaming"], case["budget"]),
+        "budgeted_rss_growth_bytes": growth["budgeted"],
+        "dense_over_streaming_rss": growth["dense"] / max(growth["budgeted"], case["budget"]),
     }
 
 
@@ -215,13 +220,13 @@ def main() -> int:
             "bytes": memory["dense_rss_growth_bytes"],
         },
         {
-            "measurement": f"streaming RSS growth (budget {memory['budget']})",
-            "bytes": memory["streaming_rss_growth_bytes"],
+            "measurement": f"dense RSS growth (memory_budget {memory['budget']})",
+            "bytes": memory["budgeted_rss_growth_bytes"],
         },
     ]
     title = (
-        f"Streaming simulation: fusion {fusion['fusion_speedup']:.1f}x, "
-        f"dense/streaming RSS {memory['dense_over_streaming_rss']:.1f}x"
+        f"Segment fusion and memory budget: fusion {fusion['fusion_speedup']:.1f}x, "
+        f"unbudgeted/budgeted RSS {memory['dense_over_streaming_rss']:.1f}x"
     )
     stem = "streaming_sim_quick" if args.quick else "streaming_sim"
     emit_table(stem, render_table(rows, title=title))
@@ -246,7 +251,7 @@ def main() -> int:
         )
     if memory["dense_over_streaming_rss"] < RSS_RATIO_FLOOR:
         failures.append(
-            f"dense/streaming RSS {memory['dense_over_streaming_rss']:.1f}x "
+            f"unbudgeted/budgeted RSS {memory['dense_over_streaming_rss']:.1f}x "
             f"< {RSS_RATIO_FLOOR}x"
         )
     for failure in failures:

@@ -5,8 +5,9 @@
 without extension) to either the minimum acceptable speedup ratio (a bare
 number, read from the result's headline ``speedup``) or an object of
 ``{metric: minimum}`` pairs checked against the result's top-level fields
-(e.g. the streaming benchmark guards both ``fusion_speedup`` and
-``dense_over_streaming_rss``).  After the smoke benchmarks run in CI, this
+(e.g. the segment fusion and memory-budget benchmark guards both
+``fusion_speedup`` and ``dense_over_streaming_rss``).  After the smoke
+benchmarks run in CI, this
 script fails the job if any produced ratio regressed below its floor::
 
     PYTHONPATH=src python benchmarks/bench_ir_tables.py --quick

@@ -18,7 +18,10 @@ a small mixed workload through the HTTP front end via
   (``repro.sim.unitary.OPERATOR_MAX_STATES``) returns outputs other than
   X01 on the target exactly when every control is 0, or a ``sim_path``
   other than ``"operator"`` (3^3 states, sent twice) or ``"dense"``
-  (3^6 states);
+  (3^6 states, once without and once with a ``"memory_budget"``, which
+  tiles the dense engine);
+* a simulate naming ``"backend": "streaming"`` (no such engine) is not
+  answered 400, or the 400 is not the only rejected request;
 * a ``mcu-exponential`` d=3 k=3 synthesize with ``"verify": "standard"``
   does not read ``verified``;
 * the sequential submits, each asking for ``Connection: keep-alive``,
@@ -87,7 +90,16 @@ PATH_SUBMITS = tuple(
         ("mcu-exponential", 2, "operator"), ("mcu-exponential", 2, "operator"),
         ("mcu-exponential", 5, "dense"),
     )
+) + (
+    # The dense engine under a 4 KiB budget: 3^6 states (11.7 KiB) in tiles.
+    ({"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 5,
+      "states": [[0] * 5 + [1], [0] * 5 + [2], [1] + [0] * 5], "memory_budget": "4K"},
+     "dense"),
 )
+
+#: A simulate on an engine the daemon does not have: answered 400.
+UNKNOWN_BACKEND_SUBMIT = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
+                          "backend": "streaming"}
 
 #: The fast path and the cap of each strategy's simulates.
 FAST_PATHS = {"mct": ("gather", GATHER_MAX_STATES),
@@ -233,6 +245,10 @@ def main() -> None:
                 check(row.get("sim_path") == path,
                       f"sim_path {row.get('sim_path')!r} != {path!r} on {basis} states")
 
+            status, payload = client.submit({"requests": [UNKNOWN_BACKEND_SUBMIT]})
+            check(status == 400 and "unknown backend 'streaming'" in payload.get("error", ""),
+                  f"a simulate on backend 'streaming' answered {status}: {payload}")
+
             status, payload = client.submit({"requests": [VERIFY_SUBMIT]})
             check(status == 200 and payload.get("ok") is True,
                   f"verified synthesize answered {status}: {payload}")
@@ -251,6 +267,8 @@ def main() -> None:
             check(requests["completed"] == expected,
                   f"completed {requests['completed']} != accepted {expected}")
             check(requests["failed"] == 0, f"failed rows: {requests}")
+            check(requests["rejected"]["bad_request"] == 1,
+                  f"rejected requests {requests['rejected']} != the one unknown backend")
             hit_rate = metrics["cache"].get("hit_rate")
             check(hit_rate is not None and hit_rate > 0.0,
                   f"warm resubmits produced no cache hits: {metrics['cache']}")

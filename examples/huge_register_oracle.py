@@ -3,7 +3,8 @@
 
 An 18-control ternary Toffoli acts on 19 qutrits — a basis of
 ``3^19 = 1,162,261,467`` states, i.e. a ~18.6 GB complex statevector that
-neither the ``dense`` nor the ``streaming`` engine can realistically evolve.
+the ``dense`` engine cannot realistically evolve, with or without a memory
+budget.
 The circuit is a *permutation*, though, and its action on any particular
 input touches exactly one amplitude, so three O(nnz) paths run it instantly:
 

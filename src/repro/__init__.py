@@ -21,8 +21,9 @@ Simulation backends and the pass pipeline
 -----------------------------------------
 The simulators are vectorized and backend-pluggable: pass
 ``backend="dense"`` (flat gather tables, the default), ``backend="sparse"``
-(nonzero amplitudes only) or ``backend="streaming"`` (memory-tiled) to
-:class:`sim.Statevector`, :func:`sim.circuit_unitary` and the unitary
+(nonzero amplitudes only) or a configured engine such as
+``sim.DenseBackend(memory_budget="8M")`` (the dense kernels, memory-tiled)
+to :class:`sim.Statevector`, :func:`sim.circuit_unitary` and the unitary
 ``verify.assert_*`` helpers; ``sim.available_backends()`` lists the
 registered engines.
 
@@ -33,7 +34,7 @@ peephole cleanups that only ever shrink gate counts) is the reference that
 >>> from repro import lower_to_g_gates
 >>> from repro.passes import default_lowering_pipeline
 >>> lowered = lower_to_g_gates(result.circuit)          # same API as always
->>> state = sim.Statevector(5, 3, backend="streaming")  # pick an engine
+>>> state = sim.Statevector(5, 3, backend="sparse")     # pick an engine
 
 Columnar IR (struct-of-arrays gate tables)
 ------------------------------------------

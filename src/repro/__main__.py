@@ -12,7 +12,7 @@ Quick scenario exploration over the synthesis registry:
 * ``python -m repro simulate mct 3 6 --backend sparse --state 0,0,0,0,0,0,2``
   — build, lower and actually run a circuit on a chosen basis state through
   a simulation backend (``--backend`` offers every registered engine;
-  ``--backend streaming --memory-budget 8M`` runs memory-tiled).
+  ``--memory-budget 8M`` tiles the ``dense`` engine under a byte budget).
 * ``python -m repro fuzz --time-budget 20 --seed 0 --json`` — differential
   fuzzing: seeded random circuits, synthesis instances and pass pipelines
   through every redundant path (see :mod:`repro.fuzz`); exits
@@ -241,17 +241,22 @@ def _parse_state(text: str, num_wires: int, dim: int) -> List[int]:
     return digits
 
 
+def _check_memory_budget(args) -> None:
+    """``--memory-budget`` tiles the dense engine; refuse it beside another."""
+    if args.memory_budget is not None and args.backend not in (None, "dense"):
+        raise SynthesisError(
+            f"--memory-budget applies to the dense backend only, got --backend {args.backend}"
+        )
+
+
 def _cmd_simulate(args) -> int:
     from repro.core.lowering import lower_to_g_gates
-    from repro.sim import Statevector, StreamingBackend, available_backends, get_backend
+    from repro.sim import DenseBackend, Statevector, available_backends, get_backend
 
-    backend = get_backend(args.backend)  # fail fast on unknown names
+    _check_memory_budget(args)
+    backend = get_backend(args.backend)
     if args.memory_budget is not None:
-        if args.backend != "streaming":
-            raise SynthesisError(
-                f"--memory-budget needs --backend streaming, got {args.backend!r}"
-            )
-        backend = StreamingBackend(args.memory_budget)
+        backend = DenseBackend(memory_budget=args.memory_budget)
     if args.name == "auto":
         strategy = auto_select(args.d, args.k, budget=_budget_from_args(args)).strategy
         print(f"auto dispatch picked: {strategy.name}")
@@ -304,10 +309,11 @@ def _cmd_batch(args) -> int:
     from repro.exec import WorkloadRequest, WorkloadSpec, run_workload
     from repro.sim import parse_memory_budget
 
+    _check_memory_budget(args)
     spec = WorkloadSpec.from_json(args.workload)
     if args.backend is not None or args.memory_budget is not None:
-        # CLI-level defaults: fill in simulate requests that did not choose
-        # their own backend / budget in the spec (explicit fields win).
+        # CLI-level defaults: fill in simulate requests that kept the dense
+        # default and set no budget in the spec (explicit fields win).
         # Patched requests are parsed again, so they pass the same checks.
         budget = (
             parse_memory_budget(args.memory_budget)
@@ -316,11 +322,15 @@ def _cmd_batch(args) -> int:
         )
         patched = []
         for index, request in enumerate(spec.requests):
-            if request.kind == "simulate":
+            if (
+                request.kind == "simulate"
+                and request.backend == "dense"
+                and request.memory_budget is None
+            ):
                 raw = request.to_dict()
-                if args.backend is not None and request.backend == "dense":
+                if args.backend is not None:
                     raw["backend"] = args.backend
-                if budget is not None and request.memory_budget is None:
+                if budget is not None:
                     raw["memory_budget"] = budget
                 request = WorkloadRequest.from_dict(raw, index)
             patched.append(request)
@@ -532,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--memory-budget",
         default=None,
-        help='streaming backend byte budget, e.g. "8M", "512K", 4096 '
-        "(needs --backend streaming)",
+        help='tile the dense engine under this byte budget, e.g. "8M", "512K", 4096',
     )
     p_sim.add_argument(
         "--state", help="input basis state digits, e.g. 0,0,1,2 (default: all zeros)"
@@ -562,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--memory-budget",
         default=None,
-        help='default streaming byte budget (e.g. "8M") for simulate requests '
-        "that set none",
+        help='default byte budget (e.g. "8M") for simulate requests that run on '
+        "dense and set none",
     )
     p_batch.add_argument("--report", help="also write the JSON report to this path")
     p_batch.add_argument("--json", action="store_true", help="emit JSON on stdout")

@@ -7,7 +7,7 @@ A *workload* is a JSON list of requests against the synthesis service::
         {"kind": "simulate",  "strategy": "mct", "d": 3, "k": 5,
          "states": [[0,0,0,0,0,1], [0,0,0,0,0,2]], "backend": "dense"},
         {"kind": "simulate",  "strategy": "mct", "d": 3, "k": 5,
-         "backend": "streaming", "memory_budget": "8M"},
+         "memory_budget": "8M"},
         {"kind": "estimate",  "strategy": "mct", "d": 5, "k": 100000}
     ]}
 
@@ -31,7 +31,8 @@ propagation through every row above that.  Any other circuit on the
 ``dense`` backend reads the columns of the dense operator its table holds
 up to :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states, and
 otherwise runs as a :class:`~repro.sim.batch.BatchedStatevector` on the
-requested backend.  Each simulate row names the path it took in
+requested backend (on ``dense`` under the request's ``memory_budget``, if
+it sets one).  Each simulate row names the path it took in
 ``"sim_path"``.
 """
 
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ReproError, WorkloadError
+from repro.exceptions import GateError, ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.service import CompileOutcome, compile_lowered, lowered_key
@@ -95,10 +96,11 @@ class WorkloadRequest:
     backend: str = "dense"
     #: Basis states to simulate, as digit rows (simulate only; default |0...0⟩).
     states: Tuple[Tuple[int, ...], ...] = ()
-    #: Byte budget for the ``streaming`` backend (simulate only, needs
-    #: ``backend="streaming"``; accepts ``"8M"``-style strings in the JSON,
-    #: normalised to bytes here).  On a permutation circuit it also caps the
-    #: whole-basis gather at ``8 * d**n`` bytes.
+    #: Byte budget of the ``dense`` engine (simulate on ``dense`` only;
+    #: accepts ``"8M"``-style strings in the JSON, normalised to bytes
+    #: here): a statevector simulate runs on
+    #: ``DenseBackend(memory_budget=...)``.  On a permutation circuit it
+    #: also caps the whole-basis gather at ``8 * d**n`` bytes.
     memory_budget: Optional[int] = None
     #: Verification level: a budget preset name (``smoke``/``standard``/
     #: ``audit``) — the circuit the row is served from (the cached table) is
@@ -167,7 +169,7 @@ class WorkloadRequest:
                     f"wires, and {dim}^{wires} basis states exceed the int64 flat-index "
                     "range (2^63 - 1) that simulate and verify address"
                 )
-        from repro.sim import available_backends
+        from repro.sim import available_backends, parse_memory_budget
 
         backend = raw.get("backend", "dense")
         if backend not in available_backends():
@@ -181,14 +183,11 @@ class WorkloadRequest:
                 raise WorkloadError(
                     f"request {index}: memory_budget only applies to simulate requests"
                 )
-            if backend != "streaming":
+            if backend != "dense":
                 raise WorkloadError(
-                    f'request {index}: memory_budget needs "backend": "streaming", '
-                    f"got {backend!r}"
+                    f'request {index}: memory_budget applies to the "dense" backend '
+                    f"only, got {backend!r}"
                 )
-            from repro.exceptions import GateError
-            from repro.sim.streaming import parse_memory_budget
-
             try:
                 memory_budget = parse_memory_budget(memory_budget)
             except GateError as error:
@@ -480,7 +479,6 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
     :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states), otherwise
     the backend's name.
     """
-    from repro.sim.unitary import held_operator
     from repro.utils.indexing import digits_to_index, indices_to_digits
 
     rows = request.states or ((0,) * circuit.num_wires,)
@@ -507,33 +505,23 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
         else:
             images, path = table.apply_to_indices(indices), "propagate"
     else:
-        operator = None
-        if request.memory_budget is None:
-            operator = held_operator(circuit, request.backend)
+        from repro.sim import BatchedStatevector, DenseBackend, get_backend
+        from repro.sim.unitary import held_operator
+
+        engine = get_backend(request.backend)
+        if request.memory_budget is not None:  # from_dict: the backend is dense
+            engine = DenseBackend(memory_budget=request.memory_budget)
+        operator = held_operator(circuit, engine)
         if operator is None:
-            return _simulate_statevector(request, circuit, rows)
+            batch = BatchedStatevector.from_basis_states(list(rows), request.dim, backend=engine)
+            batch.apply_circuit(circuit)
+            return ["".join(map(str, row)) for row in batch.most_probable()], request.backend
         # Column i is |i⟩ evolved: its most probable row, as
         # BatchedStatevector.most_probable() picks it.
         images = np.argmax(np.abs(operator[:, indices]) ** 2, axis=0)
         path = "operator"
     digits = indices_to_digits(images, request.dim, circuit.num_wires)
     return ["".join(str(int(x)) for x in row) for row in digits], path
-
-
-def _simulate_statevector(request: WorkloadRequest, circuit, rows) -> Tuple[List[str], str]:
-    """Evolve ``rows`` as a batched statevector on the request's backend."""
-    from repro.sim import BatchedStatevector, get_backend
-
-    backend = get_backend(request.backend)
-    if request.memory_budget is not None:  # from_dict: backend is streaming
-        from repro.sim.streaming import StreamingBackend
-
-        backend = StreamingBackend(request.memory_budget)
-    batch = BatchedStatevector.from_basis_states(
-        list(rows), request.dim, backend=backend
-    )
-    batch.apply_circuit(circuit)
-    return ["".join(map(str, digits)) for digits in batch.most_probable()], request.backend
 
 
 # ----------------------------------------------------------------------

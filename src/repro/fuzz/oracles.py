@@ -17,8 +17,9 @@ Oracles
     agrees with the object implementation.
 ``backends``
     every registered simulation engine (``available_backends()`` — dense,
-    sparse, streaming, anything registered by the caller) through
-    ``apply_table`` vs. the dense engine's op-by-op ``apply_op`` walk;
+    sparse, anything registered by the caller) and the dense engine under a
+    4 KiB memory budget through ``apply_table`` vs. the dense engine's
+    op-by-op ``apply_op`` walk;
     for permutation circuits the table's whole-basis gather vs. one
     composed op by op from each op's ``permutation_table`` and vs. the
     scalar ``apply_to_basis`` path, and for the others the dense operator
@@ -65,7 +66,7 @@ from repro.passes import PassPipeline, default_lowering_pipeline
 from repro.qudit.circuit import QuditCircuit
 from repro.qudit.operations import Operation, StarShiftOp
 from repro.resources.estimator import METRIC_FIELDS
-from repro.sim import available_backends, get_backend
+from repro.sim import DenseBackend, available_backends, get_backend
 from repro.sim.permutation import apply_to_basis, permutation_index_table
 from repro.sim.unitary import held_operator
 from repro.verify import VerificationBudget
@@ -266,12 +267,21 @@ def _random_state(dim: int, num_wires: int, seed: int) -> np.ndarray:
     return data / np.linalg.norm(data)
 
 
+#: The budgeted engine :func:`check_backends` runs beside the registered
+#: ones: a state of more than 128 amplitudes is tiled (128 basis rows per
+#: gather tile, a fraction of the cube per einsum block), and one of more
+#: than 256 is memmap scratch.  A one-row budget (16 bytes) made the oracle
+#: about 20x slower, since every tile flushes the whole memmap;
+#: ``tests/test_memory_budget.py`` checks one-row tiles bit for bit.
+TILED_DENSE = DenseBackend(memory_budget=4096)
+
+
 def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
     """Every *registered* simulation path agrees on a random state.
 
     The oracle iterates :func:`repro.sim.backend.available_backends`, so a
-    backend registered after import (``streaming`` with a tiny budget, a
-    user's custom engine) is fuzzed automatically — its fused
+    backend registered after import (a user's custom engine) is fuzzed
+    automatically, and runs :data:`TILED_DENSE` beside them — each fused
     ``apply_table`` path against the object-level reference: the dense
     engine's ``apply_op`` walk over the circuit's ops.  Every engine's
     ``apply_circuit`` goes through the same table, so the walk and a gather
@@ -285,8 +295,10 @@ def check_backends(circuit: QuditCircuit, state_seed: int) -> Optional[str]:
     for op in plain:
         reference = dense.apply_op(reference, op, circuit.dim, circuit.num_wires)
     table = circuit.to_table()
-    for backend_name in available_backends():
-        evolved = np.asarray(get_backend(backend_name).apply_table(data.copy(), table))
+    engines = {name: get_backend(name) for name in available_backends()}
+    engines[f"dense (memory_budget={TILED_DENSE.memory_budget})"] = TILED_DENSE
+    for backend_name, engine in engines.items():
+        evolved = np.asarray(engine.apply_table(data.copy(), table))
         if not np.allclose(evolved, reference, atol=1e-9):
             deviation = float(np.max(np.abs(evolved - reference)))
             return (

@@ -18,8 +18,8 @@ segment.
 Conventions (matching ``BaseOp.permutation_table``): the *forward* table
 ``g`` maps basis state ``i`` to its image ``g[i]``, so a statevector evolves
 by scatter ``new[g] = old``.  The *inverse* table is the gather form
-``new[j] = old[g_inv[j]]`` — sequential writes, which is what the streaming
-backend tiles over.
+``new[j] = old[g_inv[j]]`` — sequential writes, which is what the dense
+engine tiles over under a memory budget.
 """
 
 from __future__ import annotations

@@ -1,27 +1,22 @@
 """Simulators for qudit circuits.
 
 The simulation engines live in :mod:`repro.sim.backend` and are selected by
-name (``"dense"``, ``"sparse"``, ``"streaming"``; :func:`available_backends`
-lists them) wherever a ``backend=`` parameter appears —
-:class:`Statevector`, :func:`circuit_unitary` and the unitary checks of
-:mod:`repro.verify`, which checks circuits on these simulators (this package
-imports nothing from it).
+name (``"dense"`` or ``"sparse"``; :func:`available_backends` lists them) or
+passed as configured instances — ``DenseBackend(memory_budget="8M")`` tiles
+the dense kernels under a byte budget — wherever a ``backend=`` parameter
+appears: :class:`Statevector`, :func:`circuit_unitary` and the unitary
+checks of :mod:`repro.verify`, which checks circuits on these simulators
+(this package imports nothing from it).
 """
 
 from repro.sim.backend import (
     DenseBackend,
     SimulationBackend,
     available_backends,
-    default_backend,
     get_backend,
-    register_backend,
-    set_default_backend,
-    unregister_backend,
-)
-from repro.sim.streaming import (
-    DEFAULT_MEMORY_BUDGET,
-    StreamingBackend,
     parse_memory_budget,
+    register_backend,
+    unregister_backend,
 )
 from repro.sim.sparse import (
     MATERIALIZE_LIMIT,
@@ -49,15 +44,11 @@ __all__ = [
     "SimulationBackend",
     "SparseBackend",
     "SparseState",
-    "StreamingBackend",
-    "DEFAULT_MEMORY_BUDGET",
     "MATERIALIZE_LIMIT",
     "available_backends",
-    "default_backend",
     "get_backend",
     "parse_memory_budget",
     "register_backend",
-    "set_default_backend",
     "unregister_backend",
     "apply_to_basis",
     "function_table",

@@ -325,13 +325,8 @@ class SparseBackend(SimulationBackend):
                     data = self._expand_unitary_row(data, segment.op())
                     if data.nnz > threshold:
                         data = self._densify(data)
-            elif segment.kind == "perm":
-                gather = segment.index_table()
-                out = np.empty_like(data)
-                out[gather] = data
-                data = out
             else:
-                data = _DENSE._apply_unitary(data, segment.op(), dim, num_wires)
+                data = _DENSE.apply_segment(data, segment, dim, num_wires)
         return data
 
     def _map_permutation_rows(self, state: SparseState, rows) -> SparseState:

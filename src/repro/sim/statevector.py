@@ -25,12 +25,12 @@ class Statevector:
     """A dense statevector over ``num_wires`` qudits of dimension ``dim``.
 
     ``backend`` selects the simulation engine by name (``"dense"``,
-    ``"sparse"``, ``"streaming"``, or any name registered through
+    ``"sparse"``, or any name registered through
     :func:`repro.sim.backend.register_backend`), or accepts a configured
-    instance directly — e.g. ``StreamingBackend("8M")`` to evolve a state
-    larger than a byte budget out-of-core; ``None`` uses the process
-    default.  :attr:`nbytes` reports the amplitude footprint the engines'
-    memory models are expressed in (see README "Simulation backends").
+    instance directly — e.g. ``DenseBackend(memory_budget="8M")`` to evolve
+    a state larger than a byte budget out-of-core; ``None`` is ``"dense"``.
+    :attr:`nbytes` reports the amplitude footprint the engines' memory
+    models are expressed in (see README "Simulation backends").
     """
 
     def __init__(
@@ -87,8 +87,8 @@ class Statevector:
     @property
     def nbytes(self) -> int:
         """Amplitude bytes (``16·dⁿ``) — the ``S`` of the backend memory
-        models; compare against a streaming ``memory_budget`` to predict
-        whether evolution stays in RAM."""
+        models; compare against a dense engine's ``memory_budget`` to
+        predict whether evolution stays in RAM."""
         return int(self.data.nbytes)
 
     # ------------------------------------------------------------------

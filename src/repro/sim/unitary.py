@@ -71,12 +71,14 @@ def held_operator(circuit: QuditCircuit, backend: BackendLike = None) -> Optiona
     resolves to the dense engine, composing it on first use and holding it
     on the circuit's :class:`~repro.ir.table.GateTable`, so every
     :meth:`~repro.qudit.circuit.QuditCircuit.from_table` view of one cached
-    table shares it.  Any other circuit or engine gets ``None`` and holds
-    nothing.
+    table shares it.  Any other circuit or engine, a budgeted
+    :class:`~repro.sim.backend.DenseBackend` included, gets ``None`` and
+    holds nothing.
     """
     if circuit.dim**circuit.num_wires > OPERATOR_MAX_STATES:
         return None
-    if type(get_backend(backend)) is not DenseBackend:
+    engine = get_backend(backend)
+    if type(engine) is not DenseBackend or engine.memory_budget is not None:
         return None
     table = circuit.to_table()
     if table.is_permutation:
@@ -94,7 +96,7 @@ def circuit_unitary(circuit: QuditCircuit, *, backend: BackendLike = None) -> np
     """Return the dense unitary matrix implemented by ``circuit``.
 
     ``backend`` selects the simulation engine used for non-permutation
-    circuits (``None`` uses the process default).  Up to
+    circuits (``None`` is ``"dense"``).  Up to
     :data:`OPERATOR_MAX_STATES` basis states the dense engine's result is
     the array the circuit's table holds (:func:`held_operator`): composed
     once, shared by every caller and read-only.  Any other engine, and any

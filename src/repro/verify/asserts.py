@@ -140,7 +140,7 @@ def assert_unitary_equiv(
 
     A dense compare up to ``max_dense_dim`` basis states, sampled columns of
     ``expected`` above it.  ``backend`` selects the simulation engine used
-    to evolve the circuit (``None`` uses the process default).
+    to evolve the circuit (``None`` is ``"dense"``).
     """
     return _verified(
         TieredVerifier(budget).verify_unitary(

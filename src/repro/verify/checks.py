@@ -168,16 +168,21 @@ def _basis_images(circuit, states: np.ndarray) -> np.ndarray:
     return indices_to_digits(images, dim, num_wires)
 
 
-def _first_divergence(
-    spec: Spec, states: np.ndarray, images: np.ndarray
-) -> Optional[Tuple[int, BasisState, BasisState, BasisState]]:
-    """``(row, state, actual, expected)`` of the first row whose image is not
-    the spec's, or ``None`` when every row agrees."""
+def _spec_images(spec: Spec, states: np.ndarray) -> np.ndarray:
+    """The spec's digit images of the ``(N, n)`` digit rows ``states``."""
     expected = np.asarray(ArraySpec.rowwise(spec).apply(states))
     if expected.shape != states.shape:
         raise VerificationError(
             f"spec mapped a {states.shape} digit matrix to shape {expected.shape}"
         )
+    return expected
+
+
+def _first_divergence(
+    states: np.ndarray, images: np.ndarray, expected: np.ndarray
+) -> Optional[Tuple[int, BasisState, BasisState, BasisState]]:
+    """``(row, state, actual, expected)`` of the first row whose image is not
+    the spec's, or ``None`` when every row agrees."""
     bad = np.flatnonzero((images != expected).any(axis=1))
     if not bad.size:
         return None
@@ -411,7 +416,10 @@ def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int
     for a circuit backed by a cached table it is the array simulate reads.
     States with a ``clean_wires`` digit off ``0`` are outside the circuit's
     contract and are masked out; the spec maps the rest in one
-    :meth:`ArraySpec.apply` call, compared against the images in one pass.
+    :meth:`ArraySpec.apply` call.  Its images are encoded to flat indices
+    and compared with the gather in one pass; only when that fails, or when
+    an image is not an integer digit in ``[0, d)`` (whose encoding could
+    alias another basis index), is the gather decoded to find the row.
     """
     dim, num_wires = circuit.dim, circuit.num_wires
     gather = permutation.permutation_index_table(circuit)
@@ -420,7 +428,15 @@ def spec_exhaustive(circuit, spec: Spec, clean_wires: Sequence[int] = ()) -> int
     if clean:
         in_contract = ~sources[:, clean].any(axis=1)
         sources, gather = sources[in_contract], gather[in_contract]
-    divergence = _first_divergence(spec, sources, indices_to_digits(gather, dim, num_wires))
+    expected = _spec_images(spec, sources)
+    if (
+        np.issubdtype(expected.dtype, np.integer)
+        and not (expected.size and (expected.min() < 0 or expected.max() >= dim))
+        and np.array_equal(_flat_indices(expected, dim, num_wires), gather)
+    ):
+        return len(sources)
+    images = indices_to_digits(gather, dim, num_wires)
+    divergence = _first_divergence(sources, images, expected)
     if divergence is not None:
         _, state, actual, expected = divergence
         raise VerificationError(
@@ -449,7 +465,7 @@ def spec_sampled(
     states = _sample_digits(circuit.dim, circuit.num_wires, samples, seed, clean)
     images = _basis_images(circuit, states)
     recipe = sample_recipe(circuit.dim, circuit.num_wires, samples, seed, clean)
-    divergence = _first_divergence(spec, states, images)
+    divergence = _first_divergence(states, images, _spec_images(spec, states))
     if divergence is not None:
         row, state, actual, expected = divergence
         raise VerificationError(
@@ -478,15 +494,18 @@ def wires_preserved_exhaustive(circuit, wires: Sequence[int]) -> int:
     """Whole-basis check that ``circuit`` restores the watched wires.
 
     Every basis state is compared with its image under the circuit's
-    whole-basis gather, the one :func:`spec_exhaustive` reads.
+    whole-basis gather, the one :func:`spec_exhaustive` reads: only the
+    watched wires' digits are decoded, and the whole gather only to name
+    the first row that moves one.
     """
     dim, num_wires = circuit.dim, circuit.num_wires
-    sources = digit_matrix(dim, num_wires)
-    images = indices_to_digits(permutation.permutation_index_table(circuit), dim, num_wires)
-    moved = _moved_wires(circuit, wires, sources, images)
-    if moved is not None:
-        raise VerificationError(moved[1])
-    return len(sources)
+    gather = permutation.permutation_index_table(circuit)
+    strides = dim ** (num_wires - 1 - np.arange(num_wires)[list(wires)])
+    sources = np.arange(gather.size)[:, None]
+    if np.array_equal(gather[:, None] // strides % dim, sources // strides % dim):
+        return gather.size
+    images = indices_to_digits(gather, dim, num_wires)
+    raise VerificationError(_moved_wires(circuit, wires, digit_matrix(dim, num_wires), images)[1])
 
 
 def wires_preserved_sampled(
@@ -595,7 +614,8 @@ def unitary_columns(
     would accept circuits that differ by a non-global diagonal.  A circuit
     whose table holds its dense operator
     (:func:`~repro.sim.unitary.held_operator`) has the columns read from it
-    instead of evolved.
+    instead of evolved.  The columns are compared as one block; only when
+    that fails are they walked one by one to name the first failing column.
     """
     size = require_int64_basis(circuit.dim, circuit.num_wires, "sampled-column check")
     rng = np.random.default_rng(seed)
@@ -618,40 +638,75 @@ def unitary_columns(
         f"unitary_columns(circuit, expected_column, samples={samples}, "
         f"required_columns={tuple(int(c) for c in pinned.tolist())}, seed={seed})"
     )
-    phase = None
+    block = np.empty((size, columns.size), dtype=complex)
+
+    def raise_first_failure(stop: int) -> None:
+        """Walk the first ``stop`` columns in order; raise for the first
+        that fails."""
+        phase = None
+        for b, col in enumerate(columns[:stop].tolist()):
+            expected = block[:, b]
+            actual = evolved[:, b]
+            if up_to_global_phase:
+                index = int(np.argmax(np.abs(expected)))
+                if abs(actual[index]) < atol:
+                    raise VerificationError(
+                        f"cannot align global phase on column {col}: mismatched support"
+                    )
+                column_phase = _alignment_phase(
+                    expected[index], actual[index], atol, f" on column {col}"
+                )
+                if phase is None:
+                    phase = column_phase
+                elif abs(column_phase - phase) > 10 * atol:
+                    raise VerificationError(
+                        f"circuit {circuit.name!r} phase on column {col} disagrees with "
+                        f"column {int(columns[0])} — not a global phase "
+                        f"(sampled-column check, seed={seed})"
+                    )
+                actual = actual * phase
+            if not np.allclose(actual, expected, atol=atol):
+                deviation = float(np.max(np.abs(actual - expected)))
+                raise VerificationError(
+                    f"circuit {circuit.name!r} column {col} deviates from the expected "
+                    f"unitary column by {deviation:.3e} (sampled-column check, "
+                    f"seed={seed}, {columns.size} columns)"
+                )
+
     for b, col in enumerate(columns.tolist()):
         expected = np.asarray(expected_column(int(col)), dtype=complex).reshape(-1)
         if expected.shape != (size,):
+            raise_first_failure(b)  # an earlier column's failure comes first
             raise VerificationError(
                 f"expected_column({col}) returned shape {expected.shape}, want ({size},)"
             )
-        actual = evolved[:, b]
-        if up_to_global_phase:
-            index = int(np.argmax(np.abs(expected)))
-            if abs(actual[index]) < atol:
-                raise VerificationError(
-                    f"cannot align global phase on column {col}: mismatched support"
-                )
-            column_phase = _alignment_phase(
-                expected[index], actual[index], atol, f" on column {col}"
-            )
-            if phase is None:
-                phase = column_phase
-            elif abs(column_phase - phase) > 10 * atol:
-                raise VerificationError(
-                    f"circuit {circuit.name!r} phase on column {col} disagrees with "
-                    f"column {int(columns[0])} — not a global phase "
-                    f"(sampled-column check, seed={seed})"
-                )
-            actual = actual * phase
-        if not np.allclose(actual, expected, atol=atol):
-            deviation = float(np.max(np.abs(actual - expected)))
-            raise VerificationError(
-                f"circuit {circuit.name!r} column {col} deviates from the expected "
-                f"unitary column by {deviation:.3e} (sampled-column check, "
-                f"seed={seed}, {columns.size} columns)"
-            )
+        block[:, b] = expected
+    if not _columns_agree(evolved, block, atol, up_to_global_phase):
+        raise_first_failure(columns.size)
     return int(columns.size), recipe
+
+
+def _columns_agree(
+    evolved: np.ndarray, expected: np.ndarray, atol: float, up_to_global_phase: bool
+) -> bool:
+    """Whether every sampled column passes, compared as one block: under a
+    global phase each column's alignment factor (at its largest expected
+    entry) must exist, be a unit phase and match the first column's."""
+    if up_to_global_phase:
+        rows = np.argmax(np.abs(expected), axis=0)
+        picks = np.arange(expected.shape[1])
+        anchors = evolved[rows, picks]
+        if bool((np.abs(anchors) < atol).any()):
+            return False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phases = expected[rows, picks] / anchors
+            phase = expected[rows[0], 0] / evolved[rows[0], 0]
+        if bool((np.abs(np.abs(phases) - 1.0) > max(atol, 1e-12)).any()) or bool(
+            (np.abs(phases - phase) > 10 * atol).any()
+        ):
+            return False
+        evolved = evolved * phase
+    return bool(np.allclose(evolved, expected, atol=atol))
 
 
 def unitary_clean_subspace(

@@ -21,21 +21,21 @@ from repro.sim import (
     DenseBackend,
     SparseBackend,
     Statevector,
-    StreamingBackend,
     available_backends,
     circuit_unitary,
-    default_backend,
     get_backend,
     permutation_index_table,
     register_backend,
-    set_default_backend,
 )
 from repro.sim.backend import SimulationBackend
 from repro.sim.permutation import apply_to_basis
 from repro.utils import permutations as perm_utils
 from repro.utils.indexing import digits_to_index, iterate_basis
 
-BACKENDS = ["dense", "streaming", "sparse"]
+#: The dense engine under a budget of two basis rows of a single state:
+#: every state here is tiled and held in memmap scratch.
+BUDGETED = DenseBackend(memory_budget=64)
+BACKENDS = ["dense", BUDGETED, "sparse"]
 
 
 def reference_table(circuit):
@@ -244,17 +244,20 @@ class TestBruteForceReference:
         basis[rng.integers(size)] = 1.0
         dense = get_backend("dense")
 
-        per_op = data.copy()
+        one_row = DenseBackend(memory_budget=16)
+        per_op, tiled_per_op = data.copy(), data.copy()
         for op in circuit:
             per_op = dense.apply_op(per_op, op, dim, num_wires)
+            tiled_per_op = one_row.apply_op(tiled_per_op, op, dim, num_wires)
         table = circuit.to_table()
         paths = {
             "dense per-op": (data, per_op),
+            "dense per-op, one-row tiles": (data, tiled_per_op),
             "dense apply_table": (data, dense.apply_table(data.copy(), table)),
-            "streaming": (data, get_backend("streaming").apply_table(data.copy(), table)),
-            "streaming, one-row tiles": (
-                data, StreamingBackend(16).apply_table(data.copy(), table)
+            "dense, budget above the state": (
+                data, DenseBackend(memory_budget="1M").apply_table(data.copy(), table)
             ),
+            "dense, one-row tiles": (data, one_row.apply_table(data.copy(), table)),
             "sparse, never densified": (
                 data, SparseBackend(max_occupancy=1.0).apply_table(data.copy(), table)
             ),
@@ -280,7 +283,7 @@ class TestBruteForceReference:
 
 class TestRegistry:
     def test_available_backends(self):
-        assert available_backends() == ("dense", "sparse", "streaming")
+        assert available_backends() == ("dense", "sparse")
 
     def test_get_backend_by_name_and_instance(self):
         dense = get_backend("dense")
@@ -291,15 +294,10 @@ class TestRegistry:
         with pytest.raises(GateError):
             get_backend("sparse-permutation")
 
-    def test_set_default_backend_roundtrip(self):
-        original = default_backend()
-        try:
-            set_default_backend("streaming")
-            assert isinstance(default_backend(), StreamingBackend)
-            state = Statevector(1, 3)
-            assert state.backend is default_backend()
-        finally:
-            set_default_backend(original)
+    def test_none_means_the_registered_dense_engine(self):
+        dense = get_backend("dense")
+        assert get_backend(None) is dense and dense.memory_budget is None
+        assert Statevector(1, 3).backend is dense
 
     def test_register_custom_backend(self):
         class Echo(DenseBackend):
@@ -355,7 +353,7 @@ class TestStatevectorSatellites:
         circuit = QuditCircuit(2, 3)
         circuit.add_gate(SingleQuditUnitary(np.diag([1, -1, 1])), 1, [(0, Value(0))])
         state = Statevector.uniform(2, 3, backend="dense")
-        state.apply_circuit(circuit, backend="streaming")
+        state.apply_circuit(circuit, backend=DenseBackend(memory_budget=16))
         expected = Statevector.uniform(2, 3).apply_circuit(circuit)
         assert np.allclose(state.data, expected.data)
 

@@ -17,11 +17,23 @@ from repro.exceptions import DimensionError, GateError, WireError
 from repro.fuzz import random_circuit
 from repro.qudit.controls import Value
 from repro.qudit.operations import Operation
-from repro.sim import BatchedStatevector, Statevector, apply_to_basis_indices, get_backend
+from repro.sim import (
+    BatchedStatevector,
+    DenseBackend,
+    Statevector,
+    apply_to_basis_indices,
+    get_backend,
+)
 from repro.verify import sample_basis_states
 from repro.utils.indexing import digits_to_index
 
-BACKENDS = ("dense", "streaming", "sparse")
+#: The dense engine under a budget below one batch row of every batch here
+#: (one row of B states is 16·B bytes): one-row tiles, memmap scratch.
+BACKENDS = (
+    "dense",
+    pytest.param(DenseBackend(memory_budget=64), id="dense-budgeted"),
+    "sparse",
+)
 
 
 def _random_batch(dim, num_wires, batch, seed):

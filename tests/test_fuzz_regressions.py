@@ -16,7 +16,10 @@ minimal circuit.
 
 import json
 
+import numpy as np
+
 from repro.fuzz import fuzz_case, fuzz_run, FuzzReport
+from repro.sim import DenseBackend
 
 
 def test_seeded_smoke_block_stays_clean():
@@ -56,22 +59,38 @@ def test_single_case_replay_matches_report_contract():
     assert report.oracle_runs == {"round-trip": 1, "backends": 2, "inverse": 1}
 
 
+class CountingDense(DenseBackend):
+    """The dense engine, counting the tables it applies and the results it
+    returns in memmap scratch."""
+
+    def __init__(self, memory_budget):
+        super().__init__(memory_budget)
+        self.tables = self.memmaps = 0
+
+    def apply_table(self, data, table):
+        out = super().apply_table(data, table)
+        self.tables += 1
+        self.memmaps += isinstance(out, np.memmap)
+        return out
+
+
 def test_backends_oracle_covers_every_registered_engine():
     """The oracle's path list is registry-driven, not a hard-coded tuple.
 
-    A custom engine registered at runtime (here: streaming with a one-row
-    tile budget, the harshest tiling configuration) must be fuzzed
-    automatically by the ``backends`` oracle — per-op and fused paths both.
+    A custom engine registered at runtime (here: the dense engine with a
+    one-row tile budget, the harshest tiling configuration) must be fuzzed
+    automatically by the ``backends`` oracle on every case.
     """
-    from repro.sim import StreamingBackend, register_backend, unregister_backend
+    from repro.sim import register_backend, unregister_backend
 
-    register_backend(StreamingBackend(4096), name="tiny-streaming")
+    engine = register_backend(CountingDense(16), name="dense-one-row")
     try:
         report = fuzz_run(seed=0, max_cases=8, oracles=["backends"])
         assert report.ok, json.dumps(report.to_json(), indent=2, ensure_ascii=False)
         assert report.oracle_runs == {"backends": 16}  # 2 runs per case since PR-8
+        assert engine.tables == 8
     finally:
-        unregister_backend("tiny-streaming")
+        unregister_backend("dense-one-row")
 
 
 def test_sparse_seeded_block_stays_clean():
@@ -90,17 +109,26 @@ def test_sparse_seeded_block_stays_clean():
     assert report.oracle_runs == {"backends": 20}
 
 
-def test_streaming_seeded_block_stays_clean():
-    """Seeds 0-7, backends oracle, streaming registered with a tiny budget.
+def test_budgeted_dense_seeded_block_stays_clean(monkeypatch):
+    """Seeds 100-107, backends oracle: beside the registered engines, every
+    case runs the dense engine under the oracle's budget
+    (``oracles.TILED_DENSE``), and the block's larger states spill to
+    memmap scratch.
 
-    Pins the PR-6 segment-fusion + tiling kernels against the fuzz
-    generator's full op mix: if tiling ever drifts from dense by a single
-    bit, allclose(atol=1e-9) in the oracle still catches sign/permutation
-    bugs, and the dedicated bit-for-bit suite in
-    ``tests/test_streaming_backend.py`` catches rounding drift.
+    Pins the segment-fusion + tiling kernels against the fuzz generator's
+    full op mix: if tiling ever drifts from the unbudgeted engine,
+    allclose(atol=1e-9) in the oracle still catches sign/permutation bugs,
+    and the dedicated bit-for-bit suite in ``tests/test_memory_budget.py``
+    catches rounding drift.
     """
+    from repro.fuzz import oracles
+
+    engine = CountingDense(oracles.TILED_DENSE.memory_budget)
+    monkeypatch.setattr(oracles, "TILED_DENSE", engine)
     report = fuzz_run(seed=100, max_cases=8, oracles=["backends"])
     assert report.ok, json.dumps(report.to_json(), indent=2, ensure_ascii=False)
+    assert report.oracle_runs == {"backends": 16}
+    assert engine.tables == 8 and engine.memmaps >= 1
 
 
 def test_backends_oracle_covers_the_held_operator(monkeypatch):

@@ -18,11 +18,11 @@ import pytest
 from repro.exceptions import ReproError
 from repro.exec import CompileCache, compile_lowered, lowered_key
 from repro.exec.serialize import save_table
-from repro.exec.workload import WorkloadRequest, _simulate_statevector, execute_request
+from repro.exec.workload import WorkloadRequest, execute_request
 from repro.fuzz.generators import random_circuit
 from repro.ir.table import OP_UNITARY
 from repro.qudit.circuit import QuditCircuit
-from repro.sim import get_backend
+from repro.sim import BatchedStatevector, DenseBackend, get_backend
 from repro.sim import unitary
 from repro.sim.unitary import OPERATOR_MAX_STATES, circuit_unitary, held_operator
 from repro.synth import registry
@@ -123,7 +123,25 @@ def test_operator_simulate_returns_the_statevector_outputs(name, dim, k):
     assert row["ok"], row.get("error")
     assert row["sim_path"] == "operator"
     # The path every non-permutation simulate took before the operator.
-    assert row["outputs"] == _simulate_statevector(request, circuit, states)[0]
+    batch = BatchedStatevector.from_basis_states(list(states), dim).apply_circuit(circuit)
+    assert row["outputs"] == ["".join(map(str, digits)) for digits in batch.most_probable()]
+
+
+def test_a_budgeted_engine_holds_nothing_and_simulates_on_dense():
+    """The operator is held only for the unbudgeted dense engine: a budget
+    bounds the amplitude arrays, and a held matrix would sit outside it."""
+    circuit = compile_lowered("unitary", 3, 2).circuit.to_table().to_circuit()
+    assert held_operator(circuit, DenseBackend(memory_budget=4096)) is None
+    assert "operator" not in circuit.to_table()._cache
+    states = ((0, 0), (1, 2), (2, 1))
+    request = WorkloadRequest(kind="simulate", strategy="unitary", dim=3, k=2, states=states)
+    cache = CompileCache()
+    budgeted = execute_request(dataclasses.replace(request, memory_budget=4096), cache)
+    assert budgeted["ok"] and budgeted["sim_path"] == "dense"
+    assert budgeted["memory_budget"] == 4096
+    assert "operator" not in cache.get(lowered_key("unitary", 3, 2)).table._cache
+    row = execute_request(request, cache)
+    assert row["sim_path"] == "operator" and row["outputs"] == budgeted["outputs"]
 
 
 def counting_compose(monkeypatch):
@@ -172,7 +190,7 @@ def test_above_the_cap_and_on_other_engines_nothing_is_held():
     assert row["ok"] and row["sim_path"] == "dense"
 
     small = compile_lowered("mcu-exponential", 3, 2).circuit.to_table().to_circuit()
-    for backend in ("sparse", "streaming"):
+    for backend in ("sparse", DenseBackend(memory_budget=4096)):
         assert held_operator(small, backend) is None
         fresh = circuit_unitary(small, backend=backend)
         assert fresh.flags.writeable

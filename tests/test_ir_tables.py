@@ -6,6 +6,7 @@ object-level implementation it replaces, and the table lowering engine is
 gate-for-gate identical to the object pipeline.
 """
 
+import json
 import random
 
 import numpy as np
@@ -33,7 +34,13 @@ from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Value
 from repro.qudit.gates import XPerm, XPlus
 from repro.qudit.operations import Operation, StarShiftOp
-from repro.sim import Statevector, available_backends, get_backend, permutation_index_table
+from repro.sim import (
+    DenseBackend,
+    Statevector,
+    available_backends,
+    get_backend,
+    permutation_index_table,
+)
 from repro.sim.permutation import GATHER_MAX_STATES
 from repro.synth import registry as synth_registry
 
@@ -358,7 +365,10 @@ def test_lower_circuit_to_table_counts_without_materialising():
 # ----------------------------------------------------------------------
 # Simulation fast path
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["dense", "streaming", "sparse"])
+@pytest.mark.parametrize(
+    "backend",
+    ["dense", pytest.param(DenseBackend(memory_budget=1024), id="dense-budgeted"), "sparse"],
+)
 def test_apply_table_matches_per_op_application(backend):
     circuit = random_circuit(6, num_wires=4, dim=3, num_ops=30)
     engine = get_backend(backend)
@@ -532,7 +542,7 @@ def test_mutation_after_to_table_invalidates_through_every_entry_point():
 # CLI smoke
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "flags", [[], ["--backend", "streaming"], ["--backend", "sparse"]]
+    "flags", [[], ["--memory-budget", "64"], ["--backend", "sparse"]]
 )
 def test_cli_simulate_smoke(flags, capsys):
     from repro.__main__ import main
@@ -540,3 +550,16 @@ def test_cli_simulate_smoke(flags, capsys):
     assert main(["simulate", "mct", "3", "3", "--state", "0,0,0,1"] + flags) == 0
     out = capsys.readouterr().out
     assert "0001" in out and "0000" in out  # |0,0,0,1> -> |0,0,0,0>
+
+
+def test_cli_simulate_budget_tiles_dense_and_is_refused_beside_sparse(capsys):
+    from repro.__main__ import main
+
+    args = ["simulate", "mcu-exponential", "3", "2", "--state", "0,0,1"]
+    assert main(args + ["--memory-budget", "64", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["backend"] == "dense" and row["memory_budget"] == 64
+    assert row["output"] == "000"  # the controls are 0: X01 on the target
+    assert main(args + ["--backend", "sparse", "--memory-budget", "8M"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --memory-budget applies to the dense backend only, got --backend sparse\n"

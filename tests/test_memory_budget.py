@@ -1,9 +1,10 @@
-"""The streaming backend and the segment-fusion layer underneath it.
+"""The dense engine under a memory budget, and the segment-fusion layer
+underneath both of its forms.
 
-The streaming contract is *bit-for-bit* equality with ``dense`` (not just
-``allclose``): permutation segments are exact integer gathers, and the tiled
-unitary kernel runs the same fixed-order einsum per output element as the
-dense engine regardless of tile extents.  Every comparison below is
+``DenseBackend(memory_budget=b)`` must equal ``DenseBackend()`` *bit for
+bit* (not just ``allclose``): permutation segments are exact integer
+gathers, and the blocked unitary kernel runs the same fixed-order einsum per
+output element whatever the block extents.  Every comparison below is
 ``np.array_equal``.
 """
 
@@ -18,13 +19,7 @@ from repro.qudit.circuit import QuditCircuit
 from repro.qudit.controls import Odd, Value
 from repro.qudit.gates import SingleQuditUnitary, XPerm, XPlus
 from repro.qudit.operations import StarShiftOp
-from repro.sim import (
-    DEFAULT_MEMORY_BUDGET,
-    StreamingBackend,
-    available_backends,
-    get_backend,
-    parse_memory_budget,
-)
+from repro.sim import DenseBackend, get_backend, parse_memory_budget
 from repro.utils import permutations as perm_utils
 
 
@@ -196,27 +191,32 @@ class TestParseMemoryBudget:
         with pytest.raises(GateError):
             parse_memory_budget(text)
 
-    def test_default_constructor_uses_default_budget(self):
-        assert StreamingBackend().memory_budget == DEFAULT_MEMORY_BUDGET
-        assert StreamingBackend("2M").memory_budget == 2 * 1024**2
+    def test_constructor_parses_the_budget_and_defaults_to_none(self):
+        assert DenseBackend().memory_budget is None
+        assert get_backend("dense").memory_budget is None
+        assert DenseBackend("2M").memory_budget == 2 * 1024**2
+        assert DenseBackend(memory_budget=4096).memory_budget == 4096
+        with pytest.raises(GateError):
+            DenseBackend(memory_budget="eight")
 
 
 # ----------------------------------------------------------------------
-# Bit-for-bit equality with dense, across tile-boundary edge cases
+# Bit-for-bit equality with the unbudgeted engine, across tile edge cases
 # ----------------------------------------------------------------------
 # 1 byte forces one-row tiles; 100 is a non-divisor of every d^n used here;
 # the larger budgets keep everything in RAM (pure fusion path).
 EDGE_BUDGETS = [1, 100, 4096, 10**9]
 
 
-class TestStreamingBitForBit:
+class TestBudgetedBitForBit:
     @pytest.mark.parametrize("budget", EDGE_BUDGETS)
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_circuit_single_state(self, seed, budget):
         circuit = mixed_circuit(seed, num_wires=3, dim=3, num_ops=14)
         data = random_state(3, 3, seed)
         expected = dense_reference(circuit, data)
-        actual = StreamingBackend(budget).apply_table(np.array(data), circuit.to_table())
+        engine = DenseBackend(memory_budget=budget)
+        actual = engine.apply_table(np.array(data), circuit.to_table())
         assert np.array_equal(np.asarray(actual), expected)
 
     @pytest.mark.parametrize("budget", EDGE_BUDGETS)
@@ -225,7 +225,7 @@ class TestStreamingBitForBit:
         circuit = mixed_circuit(20 + seed, num_wires=3, dim=3, num_ops=12)
         data = random_state(3, 3, seed, batch=5)
         expected = dense_reference(circuit, data)
-        engine = StreamingBackend(budget)
+        engine = DenseBackend(memory_budget=budget)
         actual = engine.apply_table_batch(np.array(data), circuit.to_table())
         assert np.array_equal(np.asarray(actual), expected)
 
@@ -235,7 +235,8 @@ class TestStreamingBitForBit:
         circuit = mixed_circuit(31, num_wires=2, dim=3, num_ops=10)
         data = random_state(3, 2, 31, batch=5)
         expected = dense_reference(circuit, data)
-        actual = StreamingBackend(16).apply_table_batch(np.array(data), circuit.to_table())
+        engine = DenseBackend(memory_budget=16)
+        actual = engine.apply_table_batch(np.array(data), circuit.to_table())
         assert np.array_equal(np.asarray(actual), expected)
 
     @pytest.mark.parametrize("budget", [1, 64, 10**9])
@@ -243,7 +244,8 @@ class TestStreamingBitForBit:
         circuit = mixed_circuit(5, num_wires=1, dim=4, num_ops=6)
         data = random_state(4, 1, 5)
         expected = dense_reference(circuit, data)
-        actual = StreamingBackend(budget).apply_table(np.array(data), circuit.to_table())
+        engine = DenseBackend(memory_budget=budget)
+        actual = engine.apply_table(np.array(data), circuit.to_table())
         assert np.array_equal(np.asarray(actual), expected)
 
     def test_whole_circuit_permutation_segment(self):
@@ -253,7 +255,40 @@ class TestStreamingBitForBit:
         circuit.add_gate(XPerm((2, 0, 1)), 0, [(1, Value(1))])
         data = random_state(3, 3, 7)
         expected = dense_reference(circuit, data)
-        actual = StreamingBackend(100).apply_table(np.array(data), circuit.to_table())
+        actual = DenseBackend(memory_budget=100).apply_table(np.array(data), circuit.to_table())
+        assert np.array_equal(np.asarray(actual), expected)
+
+    @pytest.mark.parametrize("budget", [16, 1000, 10**9])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_unitary_only_table(self, budget, batch):
+        # Every row is a dense unitary: the blocked einsum on its own, with
+        # a budget below one pencil, a few pencils, and above the state.
+        rng = random.Random(77)
+        circuit = QuditCircuit(3, 3)
+        for _ in range(6):
+            phases = np.exp(2j * np.pi * np.array([rng.random() for _ in range(3)]))
+            wires = rng.sample(range(3), 2)
+            controls = [(wires[1], Value(rng.randrange(3)))] if rng.randrange(2) else []
+            circuit.add_gate(SingleQuditUnitary(np.diag(phases), label="D"), wires[0], controls)
+        table = circuit.to_table()
+        assert all(segment.kind == "unitary" for segment in segment_table(table))
+        data = random_state(3, 3, 77, batch=batch)
+        expected = dense_reference(circuit, data)
+        actual = DenseBackend(memory_budget=budget).apply_table(np.array(data), table)
+        assert np.array_equal(np.asarray(actual), expected)
+
+    @pytest.mark.parametrize("budget", EDGE_BUDGETS)
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_per_op_path_matches_the_unbudgeted_walk(self, budget, batch):
+        # apply_op (Statevector.apply_op, the fuzz reference walk) tiles on
+        # its own, independent of segment composition.
+        circuit = mixed_circuit(13, num_wires=3, dim=3, num_ops=12)
+        data = random_state(3, 3, 13, batch=batch)
+        dense, budgeted = get_backend("dense"), DenseBackend(memory_budget=budget)
+        expected, actual = np.array(data), np.array(data)
+        for op in circuit:
+            expected = dense.apply_op(expected, op, circuit.dim, circuit.num_wires)
+            actual = budgeted.apply_op(actual, op, circuit.dim, circuit.num_wires)
         assert np.array_equal(np.asarray(actual), expected)
 
     def test_statevector_larger_than_budget_goes_out_of_core(self):
@@ -262,7 +297,8 @@ class TestStreamingBitForBit:
         circuit = mixed_circuit(42, num_wires=6, dim=3, num_ops=10)
         data = random_state(3, 6, 42)
         expected = dense_reference(circuit, data)
-        actual = StreamingBackend(256).apply_table(np.array(data), circuit.to_table())
+        engine = DenseBackend(memory_budget=256)
+        actual = engine.apply_table(np.array(data), circuit.to_table())
         assert isinstance(actual, np.memmap)
         assert np.array_equal(np.asarray(actual), expected)
 
@@ -270,7 +306,7 @@ class TestStreamingBitForBit:
         circuit = mixed_circuit(9, num_wires=3, dim=3, num_ops=9)
         data = random_state(3, 3, 9)
         expected = dense_reference(circuit, data)
-        engine = StreamingBackend(128)
+        engine = DenseBackend(memory_budget=128)
         via_circuit = engine.apply_circuit(np.array(data), circuit)
         assert np.array_equal(np.asarray(via_circuit), expected)
         per_op = np.array(data)
@@ -281,15 +317,7 @@ class TestStreamingBitForBit:
     def test_batch_requires_two_dims(self):
         circuit = mixed_circuit(1, num_wires=2, dim=2, num_ops=3)
         with pytest.raises(GateError):
-            StreamingBackend().apply_table_batch(
+            DenseBackend(memory_budget=4096).apply_table_batch(
                 np.zeros(4, dtype=complex), circuit.to_table()
             )
 
-
-# ----------------------------------------------------------------------
-# Registry and availability
-# ----------------------------------------------------------------------
-class TestAvailability:
-    def test_streaming_is_registered(self):
-        assert "streaming" in available_backends()
-        assert isinstance(get_backend("streaming"), StreamingBackend)

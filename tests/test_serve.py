@@ -452,22 +452,29 @@ def test_daemon_unix_socket_transport(tmp_path, daemon_factory):
 
 
 def test_daemon_rejects_unknown_backend_and_stray_budget_with_400(daemon_factory):
-    """Both used to be accepted on a permutation circuit (``ok: true``)."""
+    """Both used to be accepted on a permutation circuit (``ok: true``).
+    ``streaming`` names no engine; a budget applies to ``dense``."""
     daemon = daemon_factory()
     base = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3}
     status, payload = daemon.client.submit({"requests": [{**base, "backend": "nosuch"}]})
     assert status == 400 and "unknown backend 'nosuch'" in payload["error"]
-    status, payload = daemon.client.submit({"requests": [{**base, "memory_budget": "8M"}]})
-    assert status == 400 and 'memory_budget needs "backend": "streaming"' in payload["error"]
+    status, payload = daemon.client.submit({"requests": [{**base, "backend": "streaming"}]})
+    assert status == 400 and "unknown backend 'streaming'" in payload["error"]
+    assert "['dense', 'sparse']" in payload["error"]
+    status, payload = daemon.client.submit(
+        {"requests": [{**base, "backend": "sparse", "memory_budget": "8M"}]}
+    )
+    assert status == 400 and "got 'sparse'" in payload["error"]
 
     status, payload = daemon.client.submit(
-        {"requests": [{**base, "states": [[0, 0, 0, 1], [1, 0, 0, 1]]}]}
+        {"requests": [{**base, "states": [[0, 0, 0, 1], [1, 0, 0, 1]], "memory_budget": "8M"}]}
     )
     assert status == 200 and payload["ok"]
     row = payload["rows"][0]
     assert row["outputs"] == ["0000", "1001"] and row["sim_path"] == "gather"
+    assert row["memory_budget"] == 8 * 1024**2
     metrics = daemon.client.metrics()[1]
-    assert metrics["requests"]["rejected"]["bad_request"] == 2
+    assert metrics["requests"]["rejected"]["bad_request"] == 3
     assert metrics["requests"]["accepted"] == 1
     code, stderr = daemon.sigterm()
     assert code == 0 and "drained cleanly" in stderr

@@ -5,7 +5,7 @@ The sparse contract has two halves:
 * on **permutation** circuits the engine is *bit-for-bit* equal to
   ``dense`` — indices propagate by exact integer stride arithmetic and
   amplitudes are only carried, never recomputed (``np.array_equal``
-  throughout, like the streaming suite);
+  throughout, like the memory-budget suite);
 * on circuits with **unitary** rows the expansion/merge/prune path is
   ``allclose`` to dense, densifies transparently past the occupancy
   threshold, and stays total (every circuit dense accepts, sparse accepts).

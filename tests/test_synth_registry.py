@@ -142,7 +142,7 @@ class TestCli:
         assert "mct-clean-ladder" in out
         assert "Registered synthesis strategies" in out
         assert "Simulation backends:" in out
-        assert "streaming" in out
+        assert "sparse" in out and "streaming" not in out
 
     def test_list_json(self, capsys):
         assert cli_main(["list", "--json"]) == 0

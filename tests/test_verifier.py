@@ -127,6 +127,136 @@ class TestSpecDigitValidation:
 
 
 # ----------------------------------------------------------------------
+# The exhaustive tier compares encoded images, and decodes only to report
+# ----------------------------------------------------------------------
+class TestExhaustiveTierMessages:
+    """The whole-basis tier encodes the spec's images to flat indices and
+    compares them with the gather; it decodes the gather only to name the
+    failing row.  Verdicts and messages are the digit-by-digit compare's."""
+
+    @staticmethod
+    def spec_with(state, image):
+        spec = cx01_spec(3, 3)
+
+        def patched(digits):
+            return list(image) if tuple(digits) == state else list(spec(digits))
+
+        return patched
+
+    def test_an_injected_failure_names_its_row(self):
+        spec = self.spec_with((2, 1, 0), (2, 1, 1))
+        with pytest.raises(VerificationError) as failure:
+            assert_implements_permutation(cx01_circuit(num_wires=3), spec)
+        assert str(failure.value) == (
+            "circuit 'cx01' maps (2, 1, 0) to (2, 1, 0), expected (2, 1, 1)"
+        )
+
+    @pytest.mark.parametrize(
+        "state,image,actual",
+        [
+            # (1, 0, 3) encodes to 9 + 0 + 3 = 12, the true image (1, 1, 0).
+            ((1, 1, 0), (1, 0, 3), (1, 1, 0)),
+            # (0, 2, -3) encodes to 6 - 3 = 3, the true image (0, 1, 0).
+            ((0, 1, 1), (0, 2, -3), (0, 1, 0)),
+        ],
+    )
+    def test_an_out_of_range_digit_fails_though_its_encoding_matches(
+        self, state, image, actual
+    ):
+        circuit = cx01_circuit(num_wires=3)
+        with pytest.raises(VerificationError) as failure:
+            checks.spec_exhaustive(circuit, self.spec_with(state, image))
+        assert str(failure.value) == (
+            f"circuit 'cx01' maps {state} to {actual}, expected {image}"
+        )
+
+    def test_an_array_spec_with_float_images_is_compared_digit_by_digit(self):
+        spec = checks.ArraySpec(lambda states: cx01_spec(3, 3).apply(states) + 0.25)
+        with pytest.raises(VerificationError) as failure:
+            checks.spec_exhaustive(cx01_circuit(num_wires=3), spec)
+        assert str(failure.value) == (
+            "circuit 'cx01' maps (0, 0, 0) to (0, 0, 1), expected (0.25, 0.25, 1.25)"
+        )
+
+    def test_a_moved_watched_wire_names_its_row(self):
+        circuit = cx01_circuit(num_wires=3)
+        assert checks.wires_preserved_exhaustive(circuit, [0, 1]) == 27
+        assert checks.wires_preserved_exhaustive(circuit, []) == 27
+        for wires, named in (([1, 2], [2]), ([-1], [-1])):
+            with pytest.raises(VerificationError) as failure:
+                checks.wires_preserved_exhaustive(circuit, wires)
+            assert str(failure.value) == (
+                f"circuit 'cx01' modified wires {named} on input (0, 0, 0): (0, 0, 1)"
+            )
+
+
+class TestSampledColumnMessages:
+    """The sampled-column tier compares all its columns as one block and
+    walks them one by one only to name the first failing column; verdicts
+    and messages are the per-column compare's."""
+
+    DIAG = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1])))
+
+    def circuit(self):
+        circuit = QuditCircuit(2, 3, name="cphase")
+        circuit.add_gate(SingleQuditUnitary(self.DIAG, label="D"), 1, [(0, Value(0))])
+        return circuit
+
+    def unitary(self):
+        matrix = np.eye(9, dtype=complex)
+        matrix[:3, :3] = self.DIAG
+        return matrix
+
+    def check(self, expected_column, up_to_global_phase=False):
+        return checks.unitary_columns(
+            self.circuit(), expected_column, samples=6, required_columns=(0, 1, 2),
+            seed=3, up_to_global_phase=up_to_global_phase,
+        )
+
+    def test_matching_columns_pass_with_and_without_a_global_phase(self):
+        recipe = (
+            "unitary_columns(circuit, expected_column, samples=6, "
+            "required_columns=(0, 1, 2), seed=3)"
+        )
+        assert self.check(lambda j: self.unitary()[:, j]) == (5, recipe)
+        shifted = np.exp(0.3j) * self.unitary()
+        assert self.check(lambda j: shifted[:, j], up_to_global_phase=True) == (5, recipe)
+
+    @pytest.mark.parametrize(
+        "name,phase,message",
+        [
+            ("identity", False, "circuit 'cphase' column 1 deviates from the expected unitary "
+             "column by 3.973e-01 (sampled-column check, seed=3, 5 columns)"),
+            ("ramp", True, "circuit 'cphase' phase on column 1 disagrees with column 0 — "
+             "not a global phase (sampled-column check, seed=3)"),
+            ("shifted", True, "cannot align global phase on column 0: mismatched support"),
+            ("half", True, "cannot align global phase on column 0: alignment factor has "
+             "modulus 0.5, not a unit phase (is the circuit a scaled copy of the expected "
+             "unitary?)"),
+        ],
+    )
+    def test_the_first_failing_column_is_named(self, name, phase, message):
+        matrix = {
+            "identity": np.eye(9),
+            "ramp": np.diag(np.exp(1j * np.arange(9) * 0.2)),
+            "shifted": np.roll(np.eye(9), 1, axis=0),
+            "half": 0.5 * self.unitary(),
+        }[name]
+        with pytest.raises(VerificationError) as failure:
+            self.check(lambda j: matrix[:, j], up_to_global_phase=phase)
+        assert str(failure.value) == message
+
+    def test_a_bad_column_shape_comes_after_an_earlier_failing_column(self):
+        unitary = self.unitary()
+        with pytest.raises(VerificationError) as failure:
+            self.check(lambda j: np.zeros(4) if j == 7 else unitary[:, j])
+        assert str(failure.value) == "expected_column(7) returned shape (4,), want (9,)"
+        with pytest.raises(VerificationError) as failure:
+            self.check(lambda j: np.zeros(4) if j == 7 else np.eye(9)[:, j])
+        assert "column 1 deviates" in str(failure.value)
+
+
+# ----------------------------------------------------------------------
 # Regression 3 — int64 overflow guard on huge registers
 # ----------------------------------------------------------------------
 class TestInt64Guard:

@@ -189,14 +189,16 @@ def test_simulate_request_validates_states(tmp_path):
     "options,fragment",
     [
         ({"backend": "nosuch"}, "unknown backend 'nosuch'"),
-        ({"memory_budget": "8M"}, 'memory_budget needs "backend": "streaming"'),
-        ({"backend": "dense", "memory_budget": "8M"}, "got 'dense'"),
+        ({"backend": "streaming"}, "unknown backend 'streaming'"),
+        ({"backend": "sparse", "memory_budget": "8M"}, "got 'sparse'"),
+        ({"memory_budget": "eight"}, "cannot parse memory budget 'eight'"),
     ],
 )
 def test_simulate_options_are_validated_whichever_path_runs(strategy, k, options, fragment):
-    """An unknown backend, or a budget without the streaming backend, used to
-    pass silently on permutation circuits (``mct`` ran index propagation and
-    returned ``ok: true``); both are now rejected when the request is parsed."""
+    """An unknown backend, or a budget beside an engine that takes none, used
+    to pass silently on permutation circuits (``mct`` ran index propagation
+    and returned ``ok: true``); both are now rejected when the request is
+    parsed."""
     raw = {"kind": "simulate", "strategy": strategy, "d": 3, "k": k, **options}
     with pytest.raises(WorkloadError, match="request 4: "):
         WorkloadRequest.from_dict(raw, 4)
@@ -207,14 +209,33 @@ def test_simulate_options_are_validated_whichever_path_runs(strategy, k, options
 def test_cli_batch_defaults_pass_the_same_checks(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"requests": [
-        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3}]}), encoding="utf-8")
-    # A budget applied to a request that keeps the dense backend is refused.
-    assert main(["batch", "--workload", str(path), "--memory-budget", "8M"]) == 1
-    assert "memory_budget needs" in capsys.readouterr().err
-    assert main(["batch", "--workload", str(path), "--backend", "streaming",
-                 "--memory-budget", "8M", "--json"]) == 0
-    row = json.loads(capsys.readouterr().out)["requests"][0]
-    assert row["backend"] == "streaming" and row["memory_budget"] == 8 * 1024**2
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3},
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "sparse"},
+        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2, "memory_budget": 4096},
+    ]}), encoding="utf-8")
+    # The budget fills in the request that runs on dense and set none.
+    assert main(["batch", "--workload", str(path), "--memory-budget", "8M", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["requests"]
+    assert [row.get("backend", "dense") for row in rows] == ["dense", "sparse", "dense"]
+    assert [row.get("memory_budget") for row in rows] == [8 * 1024**2, None, 4096]
+    assert [row["sim_path"] for row in rows] == ["gather", "gather", "dense"]
+    # A budget beside another engine, or an engine the registry lacks, is
+    # refused with one error line.
+    for flags, fragment in (
+        (["--backend", "sparse", "--memory-budget", "8M"], "applies to the dense backend"),
+        (["--memory-budget", "eight"], "cannot parse memory budget"),
+    ):
+        assert main(["batch", "--workload", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", "--workload", str(path), "--backend", "streaming"])
+    assert exit_info.value.code == 2  # argparse: not one of the registered names
+    path.write_text(json.dumps({"requests": [
+        {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3, "backend": "streaming"}]}),
+        encoding="utf-8")
+    assert main(["batch", "--workload", str(path)]) == 1
+    assert "unknown backend 'streaming'" in capsys.readouterr().err
 
 
 def test_memo_only_workload_without_cache_dir():
@@ -510,8 +531,8 @@ def test_repeated_simulates_compose_the_cached_gather_once():
     [
         ("mct", 4, 5, {}, "propagate"),  # 4^7 states: above the crossover
         # 3^5 states: the gather takes 243 * 8 = 1944 bytes.
-        ("mct", 3, 4, {"backend": "streaming", "memory_budget": 1943}, "propagate"),
-        ("mct", 3, 4, {"backend": "streaming", "memory_budget": 1944}, "gather"),
+        ("mct", 3, 4, {"memory_budget": 1943}, "propagate"),
+        ("mct", 3, 4, {"memory_budget": 1944}, "gather"),
     ],
 )
 def test_large_registers_and_tight_budgets_stay_on_propagation(strategy, d, k, options, path):
@@ -527,12 +548,11 @@ def test_large_registers_and_tight_budgets_stay_on_propagation(strategy, d, k, o
 def test_non_permutation_rows_name_their_backend():
     spec = WorkloadSpec.from_dict({"requests": [
         {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2},
-        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2,
-         "backend": "streaming", "memory_budget": "4K"},
+        {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2, "memory_budget": "4K"},
     ]})
     report = run_workload(spec)
     assert report.ok
-    assert [row["sim_path"] for row in report.rows] == ["operator", "streaming"]
+    assert [row["sim_path"] for row in report.rows] == ["operator", "dense"]
     assert report.rows[0]["outputs"] == report.rows[1]["outputs"]
 
 
