@@ -11,7 +11,7 @@ a small mixed workload through the HTTP front end via
 * the warm resubmit does not show up as compile-cache hits
   (``hit_rate`` must be positive after the second submit);
 * a permutation simulate on either side of the gather crossover
-  (``repro.exec.workload.GATHER_MAX_STATES``) returns outputs that differ
+  (``repro.sim.permutation.GATHER_MAX_STATES``) returns outputs that differ
   from the gate's definition, or a ``sim_path`` other than ``"gather"``
   (small register, sent twice) or ``"propagate"`` (3^9 states);
 * a ``mcu-exponential`` simulate on either side of the held-operator cap
@@ -65,7 +65,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.exec import load_table, lowered_key, save_table
-from repro.exec.workload import GATHER_MAX_STATES
+from repro.sim.permutation import GATHER_MAX_STATES
 from repro.sim.unitary import OPERATOR_MAX_STATES
 from repro.serve import ServeClient
 

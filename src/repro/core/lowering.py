@@ -26,37 +26,14 @@ from repro.qudit.circuit import QuditCircuit
 _MAX_PASSES = 12
 
 
-def lower_to_g_gates(
-    circuit: QuditCircuit,
-    *,
-    cache=None,
-    cache_key: str = None,
-) -> QuditCircuit:
+def lower_to_g_gates(circuit: QuditCircuit) -> QuditCircuit:
     """Return an equivalent circuit consisting solely of G-gates.
 
     The result is backed by its columnar table: counting queries run as
     column kernels and op objects materialise only if something iterates
-    them.
-
-    ``cache=`` (a :class:`repro.exec.cache.CompileCache`) with ``cache_key=``
-    (a content address from :func:`repro.exec.keys.cache_key`, covering the
-    inputs that produced ``circuit``) opts into the persistent compile
-    cache: a hit skips lowering entirely and returns a circuit backed by the
-    cached columnar table; a miss lowers as usual and stores the result.
+    them.  The compile cache's way in is
+    :func:`repro.exec.service.compile_lowered`.
     """
-    if cache is not None:
-        if cache_key is None:
-            raise SynthesisError("lower_to_g_gates(cache=...) requires cache_key=")
-        entry = cache.get(cache_key)
-        if entry is not None:
-            if not entry.table.is_g_circuit():
-                # The same guard the miss path enforces: a key addressing a
-                # macro-level artifact must not masquerade as lowered output.
-                raise SynthesisError(
-                    f"cache key {cache_key[:12]}… resolves to a non-G-gate table; "
-                    "it does not address lowered output"
-                )
-            return QuditCircuit.from_table(entry.table)
     # Imported lazily: repro.ir.lowering reaches into repro.passes, which
     # pulls in repro.core synthesis modules; a module-level import here
     # would close that cycle during package initialisation.
@@ -65,7 +42,4 @@ def lower_to_g_gates(
     table = lower_circuit_to_table(circuit, max_sweeps=_MAX_PASSES)
     if not table.is_g_circuit():  # pragma: no cover - defensive
         raise SynthesisError("lowering did not converge to G-gates")
-    lowered = QuditCircuit.from_table(table, name=f"{circuit.name} [G]")
-    if cache is not None:
-        cache.put(cache_key, lowered.to_table())
-    return lowered
+    return QuditCircuit.from_table(table, name=f"{circuit.name} [G]")

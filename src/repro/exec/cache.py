@@ -38,6 +38,9 @@ DEFAULT_MAX_DISK_BYTES = 256 * 1024 * 1024
 #: Default number of live tables kept in the in-process memo.
 DEFAULT_MAX_MEMO_ENTRIES = 128
 
+#: Where entries live: ``<key[:2]>/<key>.npz`` under the cache directory.
+_SHARDED = "[0-9a-f][0-9a-f]/*.npz"
+
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
@@ -140,21 +143,6 @@ class CompileCache:
         shard = self.cache_dir / key[:2]
         return shard / f"{key}.npz", shard / f"{key}.json"
 
-    def _flat_paths(self, key: str) -> Tuple[Path, Path]:
-        """Legacy flat location (stores written before sharding)."""
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.npz", self.cache_dir / f"{key}.json"
-
-    def _read_paths(self, key: str) -> Tuple[Path, Path]:
-        """Where to read an entry from: sharded first, flat fallback."""
-        npz_path, meta_path = self._paths(key)
-        if npz_path.exists() or meta_path.exists():
-            return npz_path, meta_path
-        flat_npz, flat_meta = self._flat_paths(key)
-        if flat_npz.exists() or flat_meta.exists():
-            return flat_npz, flat_meta
-        return npz_path, meta_path
-
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
@@ -173,7 +161,7 @@ class CompileCache:
         if self.cache_dir is None:
             self.stats.misses += 1
             return None
-        npz_path, meta_path = self._read_paths(key)
+        npz_path, meta_path = self._paths(key)
         if not npz_path.exists():
             # Clean up a sidecar orphaned by a crash between the two writes.
             if meta_path.exists():
@@ -201,7 +189,7 @@ class CompileCache:
     def __contains__(self, key: str) -> bool:
         if key in self._memo:
             return True
-        return self.cache_dir is not None and self._read_paths(self._check_key(key))[0].exists()
+        return self.cache_dir is not None and self._paths(self._check_key(key))[0].exists()
 
     # ------------------------------------------------------------------
     # Write path
@@ -247,44 +235,46 @@ class CompileCache:
         while len(self._memo) > self.max_memo_entries:
             self._memo.popitem(last=False)
 
-    def _remove(self, key: str) -> None:
+    def _remove(self, key: str, npz_path: Optional[Path] = None) -> None:
+        """Forget ``key`` and delete its archive (``npz_path``, by default
+        the sharded location) and sidecar."""
         self._memo.pop(key, None)
         if self.cache_dir is None:
             return
-        for path in self._paths(key) + self._flat_paths(key):
+        npz_path = npz_path or self._paths(key)[0]
+        for path in (npz_path, npz_path.with_suffix(".json")):
             try:
                 path.unlink()
             except OSError:
                 pass
 
-    def _disk_npz_files(self) -> List[Path]:
-        """Every table archive on disk, across both store layouts."""
-        assert self.cache_dir is not None
-        files = list(self.cache_dir.glob("*.npz"))
-        files.extend(self.cache_dir.glob("[0-9a-f][0-9a-f]/*.npz"))
-        return files
+    def _disk_entries(self) -> List[Tuple[float, int, Path]]:
+        """(mtime, bytes, archive) for every table archive on disk, oldest first.
 
-    def _disk_entries(self) -> List[Tuple[float, int, str]]:
-        """(mtime, bytes, key) for every on-disk entry, oldest first."""
+        Top-level ``<key>.npz`` files, left by stores written before entries
+        were sharded, are listed too: no key names them any more, but they
+        count against ``max_disk_bytes`` until evicted.
+        """
+        assert self.cache_dir is not None
         entries = []
-        for npz_path in self._disk_npz_files():
+        for npz_path in [*self.cache_dir.glob("*.npz"), *self.cache_dir.glob(_SHARDED)]:
             try:
                 stat = npz_path.stat()
             except OSError:  # racing eviction from another worker
                 continue
-            entries.append((stat.st_mtime, stat.st_size, npz_path.stem))
+            entries.append((stat.st_mtime, stat.st_size, npz_path))
         entries.sort()
         return entries
 
     def _evict_over_budget(self, protect: Optional[str] = None) -> None:
         entries = self._disk_entries()
         total = sum(size for _, size, _ in entries)
-        for _, size, key in entries:
+        for _, size, npz_path in entries:
             if total <= self.max_disk_bytes:
                 break
-            if key == protect:
+            if npz_path.stem == protect:
                 continue
-            self._remove(key)
+            self._remove(npz_path.stem, npz_path)
             self.stats.evictions += 1
             total -= size
 
@@ -311,7 +301,8 @@ class CompileCache:
             limit = self.max_memo_entries
         entries = self._disk_entries()  # oldest first
         chosen = entries[-limit:] if limit >= 0 else entries
-        for _, size, key in chosen:  # oldest → newest keeps LRU order right
+        for _, size, npz_path in chosen:  # oldest → newest keeps LRU order right
+            key = npz_path.stem
             summary["scanned"] += 1
             try:
                 self._check_key(key)
@@ -332,7 +323,7 @@ class CompileCache:
         """Every key currently retrievable (memo ∪ disk), unordered."""
         out = set(self._memo)
         if self.cache_dir is not None:
-            out.update(path.stem for path in self._disk_npz_files())
+            out.update(path.stem for path in self.cache_dir.glob(_SHARDED))
         return sorted(out)
 
     def disk_bytes(self) -> int:

@@ -7,10 +7,9 @@ consulting a :class:`~repro.exec.cache.CompileCache` first and populating
 it on a miss.  The cache key covers the strategy, the scenario, the
 pass-pipeline spec and the code-version salt — see :mod:`repro.exec.keys`.
 
-The lower-level opt-ins live on the public APIs themselves:
-``repro.synth.registry.synthesize(..., cache=...)`` caches the macro-level
-synthesis output, and ``repro.core.lowering.lower_to_g_gates(...,
-cache=..., cache_key=...)`` caches the lowered table.
+It is the one cache-aware path to a lowered table.  The macro-level
+synthesis output has its own opt-in,
+``repro.synth.registry.synthesize(..., cache=...)``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from repro.exceptions import GateError, ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.service import CompileOutcome, compile_lowered, lowered_key
-from repro.sim.permutation import GATHER_MAX_STATES
 from repro.utils.indexing import basis_fits_int64, require_int64_basis
 
 _KINDS = ("synthesize", "simulate", "estimate")
@@ -479,6 +478,7 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
     :data:`~repro.sim.unitary.OPERATOR_MAX_STATES` basis states), otherwise
     the backend's name.
     """
+    from repro.sim.permutation import basis_images
     from repro.utils.indexing import digits_to_index, indices_to_digits
 
     rows = request.states or ((0,) * circuit.num_wires,)
@@ -496,14 +496,9 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
     indices = [digits_to_index(digits, request.dim) for digits in rows]
     if circuit.is_permutation:
         # Classical batched path: only the B flat indices move.
-        table = circuit.to_table()
-        basis = request.dim**circuit.num_wires
-        if basis <= GATHER_MAX_STATES and (  # the gather holds 8-byte int64s
-            request.memory_budget is None or 8 * basis <= request.memory_budget
-        ):
-            images, path = table.permutation_index_table()[indices], "gather"
-        else:
-            images, path = table.apply_to_indices(indices), "propagate"
+        images, path = basis_images(
+            circuit, indices, max_gather_bytes=request.memory_budget
+        )
     else:
         from repro.sim import BatchedStatevector, DenseBackend, get_backend
         from repro.sim.unitary import held_operator

@@ -15,6 +15,16 @@ content, so derived tables (``select``/``inverse`` twins, re-lowered
 copies) and repeated simulate calls all share one composition per distinct
 segment.
 
+This is the only module that walks permutation rows, in two ways:
+:meth:`Segment.index_table` composes the whole basis (one op table,
+:meth:`~repro.qudit.operations.BaseOp.permutation_table`, per distinct row
+and one gather per row), and :meth:`Segment.propagate` pushes a batch of
+flat indices through every row by stride arithmetic
+(:meth:`~repro.qudit.operations.BaseOp.map_indices`).
+``GateTable.permutation_index_table``, :func:`compose_gather` and the dense
+engine read the first; ``GateTable.apply_to_indices`` and the sparse engine
+run the second.
+
 Conventions (matching ``BaseOp.permutation_table``): the *forward* table
 ``g`` maps basis state ``i`` to its image ``g[i]``, so a statevector evolves
 by scatter ``new[g] = old``.  The *inverse* table is the gather form
@@ -30,7 +40,12 @@ import numpy as np
 
 from repro.exceptions import GateError
 from repro.ir.rewrite import segment_bounds
-from repro.ir.table import OP_UNITARY, GateTable
+from repro.ir.table import GateTable
+
+#: Index batches larger than this propagate through :meth:`Segment.propagate`
+#: in slices, bounding the transient arrays each row's stride arithmetic
+#: allocates to a few chunk-sized int64 buffers regardless of batch size.
+INDEX_CHUNK = 1 << 18
 
 
 def _segment_key(table: GateTable, start: int, stop: int, inverse: bool) -> tuple:
@@ -48,40 +63,13 @@ def compose_gather(
 ) -> np.ndarray:
     """Compose rows ``[start, stop)`` into one whole-basis index table.
 
-    All rows in the range must be permutations.  The result is read-only and
-    interned in ``table.pools.segments``; the inverse direction is derived
-    from the (cached) forward table by one scatter, so requesting both costs
-    one composition.
+    All rows in the range must be permutations (a dense-unitary row's op
+    table raises :class:`~repro.exceptions.GateError`).  The result is
+    read-only and interned in ``table.pools.segments``; the inverse direction
+    is derived from the (cached) forward table by one scatter, so requesting
+    both costs one composition.
     """
-    if bool((table.opcode[start:stop] == OP_UNITARY).any()):
-        raise GateError(
-            f"rows [{start}, {stop}) of {table.name!r} contain a dense unitary; "
-            "only permutation segments compose into an index table"
-        )
-    key = _segment_key(table, start, stop, inverse)
-    return _interned_gather(table, start, stop, inverse, key)
-
-
-def _interned_gather(
-    table: GateTable, start: int, stop: int, inverse: bool, key: tuple
-) -> np.ndarray:
-    """The gather of permutation rows ``[start, stop)`` interned under ``key``
-    (their :func:`_segment_key`), composed on first use."""
-
-    def build() -> np.ndarray:
-        if inverse:
-            forward = compose_gather(table, start, stop)
-            out = np.empty_like(forward)
-            out[forward] = np.arange(forward.size)
-        else:
-            ops, row_map = table.unique_ops()
-            out = np.arange(table.dim**table.num_wires)
-            for u in row_map[start:stop].tolist():
-                out = ops[u].permutation_table(table.dim, table.num_wires)[out]
-        out.setflags(write=False)
-        return out
-
-    return table.pools.segments.intern(key, build)
+    return Segment(table, start, stop, "perm")._gather(inverse)
 
 
 class Segment:
@@ -103,18 +91,56 @@ class Segment:
         self.kind = kind
         self._keys = None
 
+    def propagate(self, indices) -> np.ndarray:
+        """Images of a batch of flat basis indices under the segment's rows.
+
+        Each row is stride arithmetic on the ``B`` indices
+        (:meth:`~repro.qudit.operations.BaseOp.map_indices`, which refuses a
+        dense-unitary row): O(rows · B) time, never a ``d^n`` array, and
+        batches above :data:`INDEX_CHUNK` run in slices.  The indices are not
+        range checked.
+        """
+        ops, row_map = self.table.unique_ops()
+        row_ops = [ops[u] for u in row_map[self.start : self.stop].tolist()]
+        dim, num_wires = self.table.dim, self.table.num_wires
+        flat = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, INDEX_CHUNK):
+            chunk = flat[lo : lo + INDEX_CHUNK]
+            for op in row_ops:
+                chunk = op.map_indices(chunk, dim, num_wires)
+            out[lo : lo + INDEX_CHUNK] = chunk
+        return out.reshape(np.shape(indices))
+
+    def _compose(self) -> np.ndarray:
+        """The forward gather: one op table per distinct row, one gather per row."""
+        ops, row_map = self.table.unique_ops()
+        rows = row_map[self.start : self.stop]
+        dim, num_wires = self.table.dim, self.table.num_wires
+        op_tables = {
+            u: ops[u].permutation_table(dim, num_wires) for u in np.unique(rows).tolist()
+        }
+        out = np.arange(dim**num_wires)
+        for u in rows.tolist():
+            out = op_tables[u][out]
+        return out
+
     def _gather(self, inverse: bool) -> np.ndarray:
-        if self.kind != "perm":
-            raise GateError(
-                f"{self!r} is a dense unitary; only permutation segments "
-                "compose into an index table"
-            )
         if self._keys is None:  # (forward, inverse), sharing the row bytes
             forward = _segment_key(self.table, self.start, self.stop, False)
             self._keys = (forward, (*forward[:2], True, forward[3]))
-        return _interned_gather(
-            self.table, self.start, self.stop, inverse, self._keys[inverse]
-        )
+
+        def build() -> np.ndarray:
+            if inverse:
+                forward = self._gather(False)
+                out = np.empty_like(forward)
+                out[forward] = np.arange(forward.size)
+            else:
+                out = self._compose()
+            out.setflags(write=False)
+            return out
+
+        return self.table.pools.segments.intern(self._keys[inverse], build)
 
     @property
     def num_rows(self) -> int:
@@ -156,4 +182,4 @@ def segment_table(table: GateTable) -> Tuple[Segment, ...]:
     return cached
 
 
-__all__ = ["Segment", "compose_gather", "segment_table"]
+__all__ = ["INDEX_CHUNK", "Segment", "compose_gather", "segment_table"]

@@ -44,11 +44,6 @@ OP_PERM = 0
 OP_UNITARY = 1
 OP_STAR = 2
 
-#: Index batches larger than this propagate through ``apply_to_indices`` in
-#: slices, bounding the transient arrays each row's stride arithmetic
-#: allocates to a few chunk-sized int64 buffers regardless of batch size.
-DEFAULT_INDEX_CHUNK = 1 << 18
-
 #: Column names in storage order (one numpy array each).
 COLUMNS = ("opcode", "target", "wire_a", "wire_b", "pred_a", "pred_b", "payload", "extra")
 
@@ -239,10 +234,9 @@ class GateTable:
     def unique_ops(self) -> Tuple[List[BaseOp], np.ndarray]:
         """(one op per distinct row, row -> distinct-index map).
 
-        Structurally identical rows share one operation *instance*, so the
-        per-instance permutation-table caches are shared too — applying a
-        table never hashes or rebuilds a gather table twice for the same
-        gate form.
+        Structurally identical rows share one operation *instance*, so a row
+        walk decodes each gate form once and composition looks up one op
+        table per distinct row.
         """
         cached = self._cache.get("unique_ops")
         if cached is None:
@@ -499,79 +493,56 @@ class GateTable:
     # ------------------------------------------------------------------
     # Simulation support
     # ------------------------------------------------------------------
+    def _permutation_segment(self):
+        """The table's one permutation segment, which both basis-state maps
+        walk; raises :class:`~repro.exceptions.GateError` naming the first
+        dense-unitary row of any other table."""
+        from repro.ir.segment import Segment, segment_table
+
+        segments = segment_table(self)  # cached: a unitary row is its own segment
+        unitary = [segment.start for segment in segments if segment.kind != "perm"]
+        if unitary:
+            label = self.pools.unitaries.gate(int(self.payload[unitary[0]])).label
+            raise GateError(
+                f"table {self.name!r} row {unitary[0]} applies the dense unitary gate "
+                f"{label!r}; basis states only map through permutation "
+                "rows — use the statevector simulator for this circuit"
+            )
+        # An empty table has no segment; an empty one maps every state to itself.
+        return segments[0] if segments else Segment(self, 0, 0, "perm")
+
     def permutation_index_table(self) -> np.ndarray:
         """The table's action on the full flat basis as one gather array.
 
-        Delegates to the segment layer: a permutation table is one maximal
-        segment spanning every row, composed once (one cached gather per
-        *distinct* row) and interned on the pools so derived tables share it.
+        The forward gather of the table's one permutation segment
+        (:meth:`~repro.ir.segment.Segment.index_table`), composed once and
+        interned on the pools, so derived tables share it.
         """
-        if not self.is_permutation:
-            raise GateError(
-                "circuit contains non-permutation gates; use the statevector simulator"
-            )
-        cached = self._cache.get("perm_index_table")
-        if cached is None:
-            from repro.ir.segment import compose_gather
+        return self._permutation_segment().index_table()
 
-            cached = compose_gather(self, 0, len(self))
-            self._cache["perm_index_table"] = cached
-        return cached
-
-    def apply_to_indices(self, indices, *, out=None, chunk_size: int = DEFAULT_INDEX_CHUNK) -> np.ndarray:
+    def apply_to_indices(self, indices) -> np.ndarray:
         """Images of a *batch* of flat basis indices under the whole table.
 
         The batched twin of :meth:`permutation_index_table`, and the core of
-        the classical simulation path: each row is applied as direct stride
-        arithmetic on the ``B`` requested indices
-        (:meth:`repro.qudit.operations.BaseOp.map_indices`) — O(rows · B)
-        time, O(min(B, chunk_size)) transient memory, and never a ``d^n``
-        table, so it works on registers far beyond any statevector
-        (``d^n >= 10^9``) up to ``2^63 - 1`` states; a larger register, whose
-        flat indices ``int64`` cannot hold, raises
-        :class:`~repro.exceptions.WireError` instead of wrapping.  ``out=``
-        reuses a caller-provided ``int64``
-        buffer of the same shape; batches larger than ``chunk_size`` are
-        propagated in slices to bound the transient arrays.
+        the classical simulation path: the indices are checked once and
+        pushed through the table's one permutation segment
+        (:meth:`~repro.ir.segment.Segment.propagate`), each row as stride
+        arithmetic on the ``B`` requested indices — O(rows · B) time and
+        never a ``d^n`` table, so it works on registers far beyond any
+        statevector (``d^n >= 10^9``) up to ``2^63 - 1`` states; a larger
+        register, whose flat indices ``int64`` cannot hold, raises
+        :class:`~repro.exceptions.WireError` instead of wrapping.
         """
-        if not self.is_permutation:
-            row = int(np.nonzero(self.opcode == OP_UNITARY)[0][0])
-            label = self.pools.unitaries.gate(int(self.payload[row])).label
-            raise GateError(
-                f"table {self.name!r} row {row} applies the dense unitary gate "
-                f"{label!r}; basis indices only propagate through permutation "
-                "rows — use the statevector simulator for this circuit"
-            )
+        segment = self._permutation_segment()
         size = require_int64_basis(
             self.dim, self.num_wires, f"index propagation through {self.name!r}"
         )
-        acc = np.asarray(indices, dtype=np.int64)
-        if acc.size and (acc.min() < 0 or acc.max() >= size):
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= size):
             raise WireError(
                 f"basis index out of range for {self.num_wires} wires of dimension {self.dim}"
             )
-        if out is None:
-            out = np.empty(acc.shape, dtype=np.int64)
-        else:
-            out = np.asarray(out)
-            if out.shape != acc.shape or out.dtype != np.int64:
-                raise GateError(
-                    f"out buffer must be int64 with shape {acc.shape}, "
-                    f"got {out.dtype} with shape {out.shape}"
-                )
-            if not out.flags.c_contiguous:
-                raise GateError("out buffer must be C-contiguous")
-        chunk = max(1, int(chunk_size))
-        ops, inverse = self.unique_ops()
-        row_ops = [ops[u] for u in inverse.tolist()]
-        flat_in = acc.reshape(-1)
-        flat_out = out.reshape(-1)
-        for lo in range(0, flat_in.size, chunk):
-            seg = flat_in[lo : lo + chunk]
-            for op in row_ops:
-                seg = op.map_indices(seg, self.dim, self.num_wires)
-            flat_out[lo : lo + chunk] = seg
-        return out
+        return segment.propagate(indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

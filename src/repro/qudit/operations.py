@@ -18,7 +18,8 @@ scalar permutation simulator needs) and additionally expose three vectorized
 hooks consumed by the simulation backends in :mod:`repro.sim.backend`:
 
 * :meth:`BaseOp.permutation_table` — the operation's action on the whole
-  ``d^n`` basis as a flat numpy gather table, cached per ``(dim, num_wires)``;
+  ``d^n`` basis as a flat numpy gather table: :meth:`BaseOp.map_indices` of
+  ``arange(d^n)``, held once per operation form;
 * :meth:`BaseOp.control_mask` — the control predicate evaluated over the whole
   basis as a boolean array broadcastable against the state reshaped to
   ``(d,) * n``;
@@ -46,8 +47,8 @@ Control = Tuple[int, ControlPredicate]
 #: circuits repeat the same few dozen G-gate forms thousands of times as
 #: distinct instances; keying on (kind, dim, num_wires, wires, payload,
 #: controls) lets them all share one table.  Bounded FIFO so a long-running
-#: process sweeping many distinct op forms cannot grow without limit (live
-#: ops keep their table alive through the per-instance cache regardless).
+#: process sweeping many distinct op forms cannot grow without limit; an
+#: evicted table is rebuilt on its next use.
 _SHARED_TABLE_CACHE: dict = {}
 _SHARED_TABLE_CACHE_MAX = 4096
 
@@ -164,26 +165,18 @@ class BaseOp:
 
         Entry ``i`` is the flat index of the image of basis state ``i``, so a
         statevector evolves as ``new[table] = old`` (a single scatter).  Only
-        defined for permutation operations; the table is built with vectorized
-        numpy arithmetic (no per-index Python loop), cached per
-        ``(dim, num_wires)`` and returned read-only.
+        defined for permutation operations.  The table is
+        :meth:`map_indices` of ``arange(d^n)``, built once per operation form
+        into :data:`_SHARED_TABLE_CACHE` and returned read-only.
         """
         if not self.is_permutation:
             raise GateError(f"{self!r} is not a permutation operation")
-        cache = self.__dict__.setdefault("_permutation_table_cache", {})
-        key = (dim, num_wires)
-        table = cache.get(key)
+        key = self._table_key(dim, num_wires)
+        table = _SHARED_TABLE_CACHE.get(key)
         if table is None:
-            shared_key = self._table_key(dim, num_wires)
-            table = _SHARED_TABLE_CACHE.get(shared_key)
-            if table is None:
-                for wire in self.wires():
-                    if not 0 <= wire < num_wires:
-                        raise WireError(f"wire {wire} out of range for {num_wires} wires")
-                table = self._build_permutation_table(dim, num_wires)
-                table.setflags(write=False)
-                _shared_table_cache_put(shared_key, table)
-            cache[key] = table
+            table = self.map_indices(np.arange(dim**num_wires), dim, num_wires)
+            table.setflags(write=False)
+            _shared_table_cache_put(key, table)
         return table
 
     def controls_fire_flat(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
@@ -216,9 +209,6 @@ class BaseOp:
         raise NotImplementedError
 
     def _table_key(self, dim: int, num_wires: int) -> tuple:
-        raise NotImplementedError
-
-    def _build_permutation_table(self, dim: int, num_wires: int) -> np.ndarray:
         raise NotImplementedError
 
     def _check_distinct_wires(self) -> None:
@@ -258,15 +248,6 @@ class Operation(BaseOp):
 
     def _table_key(self, dim: int, num_wires: int) -> tuple:
         return ("op", dim, num_wires, self.target, self.gate.permutation(), self.controls)
-
-    def _build_permutation_table(self, dim: int, num_wires: int) -> np.ndarray:
-        indices = np.arange(dim**num_wires)
-        stride = dim ** (num_wires - 1 - self.target)
-        digits = (indices // stride) % dim
-        perm = np.asarray(self.gate.permutation(), dtype=np.int64)
-        delta = (perm[digits] - digits) * stride
-        mask = self.control_mask(dim, num_wires, flat=True)
-        return indices + np.where(mask, delta, 0)
 
     def map_indices(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
         if not self.is_permutation:
@@ -348,17 +329,6 @@ class StarShiftOp(BaseOp):
 
     def _table_key(self, dim: int, num_wires: int) -> tuple:
         return ("star", dim, num_wires, self.star_wire, self.target, self.sign, self.controls)
-
-    def _build_permutation_table(self, dim: int, num_wires: int) -> np.ndarray:
-        indices = np.arange(dim**num_wires)
-        stride_target = dim ** (num_wires - 1 - self.target)
-        stride_star = dim ** (num_wires - 1 - self.star_wire)
-        target = (indices // stride_target) % dim
-        star = (indices // stride_star) % dim
-        shifted = (target + self.sign * star) % dim
-        delta = (shifted - target) * stride_target
-        mask = self.control_mask(dim, num_wires, flat=True)
-        return indices + np.where(mask, delta, 0)
 
     def map_indices(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
         for wire in (self.star_wire, self.target):

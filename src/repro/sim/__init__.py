@@ -31,7 +31,7 @@ from repro.sim.permutation import (
     permutation_table,
     states_differing_on,
 )
-from repro.sim.batch import BatchedStatevector, apply_to_basis_indices
+from repro.sim.batch import BatchedStatevector
 from repro.sim.statevector import Statevector
 from repro.sim.unitary import (
     circuit_unitary,
@@ -57,7 +57,6 @@ __all__ = [
     "permutation_table",
     "states_differing_on",
     "BatchedStatevector",
-    "apply_to_basis_indices",
     "Statevector",
     "circuit_unitary",
     "controlled_unitary_matrix",

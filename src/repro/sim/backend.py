@@ -111,8 +111,11 @@ def parse_memory_budget(text) -> int:
     """Parse a byte count like ``"8M"``, ``"512k"``, ``"1GiB"`` or ``"4096"``.
 
     Suffixes are binary multiples (K=KiB, M=MiB, G=GiB), case-insensitive,
-    with an optional trailing ``b``/``ib``.  Plain integers pass through.
+    with an optional trailing ``b``/``ib``.  Plain integers pass through; a
+    ``bool`` is refused, not read as 0 or 1 bytes.
     """
+    if isinstance(text, bool):
+        raise GateError(f"memory budget must be a byte count or a size string, got {text!r}")
     if isinstance(text, (int, np.integer)):
         value = int(text)
     else:
@@ -160,8 +163,9 @@ class DenseBackend(SimulationBackend):
       — with the default non-optimized einsum every output element is the
       same fixed-order sum over the gate index whatever the block extents;
     * an output array larger than the budget is an ``np.memmap`` over an
-      unlinked scratch file, and written tiles are flushed and dropped from
-      the page cache (``madvise(MADV_DONTNEED)``) as the sweep advances.
+      unlinked scratch file; each of its pages is flushed and dropped from
+      RAM (``madvise(MADV_DONTNEED)``) once the tile that completes it is
+      written, and the input's pages once per sweep.
 
     The budget bounds the amplitude arrays these kernels allocate.  It does
     not bound composition: each permutation segment's forward and inverse
@@ -236,12 +240,13 @@ class DenseBackend(SimulationBackend):
             return rotate(slice(None), slice(None)).reshape(data.shape)
         out = self._alloc(data.shape, data.dtype)
         cube_out = out.reshape(pre, dim, post, -1)
+        slab = out.nbytes // pre  # bytes per index of the cube's first axis
         for a0 in range(0, pre, a_step):
-            a = slice(a0, a0 + a_step)
+            a1 = min(a0 + a_step, pre)
             for b0 in range(0, post, b_step):
                 b = slice(b0, b0 + b_step)
-                cube_out[a, :, b, :] = rotate(a, b)
-            self._drop_pages(out)
+                cube_out[a0:a1, :, b, :] = rotate(slice(a0, a1), b)
+            self._drop_pages(out, a0 * slab, a1 * slab)
         self._drop_pages(data)
         return out
 
@@ -258,10 +263,12 @@ class DenseBackend(SimulationBackend):
         row_bytes = data.dtype.itemsize * (
             int(np.prod(data.shape[1:], dtype=np.int64)) if data.ndim > 1 else 1
         )
-        step = max(1, min(data.shape[0], self.memory_budget // max(2 * row_bytes, 1)))
-        for lo in range(0, data.shape[0], step):
-            out[lo : lo + step] = data[inverse_gather[lo : lo + step]]
-            self._drop_pages(out)
+        rows = data.shape[0]
+        step = max(1, min(rows, self.memory_budget // max(2 * row_bytes, 1)))
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            out[lo:hi] = data[inverse_gather[lo:hi]]
+            self._drop_pages(out, lo * row_bytes, hi * row_bytes)
         self._drop_pages(data)
         return out
 
@@ -283,14 +290,25 @@ class DenseBackend(SimulationBackend):
         return out
 
     @staticmethod
-    def _drop_pages(array) -> None:
-        """Best-effort: flush a memmap's dirty pages and evict them from RAM."""
+    def _drop_pages(array, start: int = 0, stop: Optional[int] = None) -> None:
+        """Best-effort: flush the pages of a memmap that bytes ``[start,
+        stop)`` (by default the whole mapping) complete, and evict them.
+
+        Offsets count from the start of the mapping, where an :meth:`_alloc`
+        scratch array begins.  Tiles are written in order, so a page that
+        the next tile still writes into is left for that tile: each page is
+        flushed (a synchronous ``msync``) once, not once per tile.
+        """
         raw = getattr(array, "_mmap", None)
         if raw is None:
             return
+        end = len(raw) if stop is None or stop >= len(raw) else stop - stop % mmap.PAGESIZE
+        start -= start % mmap.PAGESIZE
+        if end <= start:
+            return
         try:
-            array.flush()
-            raw.madvise(mmap.MADV_DONTNEED)
+            raw.flush(start, end - start)
+            raw.madvise(mmap.MADV_DONTNEED, start, end - start)
         except (AttributeError, OSError, ValueError):  # pragma: no cover - platform
             pass
 

@@ -10,9 +10,9 @@ permutation segment**, amortising the gather tables across the batch
 instead of replaying them per state.
 
 For purely classical workloads (a permutation circuit applied to basis
-states) :func:`apply_to_basis_indices` propagates just the ``B`` flat
-indices through the table — O(rows · B) instead of O(rows · d^n) amplitude
-traffic.
+states) :meth:`~repro.ir.table.GateTable.apply_to_indices` propagates just
+the ``B`` flat indices through the table — O(rows · B) instead of
+O(rows · d^n) amplitude traffic.
 """
 
 from __future__ import annotations
@@ -180,12 +180,3 @@ class BatchedStatevector:
             f"batch={self.batch_size}, backend={self.backend.name!r})"
         )
 
-
-def apply_to_basis_indices(circuit: QuditCircuit, indices) -> np.ndarray:
-    """Classical batched path: images of flat basis indices under ``circuit``.
-
-    Requires a permutation circuit; propagates only the requested indices
-    through the columnar table (building it if necessary), one length-``B``
-    gather per row.
-    """
-    return circuit.to_table().apply_to_indices(indices)

@@ -8,13 +8,14 @@ circuit, which is dramatically cheaper than dense unitary simulation
 (``O(d^n * size)`` instead of ``O(d^{2n} * size)``) and is exact.
 
 The whole-basis queries are vectorized: :func:`permutation_index_table`
-composes the circuit's columnar table, one numpy gather per distinct row,
-instead of ``m * d^n`` Python-level gate applications for ``m`` gates.
+composes the circuit's columnar table, one numpy gather per row from one op
+table per distinct row, instead of ``m * d^n`` Python-level gate
+applications for ``m`` gates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +30,13 @@ BasisState = Tuple[int, ...]
 #: whole-basis gather (:meth:`~repro.ir.table.GateTable.permutation_index_table`)
 #: instead of pushing the states through every row
 #: (:meth:`~repro.ir.table.GateTable.apply_to_indices`, about ten numpy calls
-#: per row).  Both workload simulates (:mod:`repro.exec.workload`) and the
-#: sampled permutation-spec check (:func:`repro.verify.checks.spec_sampled`)
-#: take this crossover.  The gather is composed on first use and then held
-#: by the cached table, interned on its pools, so every repeat costs
-#: O(states).  Larger registers keep index propagation, which never builds a
-#: ``d**n`` array and so works far beyond statevector sizes.
+#: per row).  :func:`basis_images` takes this crossover for both workload
+#: simulates (:mod:`repro.exec.workload`) and the sampled permutation-spec
+#: checks (:func:`repro.verify.checks.spec_sampled`).  The gather is
+#: composed on first use and then held by the cached table, interned on its
+#: pools, so every repeat costs O(states).  Larger registers keep index
+#: propagation, which never builds a ``d**n`` array and so works far beyond
+#: statevector sizes.
 #:
 #: The value is the largest basis at which composing a fresh table costs no
 #: more than propagating one request's states through it, so a first
@@ -70,6 +72,27 @@ BasisState = Tuple[int, ...]
 GATHER_MAX_STATES = 4096
 
 
+def basis_images(
+    circuit: QuditCircuit, indices, *, max_gather_bytes: Optional[int] = None
+) -> Tuple[np.ndarray, str]:
+    """Images of flat basis ``indices`` under a permutation circuit, and the
+    path that produced them.
+
+    ``"gather"``: one lookup into the table's composed whole-basis gather,
+    taken up to :data:`GATHER_MAX_STATES` basis states and, when
+    ``max_gather_bytes`` is given, only while the gather's ``8·d**n`` bytes
+    fit it.  ``"propagate"``: the indices pushed through every row, which
+    never builds a ``d**n`` array.
+    """
+    table = circuit.to_table()
+    basis = circuit.dim**circuit.num_wires
+    if basis <= GATHER_MAX_STATES and (  # the gather holds 8-byte int64s
+        max_gather_bytes is None or 8 * basis <= max_gather_bytes
+    ):
+        return table.permutation_index_table()[indices], "gather"
+    return table.apply_to_indices(indices), "propagate"
+
+
 def apply_to_basis(circuit: QuditCircuit, state: Sequence[int]) -> BasisState:
     """Apply ``circuit`` to one computational basis state and return the result."""
     if len(state) != circuit.num_wires:
@@ -92,10 +115,9 @@ def permutation_index_table(circuit: QuditCircuit) -> np.ndarray:
 
     Entry ``i`` is the flat index of the image of basis state ``i``.  Composed
     from the circuit's columnar table
-    (:meth:`~repro.ir.table.GateTable.permutation_index_table`), one gather
-    per *distinct* row, and held by the table; ``to_table()`` is cached on
-    the circuit.  Only feasible for small systems (``dim ** num_wires``
-    entries).
+    (:meth:`~repro.ir.table.GateTable.permutation_index_table`) and interned
+    on its pools; ``to_table()`` is cached on the circuit.  Only feasible
+    for small systems (``dim ** num_wires`` entries).
     """
     return circuit.to_table().permutation_index_table()
 

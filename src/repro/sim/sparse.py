@@ -5,14 +5,14 @@ circuits, and their hot inputs (basis states, truth-table probes, oracle
 queries) touch a handful of amplitudes — yet every statevector engine pays
 O(d^n) time and memory per application.  The ``sparse`` engine stores a
 state as the pair (sorted-unique ``int64`` flat indices, complex
-amplitudes) and evolves it with the O(batch) index arithmetic of
-:meth:`repro.qudit.operations.BaseOp.map_indices`:
+amplitudes) and evolves it with O(batch) index arithmetic:
 
-* each maximal permutation segment (PR 6's
-  :func:`repro.ir.segment.segment_table` machinery) becomes ONE pass of
-  per-row stride arithmetic over the *live indices only* — never a composed
-  ``d^n`` gather table — so a basis-state input costs O(rows · nnz)
-  regardless of register size (``d^n >= 10^9`` works);
+* each maximal permutation segment
+  (:func:`repro.ir.segment.segment_table`) pushes the *live indices only*
+  through its rows with :meth:`~repro.ir.segment.Segment.propagate`, the
+  row walk ``GateTable.apply_to_indices`` runs — never a composed ``d^n``
+  gather table — so a basis-state input costs O(rows · nnz) regardless of
+  register size (``d^n >= 10^9`` works);
 * a controlled-unitary row expands only the matched indices (predicate
   evaluated on decoded digits) into ``<= d`` successors each, then merges
   duplicates by key (``np.unique`` + ``np.add.at``) and prunes amplitudes
@@ -183,6 +183,24 @@ class SparseState:
         )
 
 
+def _permuted(state: SparseState, images: np.ndarray) -> SparseState:
+    """``state`` with each index moved to its image under a permutation.
+
+    Amplitudes are carried, never recomputed — the permutation path is
+    bit-for-bit identical to the dense engine.  One sort restores the
+    sorted-unique invariant (a permutation cannot create duplicates).
+    """
+    order = np.argsort(images, kind="stable")
+    return SparseState(
+        state.num_wires,
+        state.dim,
+        images[order],
+        state.amplitudes[order],
+        copy=False,
+        validate=False,
+    )
+
+
 class SparseBackend(SimulationBackend):
     """Amplitude-map engine: O(nnz) per row, dense only past ``max_occupancy``.
 
@@ -289,7 +307,7 @@ class SparseBackend(SimulationBackend):
             return _DENSE.apply_op(data, op, dim, num_wires)
         state = SparseState.from_dense(data, dim, num_wires, eps=self.eps)
         if op.is_permutation:
-            state = self._map_permutation_rows(state, [op])
+            state = _permuted(state, op.map_indices(state.indices, dim, num_wires))
             self._stats["perm_segments"] += 1
         else:
             state = self._expand_unitary_row(state, op)
@@ -312,14 +330,12 @@ class SparseBackend(SimulationBackend):
         self._stats["sparse_applies"] += 1
         dim, num_wires = table.dim, table.num_wires
         size = dim**num_wires
-        ops, row_map = table.unique_ops()
         threshold = self.max_occupancy * size
         data = state
         for segment in segment_table(table):
             if isinstance(data, SparseState):
                 if segment.kind == "perm":
-                    rows = [ops[u] for u in row_map[segment.start : segment.stop].tolist()]
-                    data = self._map_permutation_rows(data, rows)
+                    data = _permuted(data, segment.propagate(data.indices))
                     self._stats["perm_segments"] += 1
                 else:
                     data = self._expand_unitary_row(data, segment.op())
@@ -328,27 +344,6 @@ class SparseBackend(SimulationBackend):
             else:
                 data = _DENSE.apply_segment(data, segment, dim, num_wires)
         return data
-
-    def _map_permutation_rows(self, state: SparseState, rows) -> SparseState:
-        """One permutation segment: stride arithmetic on the live indices only.
-
-        Amplitudes are carried, never recomputed — the permutation path is
-        bit-for-bit identical to the dense engine.  One sort at segment end
-        restores the sorted-unique invariant (a permutation cannot create
-        duplicates).
-        """
-        indices = state.indices
-        for op in rows:
-            indices = op.map_indices(indices, state.dim, state.num_wires)
-        order = np.argsort(indices, kind="stable")
-        return SparseState(
-            state.num_wires,
-            state.dim,
-            indices[order],
-            state.amplitudes[order],
-            copy=False,
-            validate=False,
-        )
 
     def _expand_unitary_row(self, state: SparseState, op) -> SparseState:
         """One controlled-unitary row: expand matched indices into <= d successors."""

@@ -9,11 +9,12 @@ of :mod:`repro.verify.asserts`, each strategy's ``verify``) goes through it,
 so they all share one set of semantics.
 
 The permutation kernels compare whole digit matrices, never one state at a
-time.  The circuit's images come from one path, :func:`_basis_images`: its
-whole-basis gather (:func:`~repro.sim.permutation.permutation_index_table` —
-for a circuit served from the compile cache, the array simulate reads too)
-or, on bases above :data:`~repro.sim.permutation.GATHER_MAX_STATES`, batched
-index propagation.  The exhaustive kernels read the whole gather directly.
+time.  The sampled kernels take the circuit's images from
+:func:`~repro.sim.permutation.basis_images`, the function workload
+simulates call: its whole-basis gather (for a circuit served from the
+compile cache, the array simulate reads) or, on bases above
+:data:`~repro.sim.permutation.GATHER_MAX_STATES`, batched index
+propagation.  The exhaustive kernels read the whole gather directly.
 The expected images come from an :class:`ArraySpec`, which maps an
 ``(N, n)`` digit matrix in one call; :func:`mct_spec`,
 :func:`mc_shift_spec` and :func:`array_function_spec` build vectorized ones,
@@ -152,19 +153,16 @@ def _flat_indices(states: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
 def _basis_images(circuit, states: np.ndarray) -> np.ndarray:
     """Digit images of the ``(N, n)`` basis digit rows ``states``.
 
-    Up to :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states they
-    are looked up in the circuit's composed whole-basis gather (a circuit
-    backed by a cached table composes it once and the table holds it);
-    above that they are propagated in one batched index pass, which never
-    builds a ``d^n`` array.
+    They come from :func:`~repro.sim.permutation.basis_images`, the path
+    workload simulates take: a lookup into the circuit's composed
+    whole-basis gather up to
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states (a circuit
+    backed by a cached table composes it once and the table holds it), one
+    batched index pass above that, which never builds a ``d^n`` array.
     """
     dim, num_wires = circuit.dim, circuit.num_wires
-    size = require_int64_basis(dim, num_wires, "sampled index propagation")
-    indices = _flat_indices(states, dim, num_wires)
-    if size <= permutation.GATHER_MAX_STATES:
-        images = permutation.permutation_index_table(circuit)[indices]
-    else:
-        images = circuit.to_table().apply_to_indices(indices)
+    require_int64_basis(dim, num_wires, "sampled index propagation")
+    images, _ = permutation.basis_images(circuit, _flat_indices(states, dim, num_wires))
     return indices_to_digits(images, dim, num_wires)
 
 

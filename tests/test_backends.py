@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import lower_to_g_gates
 from repro.exceptions import GateError, WireError
 from repro.fuzz import random_circuit
 from repro.qudit.circuit import QuditCircuit
@@ -30,7 +31,8 @@ from repro.sim import (
 from repro.sim.backend import SimulationBackend
 from repro.sim.permutation import apply_to_basis
 from repro.utils import permutations as perm_utils
-from repro.utils.indexing import digits_to_index, iterate_basis
+from repro.synth import registry
+from repro.utils.indexing import digit_matrix, digits_to_index, iterate_basis
 
 #: The dense engine under a budget of two basis rows of a single state:
 #: every state here is tiled and held in memmap scratch.
@@ -65,7 +67,36 @@ def random_mixed_circuit(rng, num_wires=3, dim=3, num_ops=10):
     return circuit
 
 
+#: (strategy, d) for each registered strategy whose circuits are
+#: permutations, at every d in {3, 4, 5} it supports (told by its k=2
+#: circuit, which every strategy synthesizes in milliseconds).
+PERMUTATION_STRATEGY_CASES = [
+    (strategy.name, dim)
+    for strategy in registry.all_strategies()
+    for dim in (3, 4, 5)
+    if strategy.supports(dim, 2) and strategy.synthesize(dim, 2).circuit.is_permutation
+]
+
+
 class TestOpHooks:
+    @pytest.mark.parametrize("name,dim", PERMUTATION_STRATEGY_CASES)
+    def test_strategy_op_tables_match_the_scalar_walk(self, name, dim):
+        """Every distinct macro and lowered op of a permutation strategy: its
+        table (``map_indices`` over the whole basis) is the scalar
+        ``apply_to_basis`` walk of every basis state."""
+        # k=3: mct-clean-ladder at even d has no wire to borrow at k=2.
+        macro = registry.get(name).synthesize(dim, 3).circuit
+        for circuit in (macro, lower_to_g_gates(macro)):
+            basis = digit_matrix(dim, circuit.num_wires).tolist()
+            ops, _ = circuit.to_table().unique_ops()
+            for op in ops:
+                expected = []
+                for row in basis:
+                    state = list(row)
+                    op.apply_to_basis(state, dim)
+                    expected.append(digits_to_index(state, dim))
+                assert op.permutation_table(dim, circuit.num_wires).tolist() == expected, op
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_operation_table_matches_scalar_apply(self, dim):
         circuit = QuditCircuit(3, dim)

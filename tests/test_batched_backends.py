@@ -21,7 +21,6 @@ from repro.sim import (
     BatchedStatevector,
     DenseBackend,
     Statevector,
-    apply_to_basis_indices,
     get_backend,
 )
 from repro.verify import sample_basis_states
@@ -139,7 +138,7 @@ def _images(circuit, rows):
     from repro.utils.indexing import indices_to_digits
 
     indices = [digits_to_index(digits, dim) for digits in rows]
-    images = apply_to_basis_indices(circuit, indices)
+    images = circuit.to_table().apply_to_indices(indices)
     return [tuple(int(x) for x in row) for row in indices_to_digits(images, dim, num_wires)]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import QuditCircuit, lower_to_g_gates, synthesize_mct
-from repro.exceptions import CacheError, SynthesisError
+from repro.exceptions import CacheError
 from repro.exec import (
     CODE_VERSION,
     CompileCache,
@@ -225,9 +225,11 @@ def test_orphan_meta_sidecar_is_cleaned_on_get(tmp_path):
     # json; the next lookup treats it as a miss and removes it.
     cache = CompileCache(tmp_path)
     key = lowered_key("mct", 3, 2)
-    (tmp_path / f"{key}.json").write_text("{}", encoding="utf-8")
+    sidecar = cache._paths(key)[1]
+    sidecar.parent.mkdir()
+    sidecar.write_text("{}", encoding="utf-8")
     assert cache.get(key) is None
-    assert not (tmp_path / f"{key}.json").exists()
+    assert not sidecar.exists()
 
 
 def test_disk_lru_eviction_bounded_and_touch_on_get(tmp_path):
@@ -270,9 +272,10 @@ def test_disk_store_is_sharded_by_key_prefix(tmp_path):
     assert key in cache.keys()
 
 
-def test_flat_legacy_entries_still_hit_and_evict(tmp_path):
-    # A store written before sharding keeps its flat <key>.npz entries;
-    # reads fall back to them transparently and eviction can remove them.
+def test_flat_legacy_entries_count_and_evict_but_never_hit(tmp_path):
+    # A store written before sharding keeps its flat <key>.npz entries.  No
+    # key names them any more, so they are neither read nor warmed, but
+    # they count against the disk budget and eviction removes them.
     writer = CompileCache(tmp_path)
     key = lowered_key("mct", 3, 3)
     table = lower_to_g_gates(synthesize_mct(3, 3).circuit).to_table()
@@ -284,16 +287,15 @@ def test_flat_legacy_entries_still_hit_and_evict(tmp_path):
     shutil.move(sharded_npz, tmp_path / f"{key}.npz")
     shutil.move(sharded_meta, tmp_path / f"{key}.json")
 
-    reader = CompileCache(tmp_path)
-    assert key in reader
-    assert key in reader.keys()
-    entry = reader.get(key)
-    assert entry is not None and entry.source == "disk"
-    assert entry.meta == {"k": 3}
-    assert reader.disk_bytes() > 0
-    reader._remove(key)
-    assert not (tmp_path / f"{key}.npz").exists()
+    reader = CompileCache(tmp_path, max_disk_bytes=0)
+    assert key not in reader and key not in reader.keys()
+    assert reader.warm_scan() == {"scanned": 1, "warmed": 0, "dropped": 1, "bytes": 0}
     assert reader.get(key) is None
+    assert reader.disk_bytes() > 0
+    reader._evict_over_budget()
+    assert reader.stats.evictions == 1 and reader.disk_bytes() == 0
+    assert not (tmp_path / f"{key}.npz").exists()
+    assert not (tmp_path / f"{key}.json").exists()
 
 
 def test_eviction_spans_both_store_layouts(tmp_path):
@@ -417,19 +419,6 @@ def test_registry_synthesize_cache_round_trips_result(tmp_path):
     third = registry.synthesize("mct", 4, 3, cache=cache)
     assert cache.stats.memo_hits >= 1
     assert describe_op_difference(first.circuit, third.circuit) is None
-
-
-def test_lower_to_g_gates_cache_opt_in(tmp_path):
-    cache = CompileCache(tmp_path)
-    circuit = synthesize_mct(3, 4).circuit
-    key = lowered_key("mct", 3, 4)
-    cold = lower_to_g_gates(circuit, cache=cache, cache_key=key)
-    cache.clear_memo()
-    warm = lower_to_g_gates(circuit, cache=cache, cache_key=key)
-    assert cache.stats.disk_hits == 1
-    assert describe_op_difference(cold, warm) is None
-    with pytest.raises(SynthesisError):
-        lower_to_g_gates(circuit, cache=cache)  # cache without cache_key
 
 
 def test_compile_lowered_hits_skip_synthesis(tmp_path, monkeypatch):

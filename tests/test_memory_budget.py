@@ -186,7 +186,7 @@ class TestParseMemoryBudget:
     def test_accepted(self, text, expected):
         assert parse_memory_budget(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "eight", "8T", "-4", "0", 0, -1, "1.5M"])
+    @pytest.mark.parametrize("text", ["", "eight", "8T", "-4", "0", 0, -1, "1.5M", True, False])
     def test_rejected(self, text):
         with pytest.raises(GateError):
             parse_memory_budget(text)
@@ -301,6 +301,32 @@ class TestBudgetedBitForBit:
         actual = engine.apply_table(np.array(data), circuit.to_table())
         assert isinstance(actual, np.memmap)
         assert np.array_equal(np.asarray(actual), expected)
+
+    def test_tiles_flush_and_drop_only_the_bytes_they_wrote(self, monkeypatch):
+        """Every tile used to flush and drop the whole output mapping, so a
+        one-row budget cost tiles x mapping size per sweep."""
+        drops = []
+        drop_pages = DenseBackend._drop_pages
+
+        def record(array, *span):
+            if isinstance(array, np.memmap):  # the output; the input is in RAM
+                drops.append(span or (0, array.nbytes))
+            drop_pages(array, *span)
+
+        monkeypatch.setattr(DenseBackend, "_drop_pages", staticmethod(record))
+        engine = DenseBackend(memory_budget=16)  # one complex128 amplitude
+        data = random_state(3, 3, 5)
+        permutation = QuditCircuit(3, 3)
+        permutation.add_gate(XPlus(3, 1), 1, [(0, Value(2))])
+        fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+        unitary = QuditCircuit(3, 3)
+        unitary.add_gate(SingleQuditUnitary(fourier, label="F"), 1)
+        for circuit, tiles in ((permutation, 27), (unitary, 3)):
+            drops.clear()
+            out = engine.apply_table(np.array(data), circuit.to_table())
+            assert isinstance(out, np.memmap) and len(drops) == tiles
+            assert sum(stop - start for start, stop in drops) == out.nbytes
+            assert np.array_equal(np.asarray(out), dense_reference(circuit, data))
 
     def test_apply_circuit_and_per_op_paths(self):
         circuit = mixed_circuit(9, num_wires=3, dim=3, num_ops=9)

@@ -574,6 +574,22 @@ def test_daemon_rejects_the_retired_engine_field_with_400():
     assert rejected == 1
 
 
+def test_daemon_rejects_a_bool_memory_budget_with_400():
+    """``"memory_budget": true`` used to run as a 1-byte budget, on
+    memmap-tiled kernels, and the daemon answered 200."""
+
+    async def scenario(daemon, host, port):
+        spec = {"requests": [{"kind": "simulate", "strategy": "mcu-exponential", "d": 3,
+                              "k": 2, "memory_budget": True}]}
+        reply = await raw_exchange(host, port, post_workload(json.dumps(spec).encode("utf-8")))
+        return reply, daemon.metrics.rejected["bad_request"]
+
+    reply, rejected = serve_in_process(scenario)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"memory budget must be a byte count" in reply
+    assert rejected == 1
+
+
 # ----------------------------------------------------------------------
 # HTTP front end over a raw socket (in-process daemon)
 # ----------------------------------------------------------------------

@@ -334,24 +334,38 @@ class TestHugeRegister:
 
 
 # ----------------------------------------------------------------------
-# GateTable.apply_to_indices: buffers, chunking, error naming
+# GateTable.apply_to_indices: chunking, error naming
 # ----------------------------------------------------------------------
 class TestApplyToIndices:
-    def test_out_buffer_is_filled_and_returned(self):
-        table = mixed_circuit(1, num_ops=9, unitary=False).to_table()
-        indices = np.arange(27, dtype=np.int64)
-        expected = table.apply_to_indices(indices)
-        out = np.empty(27, dtype=np.int64)
-        returned = table.apply_to_indices(indices, out=out)
-        assert returned is out
-        assert np.array_equal(out, expected)
+    def test_chunking_matches_one_shot(self, monkeypatch):
+        from repro.ir import segment
 
-    def test_chunking_matches_one_shot(self):
         table = mixed_circuit(4, num_ops=11, unitary=False).to_table()
         indices = np.arange(27, dtype=np.int64)
-        assert np.array_equal(
-            table.apply_to_indices(indices, chunk_size=5),
-            table.apply_to_indices(indices),
+        one_shot = table.apply_to_indices(indices)
+        monkeypatch.setattr(segment, "INDEX_CHUNK", 5)
+        assert np.array_equal(table.apply_to_indices(indices), one_shot)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_permutation_segments_move_indices_as_apply_to_indices(self, seed):
+        """The sparse engine's permutation segments and ``apply_to_indices``
+        walk the rows alike, star rows and overflow-control rows included."""
+        from repro.fuzz import random_circuit
+        from repro.ir import OP_STAR
+
+        weights = {"transposition": 2.0, "perm": 1.0, "xplus": 1.0, "star": 2.0}
+        circuit = random_circuit(seed, num_wires=5, dim=3, num_ops=40, op_weights=weights,
+                                 max_controls=4)
+        table = circuit.to_table()
+        assert (table.opcode == OP_STAR).any() and (table.extra >= 0).any()
+        indices = np.sort(np.random.default_rng(seed).choice(3**5, size=40, replace=False))
+        amplitudes = indices + 1.0j  # distinct, so each one's destination shows
+        out = SparseBackend().apply_table_sparse(
+            SparseState(5, 3, indices, amplitudes), table
+        )
+        images = table.apply_to_indices(indices)
+        assert dict(zip(out.indices.tolist(), out.amplitudes.tolist())) == dict(
+            zip(images.tolist(), amplitudes.tolist())
         )
 
     def test_empty_batch(self):
@@ -370,14 +384,6 @@ class TestApplyToIndices:
             table.apply_to_indices(np.array([27], dtype=np.int64))
         with pytest.raises(WireError):
             table.apply_to_indices(np.array([-1], dtype=np.int64))
-
-    def test_bad_out_buffer_rejected(self):
-        table = mixed_circuit(1, num_ops=3, unitary=False).to_table()
-        indices = np.arange(5, dtype=np.int64)
-        with pytest.raises(GateError):
-            table.apply_to_indices(indices, out=np.empty(4, dtype=np.int64))
-        with pytest.raises(GateError):
-            table.apply_to_indices(indices, out=np.empty(5, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from repro.exec import (
     lowered_key,
     plan_workload,
     run_workload,
-    workload,
 )
+from repro.sim import permutation
 from repro.synth import registry
 
 SPEC = {
@@ -206,6 +206,22 @@ def test_simulate_options_are_validated_whichever_path_runs(strategy, k, options
     assert row["ok"] is False and fragment in row["error"]
 
 
+@pytest.mark.parametrize("budget", [True, False])
+def test_a_bool_memory_budget_is_refused(budget, tmp_path, capsys):
+    """``true`` used to parse as a 1-byte budget (a ``bool`` is an ``int``):
+    an ``mcu-exponential`` simulate ran on memmap-tiled kernels and came
+    back ``ok``."""
+    raw = {"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 2,
+           "memory_budget": budget}
+    with pytest.raises(WorkloadError, match="request 0: memory budget must be"):
+        WorkloadRequest.from_dict(raw, 0)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"requests": [raw]}), encoding="utf-8")
+    assert main(["batch", "--workload", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory budget must be" in err
+
+
 def test_cli_batch_defaults_pass_the_same_checks(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"requests": [
@@ -270,18 +286,18 @@ def test_planner_resolves_auto_to_the_dispatched_strategy():
 
 
 def test_lower_cache_rejects_macro_stage_key(tmp_path):
-    import pytest as _pytest
-
-    from repro import lower_to_g_gates, synthesize_mct
-    from repro.exceptions import SynthesisError
-    from repro.exec import CompileCache, cache_key
-    from repro.synth import registry as _registry
+    """The macro-stage entry of a scenario is never served as its lowered
+    output: ``compile_lowered``, the one cache-aware lowering path, reads
+    only the lowered-stage key."""
+    from repro.exec import CompileCache, cache_key, compile_lowered
 
     cache = CompileCache(tmp_path)
-    _registry.synthesize("mct", 3, 4, cache=cache)  # stores the macro table
+    registry.synthesize("mct", 3, 4, cache=cache)  # stores the macro table
     macro_key = cache_key("mct", 3, 4, stage="synth", salt=cache.salt)
-    with _pytest.raises(SynthesisError):
-        lower_to_g_gates(synthesize_mct(3, 4).circuit, cache=cache, cache_key=macro_key)
+    assert macro_key in cache
+    outcome = compile_lowered("mct", 3, 4, cache=cache)
+    assert outcome.source == "built" and outcome.key != macro_key
+    assert outcome.circuit.is_g_circuit()
 
 
 # ----------------------------------------------------------------------
@@ -499,17 +515,38 @@ def test_gather_and_propagation_match_the_gate_definition(strategy, d, k, monkey
     row = execute_request(request, cache)
     assert row["ok"], row.get("error")
     basis = d ** row["num_wires"]
-    assert row["sim_path"] == ("gather" if basis <= workload.GATHER_MAX_STATES else "propagate")
+    assert row["sim_path"] == ("gather" if basis <= permutation.GATHER_MAX_STATES else "propagate")
     assert row["outputs"] == expected
     # Force each path on both sides of the crossover.
     for limit, path in ((0, "propagate"), (basis, "gather")):
-        monkeypatch.setattr(workload, "GATHER_MAX_STATES", limit)
+        monkeypatch.setattr(permutation, "GATHER_MAX_STATES", limit)
         forced = execute_request(request, cache)
         assert forced["sim_path"] == path and forced["outputs"] == expected
     table = cache.get(lowered_key(strategy, d, k)).table
     indices = np.random.default_rng(basis).integers(0, basis, size=64)
     assert np.array_equal(table.permutation_index_table()[indices],
                           table.apply_to_indices(indices))
+
+
+def test_one_crossover_moves_the_workload_simulate_and_the_sampled_verify_tier(monkeypatch):
+    """The gather-or-propagate decision is one function, so one patch of
+    ``GATHER_MAX_STATES`` moves a workload row's ``sim_path`` and the sampled
+    verify tier alike; the tier's gather shows as a composition on the
+    checked table's pools."""
+    from repro import lower_to_g_gates
+    from repro.verify import VerificationBudget
+
+    request = _path_request("mct", 3, 4)
+    strategy = registry.get("mct")
+    basis = 3**5
+    sampled = VerificationBudget(max_basis_states=basis - 1, samples=64)
+    for limit, path in ((basis, "gather"), (basis - 1, "propagate")):
+        monkeypatch.setattr(permutation, "GATHER_MAX_STATES", limit)
+        assert execute_request(request, CompileCache())["sim_path"] == path
+        lowered = lower_to_g_gates(strategy.synthesize(3, 4).circuit)  # fresh pools
+        report = strategy.verify(lowered, 3, 4, budget=sampled)
+        assert report.status == "verified" and report.decided_by == "index-propagation"
+        assert lowered.to_table().pools.segments.builds == (path == "gather")
 
 
 def test_repeated_simulates_compose_the_cached_gather_once():
