@@ -105,9 +105,9 @@ def measure_fusion(quick: bool) -> dict:
 # Memory: unbudgeted vs budgeted peak RSS growth, one subprocess per engine
 # ----------------------------------------------------------------------
 def memory_case(quick: bool) -> dict:
-    # Few distinct (gate, target) forms: the per-op permutation tables the
-    # composition walks are shared cache entries on both sides, so the RSS
-    # difference isolates the kernels' own scratch arrays.
+    # A few single-qudit layers: both sides compose the same segment gathers
+    # before the watermark, so the RSS difference isolates the kernels' own
+    # scratch arrays.
     return {
         "dim": 3,
         "num_wires": 10 if quick else 12,
@@ -129,9 +129,9 @@ def run_worker(engine_name: str, case: dict) -> int:
     """Apply the probe circuit; print the engine's peak RSS growth (bytes).
 
     ``engine_name`` is ``"dense"`` (no budget) or ``"budgeted"`` (the case's
-    budget).  Everything both share — the composed segment gathers, the
-    per-op permutation tables, the input state — is allocated and touched
-    *before* the baseline watermark, and the input is filled in place
+    budget).  Everything both share — the composed segment gathers (and
+    composition's transient planes), the input state — is allocated and
+    touched *before* the baseline watermark, and the input is filled in place
     (``standard_normal(out=...)``, no float temporaries), so the reported
     growth is the kernels' own scratch: the full output array without a
     budget, the tile working set under one.

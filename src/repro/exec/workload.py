@@ -148,6 +148,13 @@ class WorkloadRequest:
             dim, k = json_int(raw["d"]), json_int(raw["k"])
         except TypeError:
             raise WorkloadError(f"request {index}: d and k must be integers") from None
+        from repro.synth import registry
+
+        strategy = raw["strategy"]
+        if strategy in registry.names() and not registry.get(strategy).supports(dim, k):
+            raise WorkloadError(
+                f"request {index}: strategy {strategy!r} does not support d={dim}, k={k}"
+            )
         states = raw.get("states", ())
         try:
             states = tuple(tuple(json_int(x) for x in row) for row in states)
@@ -240,17 +247,15 @@ class WorkloadRequest:
 def _layout_wires(strategy: str, dim: int, k: int) -> Optional[int]:
     """The wire count of ``strategy`` at ``(d, k)`` from its analytic
     :meth:`~repro.synth.strategy.Synthesizer.layout`, or ``None`` for
-    ``"auto"``, an unknown name or an unsupported ``(d, k)`` (the executed
-    row checks those against the circuit it builds, or fails on the name).
+    ``"auto"`` or an unknown name (the executed row checks those against the
+    circuit it builds, or fails on the name).  A named strategy's ``(d, k)``
+    is supported: :meth:`WorkloadRequest.from_dict` refused it otherwise.
     """
     from repro.synth import registry
 
     if strategy == "auto" or strategy not in registry.names():
         return None
-    synthesizer = registry.get(strategy)
-    if not synthesizer.supports(dim, k):
-        return None
-    return synthesizer.layout(dim, k)[0]
+    return registry.get(strategy).layout(dim, k)[0]
 
 
 def _check_states(

@@ -19,7 +19,8 @@ hooks consumed by the simulation backends in :mod:`repro.sim.backend`:
 
 * :meth:`BaseOp.permutation_table` — the operation's action on the whole
   ``d^n`` basis as a flat numpy gather table: :meth:`BaseOp.map_indices` of
-  ``arange(d^n)``, held once per operation form;
+  ``arange(d^n)``, built fresh on every call (no table is cached; the
+  per-op references use it, composition does not);
 * :meth:`BaseOp.control_mask` — the control predicate evaluated over the whole
   basis as a boolean array broadcastable against the state reshaped to
   ``(d,) * n``;
@@ -42,22 +43,6 @@ from repro.qudit.controls import ControlPredicate, Value
 from repro.qudit.gates import Gate, XPerm
 
 Control = Tuple[int, ControlPredicate]
-
-#: Gather tables shared across *structurally equal* operations.  Lowered
-#: circuits repeat the same few dozen G-gate forms thousands of times as
-#: distinct instances; keying on (kind, dim, num_wires, wires, payload,
-#: controls) lets them all share one table.  Bounded FIFO so a long-running
-#: process sweeping many distinct op forms cannot grow without limit; an
-#: evicted table is rebuilt on its next use.
-_SHARED_TABLE_CACHE: dict = {}
-_SHARED_TABLE_CACHE_MAX = 4096
-
-
-def _shared_table_cache_put(key, table) -> None:
-    while len(_SHARED_TABLE_CACHE) >= _SHARED_TABLE_CACHE_MAX:
-        _SHARED_TABLE_CACHE.pop(next(iter(_SHARED_TABLE_CACHE)))
-    _SHARED_TABLE_CACHE[key] = table
-
 
 #: ``(predicate, dim) -> bool[dim]`` firing vectors for vectorized control
 #: evaluation on decoded digits.  Predicates are immutable and hashable, and
@@ -165,18 +150,16 @@ class BaseOp:
 
         Entry ``i`` is the flat index of the image of basis state ``i``, so a
         statevector evolves as ``new[table] = old`` (a single scatter).  Only
-        defined for permutation operations.  The table is
-        :meth:`map_indices` of ``arange(d^n)``, built once per operation form
-        into :data:`_SHARED_TABLE_CACHE` and returned read-only.
+        defined for permutation operations.  The table is a fresh
+        :meth:`map_indices` of ``arange(d^n)``, returned read-only and not
+        cached: it is the per-op reference (the dense engine's per-op walk,
+        the fuzz ``backends`` oracle), while composition
+        (:mod:`repro.ir.segment`) never builds a ``d^n`` table per operation.
         """
         if not self.is_permutation:
             raise GateError(f"{self!r} is not a permutation operation")
-        key = self._table_key(dim, num_wires)
-        table = _SHARED_TABLE_CACHE.get(key)
-        if table is None:
-            table = self.map_indices(np.arange(dim**num_wires), dim, num_wires)
-            table.setflags(write=False)
-            _shared_table_cache_put(key, table)
+        table = self.map_indices(np.arange(dim**num_wires), dim, num_wires)
+        table.setflags(write=False)
         return table
 
     def controls_fire_flat(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
@@ -206,9 +189,6 @@ class BaseOp:
         Only defined for permutation operations; indices are not range
         checked (callers validate the batch once).
         """
-        raise NotImplementedError
-
-    def _table_key(self, dim: int, num_wires: int) -> tuple:
         raise NotImplementedError
 
     def _check_distinct_wires(self) -> None:
@@ -245,9 +225,6 @@ class Operation(BaseOp):
             raise GateError("cannot apply a non-permutation gate to a classical basis state")
         if self.controls_fire(state, dim):
             state[self.target] = self.gate.permutation()[state[self.target]]
-
-    def _table_key(self, dim: int, num_wires: int) -> tuple:
-        return ("op", dim, num_wires, self.target, self.gate.permutation(), self.controls)
 
     def map_indices(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
         if not self.is_permutation:
@@ -326,9 +303,6 @@ class StarShiftOp(BaseOp):
     def apply_to_basis(self, state: List[int], dim: int) -> None:
         if self.controls_fire(state, dim):
             state[self.target] = (state[self.target] + self.sign * state[self.star_wire]) % dim
-
-    def _table_key(self, dim: int, num_wires: int) -> tuple:
-        return ("star", dim, num_wires, self.star_wire, self.target, self.sign, self.controls)
 
     def map_indices(self, indices: np.ndarray, dim: int, num_wires: int) -> np.ndarray:
         for wire in (self.star_wire, self.target):

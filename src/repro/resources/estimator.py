@@ -354,14 +354,13 @@ def _check_batch_ks(strategy: "Synthesizer", dim: int, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
     if ks.ndim != 1:
         raise EstimationError(f"batch estimation needs a 1-D k array, got shape {ks.shape}")
-    if ks.size:
-        low, high = int(ks.min()), int(ks.max())
-        if not (strategy.supports(dim, low) and strategy.supports(dim, high)):
-            raise EstimationError(
-                f"strategy {strategy.name!r} does not support every point of "
-                f"the batch at d={dim} (k range {low}..{high}); filter with "
-                f"supports_batch first"
-            )
+    unsupported = ks[~strategy.supports_batch(dim, ks)]
+    if unsupported.size:
+        raise EstimationError(
+            f"strategy {strategy.name!r} does not support every point of "
+            f"the batch at d={dim} (first unsupported k={int(unsupported[0])}); "
+            f"filter with supports_batch first"
+        )
     return ks
 
 

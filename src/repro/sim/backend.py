@@ -170,11 +170,11 @@ class DenseBackend(SimulationBackend):
     The budget bounds the amplitude arrays these kernels allocate.  It does
     not bound composition: each permutation segment's forward and inverse
     gathers (``16·dⁿ`` bytes together, interned on the table's pools) and
-    the per-op tables they are composed from
-    (``_SHARED_TABLE_CACHE`` in :mod:`repro.qudit.operations`) sit outside
-    it.  On ``mct`` d=3 k=10 lowered (3^11 states, batch 1; a 2-vCPU Xeon
-    VM) the whole process peaked at 141 MiB unbudgeted and at 144 MiB
-    under an 8 MiB budget.
+    the block kernel's working set while it composes them (``n`` digit
+    planes of one byte per state below d=257, plus three ``8·dⁿ``-byte
+    buffers; see :mod:`repro.ir.segment`) sit outside it.  On ``mct`` d=3
+    k=10 lowered (3^11 states, batch 1; a 2-vCPU Xeon VM) the whole process
+    peaked at 47 MiB unbudgeted and at 51 MiB under an 8 MiB budget.
     The minimum tile is one basis row (``B`` amplitudes) for gathers and
     one ``(1, d, 1, B)`` pencil for unitaries; smaller budgets still
     simulate correctly, without the residency bound for that one tile.

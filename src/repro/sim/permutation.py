@@ -8,9 +8,10 @@ circuit, which is dramatically cheaper than dense unitary simulation
 (``O(d^n * size)`` instead of ``O(d^{2n} * size)``) and is exact.
 
 The whole-basis queries are vectorized: :func:`permutation_index_table`
-composes the circuit's columnar table, one numpy gather per row from one op
-table per distinct row, instead of ``m * d^n`` Python-level gate
-applications for ``m`` gates.
+composes the circuit's columnar table with the block kernel of
+:mod:`repro.ir.segment` (rows cut into blocks of a few wires, each block a
+small lookup applied to per-wire digit planes), instead of ``m * d^n``
+Python-level gate applications for ``m`` gates.
 """
 
 from __future__ import annotations
@@ -38,26 +39,32 @@ BasisState = Tuple[int, ...]
 #: propagation, which never builds a ``d**n`` array and so works far beyond
 #: statevector sizes.
 #:
-#: The value is the largest basis at which composing a fresh table costs no
+#: The value is the largest basis at which composing a fresh table cost no
 #: more than propagating one request's states through it, so a first
 #: request is no slower either.  Both costs grow with the row count, so
 #: their ratio depends on the basis size.  Measured on a 2-vCPU Intel Xeon
-#: VM, two runs (each a median of five; op tables cold; propagating 4
-#: states)::
+#: VM, two runs (each a median of five; propagating 4 states).  The
+#: ``row walk`` column is the composition this value was derived from (one
+#: ``d**n`` op table per distinct row, one gather per row, op tables cold);
+#: ``blocks`` is the block kernel of :mod:`repro.ir.segment` that composes
+#: today::
 #:
-#:     circuit            basis     compose       propagate 4
-#:     mct d=4 k=3        1,024     2.3-2.6 ms    4.5-4.7 ms
-#:     mct d=3 k=6        2,187     32-35 ms      68-69 ms
-#:     pk  d=5 k=4        3,125     16-20 ms      29-30 ms
-#:     mct d=4 k=4        4,096     13-16 ms      15-16 ms
-#:     mct d=3 k=7        6,561     111-123 ms    104-120 ms
-#:     mct d=6 k=3        7,776     16-20 ms      10-11 ms
-#:     mct d=4 k=5       16,384     78-95 ms      20-28 ms
+#:     circuit            basis     row walk      blocks        propagate 4
+#:     mct d=4 k=3        1,024     2.3-2.6 ms    1.7-1.9 ms    4.5-4.7 ms
+#:     mct d=3 k=6        2,187     32-35 ms      9.9-12 ms     68-69 ms
+#:     pk  d=5 k=4        3,125     16-20 ms      6.0-6.9 ms    29-30 ms
+#:     mct d=4 k=4        4,096     13-16 ms      2.9-3.2 ms    15-16 ms
+#:     mct d=3 k=7        6,561     111-123 ms    18-20 ms      104-120 ms
+#:     mct d=6 k=3        7,776     16-20 ms      3.8-4.3 ms    10-11 ms
+#:     mct d=4 k=5       16,384     78-95 ms      5.1-5.8 ms    20-28 ms
 #:
-#: The exception is a circuit with few rows per distinct operation, whose
-#: composition is dominated by building each operation's table: the
-#: clean-ancilla ladder at d=3, k=4 (2,187 states, 51 rows) composes in
-#: 0.9 ms against 0.4 ms, once per cached table.
+#: With blocks, composing costs less than propagating 4 states on every
+#: register measured, up to 16,384 states, so the crossover now sits above
+#: this value.  It stays 4,096 until the benchmark ledger re-derives it
+#: with its byte bound.  The exception is still a circuit with few rows per
+#: distinct operation: the clean-ancilla ladder at d=3, k=4 (2,187 states,
+#: 51 rows) composes in 0.9-1.1 ms against 0.6-0.7 ms, once per cached
+#: table.
 #:
 #: Memory is bounded in bytes for simulates and sampled checks: one
 #: ``int64`` gather of at most ``GATHER_MAX_STATES * 8`` bytes = 32 KiB per
@@ -66,9 +73,7 @@ BasisState = Tuple[int, ...]
 #: permutation check is bounded by its budget instead: it composes the
 #: whole gather of the table it checks up to ``max_basis_states`` basis
 #: states (200,000, 1.6 MB, under the ``standard`` budget), and the table
-#: holds it like any other.  Composition also builds each distinct
-#: operation's table of the same size into the op-table cache of
-#: :mod:`repro.qudit.operations`.
+#: holds it like any other.  Composition itself keeps nothing else.
 GATHER_MAX_STATES = 4096
 
 

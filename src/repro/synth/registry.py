@@ -113,9 +113,6 @@ def auto_select(
         try:
             resources = strategy.estimate(dim, k)
         except (EstimationError, SynthesisError) as error:
-            # e.g. the clean-ladder baseline at even d, k = 2: its macro
-            # circuit has no idle wire to borrow during G-lowering, so no
-            # lowered cost exists to rank.
             considered.append((strategy.name, None, f"no estimate: {error}"))
             continue
         note = "" if resources.exact else "model estimate"

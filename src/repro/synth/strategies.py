@@ -324,6 +324,16 @@ class CleanLadderStrategy(Synthesizer):
         # controls makes the residue period d − 2 (1 for qutrits).
         return AffineSpec(period=max(1, dim - 2), stable_from=4)
 
+    def supports(self, dim: int, k: int) -> bool:
+        # At even d the k = 2 ladder leaves no idle wire for the borrowed
+        # ancilla of its two-controlled gadget, so it cannot be lowered.
+        return super().supports(dim, k) and not (dim % 2 == 0 and k == 2)
+
+    def supports_batch(self, dim: int, ks: np.ndarray) -> np.ndarray:
+        ks = np.asarray(ks, dtype=np.int64)
+        mask = super().supports_batch(dim, ks)
+        return mask & (ks != 2) if dim % 2 == 0 else mask
+
     def synthesize(self, dim: int, k: int, *, swap: Tuple[int, int] = (0, 1), **kwargs) -> SynthesisResult:
         self._require(dim, k)
         return synthesize_mct_clean_ladder(dim, k, swap=swap)

@@ -187,10 +187,40 @@ def test_sweep_covers_grid_and_records_statuses(swept):
         for dim in spec.dims:
             expected += int(strategy.supports_batch(dim, spec.ks()).sum())
     assert counts["points"] == expected == len(store)
-    # The even-d clean-ladder k=2 calibration failure lands as an error row,
-    # not a crash (live auto_select skips the same point with a note).
-    assert counts["error"] >= 1
+    # The even-d clean-ladder k=2 point, which no lowering can build, is
+    # refused by supports_batch and never swept (it used to be an error row).
+    cols = store.columns
+    ladder = store.strategies.index("mct-clean-ladder")
+    at = (cols["strategy_id"] == ladder) & (cols["dim"] == 4)
+    assert 2 not in cols["k"][at].tolist() and 3 in cols["k"][at].tolist()
     assert counts["ok"] + counts["offscale"] + counts["error"] == counts["points"]
+
+
+def test_a_failing_estimate_lands_as_an_error_row(monkeypatch):
+    """One point whose estimate fails poisons its chunk's batch estimate;
+    the chunk degrades to scalar estimates and records that point, and only
+    it, as an error row instead of crashing the sweep."""
+    ladder = registry.get("mct-clean-ladder")
+    scalar = ladder.estimate
+
+    def estimate(dim, k):
+        if k == 5:
+            raise EstimationError("injected failure")
+        return scalar(dim, k)
+
+    def estimate_batch(dim, ks):
+        raise EstimationError("injected failure")
+
+    monkeypatch.setattr(ladder, "estimate", estimate)
+    monkeypatch.setattr(ladder, "estimate_batch", estimate_batch)
+    store = run_sweep(SweepSpec(strategies=("mct-clean-ladder",), dims=(3,), k_stop=8))
+    cols = store.columns
+    assert cols["k"].tolist() == list(range(9))
+    assert cols["k"][cols["status"] == STATUS_ERROR].tolist() == [5]
+    ok = cols["status"] == STATUS_OK
+    assert ok.sum() == 8
+    for k, g_gates in zip(cols["k"][ok].tolist(), cols["g_gates"][ok].tolist()):
+        assert g_gates == scalar(3, k).g_gates
 
 
 def test_parallel_sweep_equals_serial(swept):

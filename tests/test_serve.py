@@ -558,6 +558,31 @@ def test_daemon_answers_simulate_and_verify_past_int64_with_400():
     assert rejected == len(requests) and accepted == 0
 
 
+def test_daemon_answers_unsupported_strategy_points_with_400():
+    """``mct-clean-ladder`` at d=4, k=2 (no wire for its gadget to borrow)
+    and ``mct-odd`` at d=4 used to be accepted: the daemon answered 200 with
+    a failed row."""
+    requests = [
+        {"kind": "simulate", "strategy": "mct-clean-ladder", "d": 4, "k": 2},
+        {"kind": "synthesize", "strategy": "mct-clean-ladder", "d": 4, "k": 2},
+        {"kind": "estimate", "strategy": "mct-odd", "d": 4, "k": 3},
+    ]
+
+    async def scenario(daemon, host, port):
+        replies = [
+            await raw_exchange(
+                host, port, post_workload(json.dumps({"requests": [request]}).encode())
+            )
+            for request in requests
+        ]
+        return replies, daemon.metrics.rejected["bad_request"], daemon.metrics.accepted
+
+    replies, rejected, accepted = serve_in_process(scenario)
+    for request, reply in zip(requests, replies):
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"does not support" in reply, request
+    assert rejected == len(requests) and accepted == 0
+
+
 def test_daemon_rejects_the_retired_engine_field_with_400():
     """``"engine"`` used to be accepted, so ``"object"`` compiled a second
     copy of the same circuit under its own cache key."""

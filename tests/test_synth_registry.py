@@ -94,6 +94,31 @@ class TestRegistry:
                     measured[kind.value] = measured.get(kind.value, 0) + 1
                 assert histogram == measured
 
+    def test_every_supported_clean_ladder_point_lowers(self):
+        """The even-d k=2 ladder has no idle wire for its gadget's borrowed
+        ancilla: ``supports`` said True and lowering raised."""
+        ladder = registry.get("mct-clean-ladder")
+        for dim in (3, 4, 5, 6):
+            ks = list(range(0, 6))
+            claimed = [k for k in ks if ladder.supports(dim, k)]
+            assert ladder.supports_batch(dim, ks).tolist() == [k in claimed for k in ks]
+            for k in claimed:
+                compile_lowered("mct-clean-ladder", dim, k)  # raises if it cannot lower
+            assert (2 in claimed) == (dim % 2 == 1)
+
+    def test_batch_estimate_checks_every_k_not_only_the_ends(self):
+        """Support is no longer contiguous in k (the even-d ladder lacks
+        k=2), so a batch whose two ends are supported can still hold an
+        unsupported point; it used to reach the lowering and fail there."""
+        from repro.exceptions import EstimationError
+
+        ladder = registry.get("mct-clean-ladder")
+        with pytest.raises(EstimationError, match="first unsupported k=2"):
+            ladder.estimate_batch(4, [1, 2, 3])
+        assert ladder.estimate_batch(4, [1, 3]).metrics["g_gates"].tolist() == [
+            ladder.estimate(4, 1).g_gates, ladder.estimate(4, 3).g_gates
+        ]
+
     def test_verify_accepts_canonical_syntheses(self):
         for name in ("mct", "mct-clean-ladder", "pk", "mcu", "increment"):
             strategy = registry.get(name)

@@ -86,6 +86,39 @@ def test_spec_rejects_malformed_requests(raw):
         WorkloadSpec.from_dict({"requests": [raw]})
 
 
+UNSUPPORTED_POINTS = [
+    ("mct-clean-ladder", 4, 2),  # lowering found no idle wire to borrow
+    ("mct-odd", 4, 3),  # DimensionError: odd d only
+]
+
+
+@pytest.mark.parametrize("kind", ["synthesize", "simulate", "estimate"])
+@pytest.mark.parametrize("strategy,d,k", UNSUPPORTED_POINTS)
+def test_unsupported_strategy_points_are_refused_at_parse_time(kind, strategy, d, k):
+    """These parsed, then failed their row when it ran."""
+    raw = {"kind": kind, "strategy": strategy, "d": d, "k": k}
+    with pytest.raises(WorkloadError, match=f"{strategy!r} does not support d={d}, k={k}"):
+        WorkloadRequest.from_dict(raw, 0)
+
+
+@pytest.mark.parametrize("strategy,d,k", UNSUPPORTED_POINTS)
+def test_cli_batch_refuses_an_unsupported_point_before_it_compiles(
+    strategy, d, k, tmp_path, capsys, monkeypatch
+):
+    """``batch`` used to compile the whole spec, fail the row and exit 1."""
+    calls = []
+    monkeypatch.setattr("repro.exec.workload.compile_lowered", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"requests": [
+        {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3},
+        {"kind": "simulate", "strategy": strategy, "d": d, "k": k},
+    ]}), encoding="utf-8")
+    assert main(["batch", "--workload", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not support" in err
+    assert calls == []
+
+
 def test_engine_is_an_unknown_field():
     """``"engine"`` used to parse with any value: ``"warp"`` failed only when
     the request ran, and ``"object"`` compiled a second copy of the circuit
