@@ -24,6 +24,12 @@ a small mixed workload through the HTTP front end via
   answered 400, or the 400 is not the only rejected request;
 * a ``mcu-exponential`` d=3 k=3 synthesize with ``"verify": "standard"``
   does not read ``verified``;
+* a submit is answered on the wrong path (``/metrics`` ``requests.inline``
+  and ``requests.queued``, read around each submit): the first submit of a
+  circuit must be answered by the worker and an identical repeat inline on
+  the event loop, while an ``auto`` submit (even warm), a simulate on
+  ``"backend": "sparse"`` or with a ``"memory_budget"``, and a simulate past
+  the gather or operator cap must be answered by the worker;
 * the sequential submits, each asking for ``Connection: keep-alive``,
   used more than two connections (``/metrics`` ``connections``);
 * the daemon does not exit 0 on SIGTERM (graceful drain), or takes 5 s or
@@ -78,24 +84,35 @@ SPEC = {
     ]
 }
 
-#: (request, expected ``sim_path``) per submit: ``mct`` at d=3 on 3^4 and
-#: 3^9 basis states, ``mcu-exponential`` (a dense-unitary table) on 3^3 and
-#: 3^6 (both: k controls on wires 0..k-1, the target on wire k, no
-#: ancilla).
+#: (request, expected ``sim_path``, expected answerer) per submit: ``mct``
+#: at d=3 on 3^4 and 3^9 basis states, ``mcu-exponential`` (a dense-unitary
+#: table) on 3^3 and 3^6 (both: k controls on wires 0..k-1, the target on
+#: wire k, no ancilla).  A cold circuit is answered by the worker; a warm
+#: repeat inline, unless it is past the gather or operator cap.
 PATH_SUBMITS = tuple(
     ({"kind": "simulate", "strategy": strategy, "d": 3, "k": k,
-      "states": [[0] * k + [1], [0] * k + [2], [1] + [0] * (k - 1) + [0]]}, path)
-    for strategy, k, path in (
-        ("mct", 3, "gather"), ("mct", 3, "gather"), ("mct", 8, "propagate"),
-        ("mcu-exponential", 2, "operator"), ("mcu-exponential", 2, "operator"),
-        ("mcu-exponential", 5, "dense"),
+      "states": [[0] * k + [1], [0] * k + [2], [1] + [0] * (k - 1) + [0]]}, path, answerer)
+    for strategy, k, path, answerer in (
+        ("mct", 3, "gather", "worker"), ("mct", 3, "gather", "inline"),
+        ("mct", 8, "propagate", "worker"), ("mct", 8, "propagate", "worker"),
+        ("mcu-exponential", 2, "operator", "worker"),
+        ("mcu-exponential", 2, "operator", "inline"),
+        ("mcu-exponential", 5, "dense", "worker"),
     )
 ) + (
     # The dense engine under a 4 KiB budget: 3^6 states (11.7 KiB) in tiles.
     ({"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 5,
       "states": [[0] * 5 + [1], [0] * 5 + [2], [1] + [0] * 5], "memory_budget": "4K"},
-     "dense"),
+     "dense", "worker"),
+    # A warm table, but on the sparse engine.
+    ({"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 2,
+      "states": [[0, 0, 1], [0, 0, 2], [1, 0, 0]], "backend": "sparse"},
+     "sparse", "worker"),
 )
+
+#: ``auto`` is resolved by the worker that runs it, cold or warm.
+AUTO_SUBMIT = {"kind": "synthesize", "strategy": "auto", "d": 3, "k": 4}
+AUTO_SUBMITS = 2
 
 #: A simulate on an engine the daemon does not have: answered 400.
 UNKNOWN_BACKEND_SUBMIT = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
@@ -165,6 +182,29 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(f"serve smoke FAILED: {message}")
 
 
+def answered(client) -> tuple:
+    """``(rows answered inline, rows answered by the worker)`` so far."""
+    status, metrics = client.metrics()
+    check(status == 200, f"/metrics answered {status}")
+    requests = metrics["requests"]
+    return requests["inline"], requests["queued"]
+
+
+def submit(client, spec: dict, answerer: str) -> dict:
+    """Submit ``spec``; check every row was answered by ``answerer``
+    (``"inline"`` or ``"worker"``) and return the payload."""
+    inline, queued = answered(client)
+    status, payload = client.submit(spec)
+    check(status == 200 and payload.get("ok") is True,
+          f"submit {spec} answered {status}: {payload}")
+    rows = len(spec["requests"])
+    now = answered(client)
+    want = (inline + rows, queued) if answerer == "inline" else (inline, queued + rows)
+    check(now == want, f"submit {spec} was not answered {answerer}: "
+          f"(inline, queued) went {(inline, queued)} -> {now}")
+    return payload
+
+
 def drain(process) -> int:
     """SIGTERM the daemon; check it drains cleanly within
     :data:`DRAIN_SECONDS` and return its exit code."""
@@ -220,25 +260,21 @@ def main() -> None:
             check(status == 200, f"/healthz answered {status}")
             check(health.get("status") == "ok", f"unhealthy: {health}")
 
-            # Cold submit compiles; warm resubmits must hit the cache.
+            # Cold submit compiles on the worker; identical warm resubmits
+            # hit the cache and are answered inline.
             for attempt in range(1 + resubmits):
-                status, payload = client.submit(SPEC)
-                check(status == 200,
-                      f"submit #{attempt} answered {status}: {payload}")
-                check(payload.get("ok") is True,
-                      f"submit #{attempt} had failed rows: {payload}")
+                payload = submit(client, SPEC, "worker" if attempt == 0 else "inline")
                 check(len(payload["rows"]) == len(SPEC["requests"]),
                       f"submit #{attempt} returned {len(payload['rows'])} rows")
 
             # Simulates on both sides of the gather and operator caps.
-            for request, path in PATH_SUBMITS:
+            for request, path, answerer in PATH_SUBMITS:
                 basis = request["d"] ** (request["k"] + 1)
                 fast, cap = FAST_PATHS[request["strategy"]]
-                check((basis <= cap) == (path == fast),
-                      f"{basis} basis states no longer take the {path} path")
-                status, payload = client.submit({"requests": [request]})
-                check(status == 200 and payload.get("ok") is True,
-                      f"simulate on {basis} states answered {status}: {payload}")
+                if request.get("backend", "dense") == "dense":
+                    check((basis <= cap) == (path == fast),
+                          f"{basis} basis states no longer take the {path} path")
+                payload = submit(client, {"requests": [request]}, answerer)
                 row = payload["rows"][0]
                 check(row.get("outputs") == x01_outputs(request),
                       f"outputs {row.get('outputs')} != {x01_outputs(request)}")
@@ -249,9 +285,12 @@ def main() -> None:
             check(status == 400 and "unknown backend 'streaming'" in payload.get("error", ""),
                   f"a simulate on backend 'streaming' answered {status}: {payload}")
 
-            status, payload = client.submit({"requests": [VERIFY_SUBMIT]})
-            check(status == 200 and payload.get("ok") is True,
-                  f"verified synthesize answered {status}: {payload}")
+            for _ in range(AUTO_SUBMITS):
+                payload = submit(client, {"requests": [AUTO_SUBMIT]}, "worker")
+                check(payload["rows"][0].get("strategy") != "auto",
+                      f"auto row names no resolved strategy: {payload}")
+
+            payload = submit(client, {"requests": [VERIFY_SUBMIT]}, "worker")
             verified = payload["rows"][0].get("verify_result") or {}
             check(verified.get("status") == "verified",
                   f"mcu-exponential verify_result {verified}")
@@ -261,12 +300,19 @@ def main() -> None:
             for counter in REQUIRED_COUNTERS:
                 check(counter in metrics, f"/metrics missing {counter!r}")
             requests = metrics["requests"]
-            expected = (1 + resubmits) * len(SPEC["requests"]) + len(PATH_SUBMITS) + 1
+            expected = (
+                (1 + resubmits) * len(SPEC["requests"]) + len(PATH_SUBMITS) + AUTO_SUBMITS + 1
+            )
             check(requests["accepted"] == expected,
                   f"accepted {requests['accepted']} != {expected}")
             check(requests["completed"] == expected,
                   f"completed {requests['completed']} != accepted {expected}")
             check(requests["failed"] == 0, f"failed rows: {requests}")
+            check(requests["inline"] + requests["queued"] == expected,
+                  f"inline + queued rows {requests} != accepted {expected}")
+            check(metrics["queue_wait"]["count"] == requests["queued"],
+                  f"queue_wait counts {metrics['queue_wait']['count']} rows, "
+                  f"{requests['queued']} were queued")
             check(requests["rejected"]["bad_request"] == 1,
                   f"rejected requests {requests['rejected']} != the one unknown backend")
             hit_rate = metrics["cache"].get("hit_rate")
@@ -311,8 +357,9 @@ def main() -> None:
     }
     stem = "serve_smoke_quick" if args.quick else "serve_smoke"
     emit_json(stem, payload)
-    print(f"serve smoke OK: {expected} requests, "
-          f"hit_rate={hit_rate:.3f}, drained cleanly; tampered entry failed verify")
+    print(f"serve smoke OK: {expected} requests ({requests['inline']} inline, "
+          f"{requests['queued']} queued), hit_rate={hit_rate:.3f}, drained cleanly; "
+          "tampered entry failed verify")
 
 
 if __name__ == "__main__":

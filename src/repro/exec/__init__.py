@@ -33,7 +33,6 @@ from repro.exec.workload import (
     WorkloadRequest,
     WorkloadSpec,
     execute_request,
-    execute_request_raw,
     execute_with_stats,
     merge_cache_stats,
     plan_workload,
@@ -57,7 +56,6 @@ __all__ = [
     "cache_key",
     "compile_lowered",
     "execute_request",
-    "execute_request_raw",
     "execute_with_stats",
     "load_table",
     "lowered_key",

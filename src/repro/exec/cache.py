@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -40,6 +41,9 @@ DEFAULT_MAX_MEMO_ENTRIES = 128
 
 #: Where entries live: ``<key[:2]>/<key>.npz`` under the cache directory.
 _SHARDED = "[0-9a-f][0-9a-f]/*.npz"
+
+#: A well-formed key: lower-case hex digits, at least one.
+_KEY = re.compile("[0-9a-f]+")
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -127,7 +131,7 @@ class CompileCache:
     # Paths
     # ------------------------------------------------------------------
     def _check_key(self, key: str) -> str:
-        if not key or not all(c in "0123456789abcdef" for c in key):
+        if not isinstance(key, str) or _KEY.fullmatch(key) is None:
             raise CacheError(f"malformed cache key {key!r} (expected a hex digest)")
         return key
 
@@ -185,6 +189,16 @@ class CompileCache:
         self._memoize(entry)
         self.stats.disk_hits += 1
         return entry
+
+    def peek(self, key: str) -> Optional[GateTable]:
+        """The memo's table for ``key``, or ``None``.
+
+        Unlike :meth:`get` it never reads the disk, counts nothing in
+        :attr:`stats` and leaves the LRU order alone, so asking whether a
+        request is warm does not change what the request then records.
+        """
+        entry = self._memo.get(key)
+        return None if entry is None else entry.table
 
     def __contains__(self, key: str) -> bool:
         if key in self._memo:

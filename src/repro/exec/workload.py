@@ -53,6 +53,11 @@ from repro.exceptions import GateError, ReproError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.service import CompileOutcome, compile_lowered, lowered_key
+from repro.resources.estimator import affine_answer_held
+from repro.sim.permutation import GATHER_MAX_STATES
+from repro.sim.unitary import OPERATOR_MAX_STATES
+from repro.synth import registry
+from repro.synth.strategy import Synthesizer
 from repro.utils.indexing import basis_fits_int64, require_int64_basis
 
 _KINDS = ("synthesize", "simulate", "estimate")
@@ -148,8 +153,6 @@ class WorkloadRequest:
             dim, k = json_int(raw["d"]), json_int(raw["k"])
         except TypeError:
             raise WorkloadError(f"request {index}: d and k must be integers") from None
-        from repro.synth import registry
-
         strategy = raw["strategy"]
         if strategy in registry.names() and not registry.get(strategy).supports(dim, k):
             raise WorkloadError(
@@ -238,8 +241,6 @@ class WorkloadRequest:
             return None
         strategy = self.strategy
         if strategy == "auto":
-            from repro.synth import registry
-
             strategy = registry.auto_select(self.dim, self.k).strategy.name
         return lowered_key(strategy, self.dim, self.k, salt=salt)
 
@@ -251,8 +252,6 @@ def _layout_wires(strategy: str, dim: int, k: int) -> Optional[int]:
     circuit it builds, or fails on the name).  A named strategy's ``(d, k)``
     is supported: :meth:`WorkloadRequest.from_dict` refused it otherwise.
     """
-    from repro.synth import registry
-
     if strategy == "auto" or strategy not in registry.names():
         return None
     return registry.get(strategy).layout(dim, k)[0]
@@ -372,8 +371,6 @@ def execute_request(
         row["index"] = int(index)
     try:
         if request.kind == "estimate":
-            from repro.synth import registry
-
             resources = registry.estimate(request.strategy, request.dim, request.k)
             row.update(
                 g_gates=int(resources.g_gates),
@@ -409,32 +406,6 @@ def execute_request(
     return row
 
 
-def execute_request_raw(
-    raw: Dict[str, object],
-    index: int,
-    cache: Optional[CompileCache],
-) -> Dict[str, object]:
-    """Parse and run one *raw* request dict; exception-total like the above.
-
-    This is the reusable core behind the pool workers and the serve daemon:
-    even a dict that fails :meth:`WorkloadRequest.from_dict` validation
-    comes back as an ``ok=False`` row carrying the real ``index`` instead
-    of raising into the executor.
-    """
-    try:
-        request = WorkloadRequest.from_dict(raw, index)
-    except ReproError as error:
-        row = dict(raw) if isinstance(raw, dict) else {}
-        row.update(
-            index=int(index),
-            ok=False,
-            error=f"{type(error).__name__}: {error}",
-            seconds=0.0,
-        )
-        return row
-    return execute_request(request, cache, index=index)
-
-
 def _verify_served(
     request: WorkloadRequest, outcome: CompileOutcome, row: Dict[str, object]
 ) -> None:
@@ -448,7 +419,6 @@ def _verify_served(
     check raises :class:`~repro.exceptions.VerificationError`, which the
     caller records as the request's error.
     """
-    from repro.synth import registry
     from repro.verify import VerificationBudget
 
     # No tier can check a register past int64, and that is no verdict on
@@ -524,6 +494,59 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
     return ["".join(str(int(x)) for x in row) for row in digits], path
 
 
+def warm_and_small(requests: Sequence[WorkloadRequest], cache: CompileCache) -> bool:
+    """Whether every request runs from what is already held, in bounded work.
+
+    The serve daemon answers such a submit on its event loop instead of
+    handing it to its worker (:mod:`repro.serve.server`).  A request passes
+    when it names a registered strategy (not ``"auto"``), runs on the
+    unbudgeted ``dense`` engine, and needs no build: an ``estimate`` of a
+    strategy that keeps the affine :meth:`~repro.synth.strategy.Synthesizer.estimate`
+    whose answer the estimator's memos hold
+    (:func:`~repro.resources.estimator.affine_answer_held`), any other kind
+    a lowered table held in ``cache``'s memo (:meth:`CompileCache.peek`).
+    A simulate or verify must also stay within what that table holds for
+    it: a whole-basis gather (a permutation table of at most
+    :data:`~repro.sim.permutation.GATHER_MAX_STATES` basis states) or a
+    dense operator (any other table of at most
+    :data:`~repro.sim.unitary.OPERATOR_MAX_STATES`).  Summed over the
+    requests, the basis states of every simulate or verify plus the states
+    each simulate evolves stay within ``GATHER_MAX_STATES``, so one submit
+    holds the loop for about one such row.
+
+    Side-effect free: it counts no cache or estimator hit and moves no LRU
+    entry, so the rows that follow record exactly what they would have.
+    """
+    states = 0
+    for request in requests:
+        if (
+            request.strategy not in registry.names()
+            or request.backend != "dense"
+            or request.memory_budget is not None
+        ):
+            return False
+        strategy = registry.get(request.strategy)
+        if request.kind == "estimate":
+            if type(strategy).estimate is not Synthesizer.estimate or not affine_answer_held(
+                strategy, request.dim, request.k
+            ):
+                return False
+            continue
+        table = cache.peek(lowered_key(request.strategy, request.dim, request.k, salt=cache.salt))
+        if table is None:
+            return False
+        if request.kind == "simulate" or request.verify is not None:
+            basis = table.dim**table.num_wires
+            if basis > OPERATOR_MAX_STATES and (
+                basis > GATHER_MAX_STATES or not table.is_permutation
+            ):
+                return False
+            states += basis
+            if request.kind == "simulate":
+                states += len(request.states) or 1  # default: |0...0⟩
+    return states <= GATHER_MAX_STATES
+
+
 # ----------------------------------------------------------------------
 # Cache-counter accounting (shared with the serve daemon's metrics)
 # ----------------------------------------------------------------------
@@ -551,11 +574,11 @@ def _stats_delta(
 
 
 def execute_with_stats(
-    raw: Dict[str, object],
+    request: WorkloadRequest,
     index: int,
     cache: Optional[CompileCache],
 ) -> Dict[str, object]:
-    """One raw request plus the real cache-counter delta it caused.
+    """One parsed request plus the real cache-counter delta it caused.
 
     The pooled runner and the serve daemon both aggregate cache statistics
     by summing these per-request deltas — the honest counters, not a
@@ -563,7 +586,7 @@ def execute_with_stats(
     evictions and conflates misses with puts).
     """
     before = cache.stats.as_dict() if cache is not None else None
-    row = execute_request_raw(raw, index, cache)
+    row = execute_request(request, cache, index=index)
     return {"row": row, "cache_stats": _stats_delta(cache, before)}
 
 
@@ -598,9 +621,9 @@ def _worker_compile(task: Tuple[str, int, int]) -> Dict[str, object]:
     }
 
 
-def _worker_execute(task: Tuple[int, Dict[str, object]]) -> Dict[str, object]:
-    index, raw = task
-    return execute_with_stats(raw, index, _WORKER_CACHE)
+def _worker_execute(task: Tuple[int, WorkloadRequest]) -> Dict[str, object]:
+    index, request = task
+    return execute_with_stats(request, index, _WORKER_CACHE)
 
 
 @dataclass
@@ -689,14 +712,7 @@ def run_workload(
         ) as pool:
             warm = pool.map(_worker_compile, tasks, chunksize=1)
             warm_hits = sum(1 for item in warm if item["cache"] not in ("built", "error"))
-            results = pool.map(
-                _worker_execute,
-                [
-                    (index, request.to_dict())
-                    for index, request in enumerate(spec.requests)
-                ],
-                chunksize=1,
-            )
+            results = pool.map(_worker_execute, list(enumerate(spec.requests)), chunksize=1)
         rows = [item["row"] for item in results]
 
     if use_pool:

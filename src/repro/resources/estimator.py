@@ -184,6 +184,10 @@ class _BoundedCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key) -> bool:
+        """Membership without counting a hit or miss or touching LRU order."""
+        return key in self._entries
+
     def clear(self) -> None:
         self._entries.clear()
         self.hits = 0
@@ -274,6 +278,19 @@ def affine_estimate(strategy: "Synthesizer", dim: int, k: int) -> Resources:
         exact=True,
         **fields,
     )
+
+
+def affine_answer_held(strategy: "Synthesizer", dim: int, k: int) -> bool:
+    """Whether :func:`affine_estimate` at ``(d, k)`` would read memos only:
+    the measured point below ``stable_from``, else the calibration of ``k``'s
+    residue class.  Counts nothing and leaves both memos' LRU order alone.
+    """
+    spec = strategy.estimator_spec(dim)
+    if spec is None:
+        return False
+    if k < spec.stable_from:
+        return (strategy.name, dim, k) in _MEASURED
+    return (strategy.name, dim, k % spec.period) in _CALIBRATION
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Admission control for the serve daemon.
 
 Every submit passes through one :class:`AdmissionController` before any
-work is queued.  Decisions are all-or-nothing per submit (a workload either
-runs completely or is rejected completely — partial admission would return
-reports with silently missing rows) and map onto HTTP statuses:
+of it runs, queued or answered on the event loop alike.  Decisions are
+all-or-nothing per submit (a workload either runs completely or is
+rejected completely — partial admission would return reports with
+silently missing rows) and map onto HTTP statuses:
 
 * daemon draining                        → 503 :class:`DrainingError`
 * more requests than ``max_batch``       → 413 :class:`OversizeError`
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.exceptions import ServeError
-from repro.exec.workload import json_int
+from repro.exec.workload import WorkloadRequest, json_int
 from repro.serve.queue import (
     DEFAULT_MAX_QUEUED,
     PRIORITY_HIGH,
@@ -89,35 +90,36 @@ class AdmissionController:
         """Refuse all further submits (queued/in-flight work still finishes)."""
         self._draining = True
 
-    def admit(
-        self,
-        raws: List[Dict[str, object]],
-        priorities: Optional[List[int]] = None,
-    ) -> List[Job]:
-        """Queue one submit's requests, or raise with an HTTP-able status.
+    def check(self, count: int) -> None:
+        """Raise the rejection a submit of ``count`` requests gets, if any.
 
-        ``priorities`` lets the server pass classes computed from the
-        *original* request dicts (any ``"priority"`` override field must be
-        split off before execution, since the workload parser rejects
-        unknown fields); when omitted they are derived from ``raws``
-        directly.  The returned jobs carry the futures the submit handler
-        awaits.
+        A submit answered on the event loop passes this check without being
+        queued, so it is refused exactly when a queued one would be.
         """
         if self._draining:
             raise DrainingError("daemon is draining; submit rejected")
-        if not raws:
+        if not count:
             raise ServeError("a submit needs at least one request")
-        if len(raws) > self.policy.max_batch:
+        if count > self.policy.max_batch:
             raise OversizeError(
-                f"submit carries {len(raws)} requests; the admission policy "
+                f"submit carries {count} requests; the admission policy "
                 f"allows at most {self.policy.max_batch} per submit"
             )
-        if priorities is None:
-            priorities = [priority_for(raw) for raw in raws]
+        self.queue.check_room(count)
+
+    def admit(self, requests: List[WorkloadRequest], priorities: List[int]) -> List[Job]:
+        """Queue one submit's parsed requests, or raise with an HTTP-able status.
+
+        ``priorities`` are the classes :func:`priority_for` computed from the
+        *original* request dicts (a ``"priority"`` override is not a request
+        field, so it is split off before parsing).  The returned jobs carry
+        the futures the submit handler awaits.
+        """
+        self.check(len(requests))
         loop = asyncio.get_running_loop()
         jobs = [
-            Job(index=index, raw=raw, priority=priority, future=loop.create_future())
-            for index, (raw, priority) in enumerate(zip(raws, priorities))
+            Job(index=index, request=request, priority=priority, future=loop.create_future())
+            for index, (request, priority) in enumerate(zip(requests, priorities))
         ]
         self.queue.put_batch(jobs)  # all-or-nothing; raises QueueFullError
         return jobs

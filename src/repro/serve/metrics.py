@@ -1,9 +1,11 @@
 """Live metrics for the serve daemon.
 
 Everything the ``/metrics`` endpoint reports is accumulated here: request
-counters (accepted / completed / failed / rejected-by-reason), connections
-accepted, queue and in-flight gauges, per-kind latency histograms,
-queue-wait latency, and the compile-cache counters folded in from the
+counters (accepted / completed / failed / rejected-by-reason, and rows
+answered ``inline`` on the event loop or ``queued`` for the worker),
+connections accepted, queue and in-flight gauges, per-kind latency
+histograms, queue-wait latency (queued rows only), and the compile-cache
+counters folded in from the
 workers' per-request :class:`~repro.exec.cache.CacheStats` deltas — the
 *real* counters (see ``repro.exec.workload.execute_with_stats``), so
 daemon hit rates match what :attr:`CompileCache.stats` would say, eviction
@@ -74,6 +76,9 @@ class ServeMetrics:
         self.completed = 0
         self.failed = 0
         self.rejected: Dict[str, int] = {reason: 0 for reason in REJECT_REASONS}
+        #: Rows answered on the event loop, and rows answered by the worker.
+        self.inline = 0
+        self.queued = 0
         self.in_flight = 0
         #: Connections accepted (a kept-alive connection counts once).
         self.connections = 0
@@ -95,7 +100,11 @@ class ServeMetrics:
     def record_queue_wait(self, seconds: float) -> None:
         self.queue_wait.observe(seconds)
 
-    def record_request(self, kind: str, seconds: float, ok: bool) -> None:
+    def record_request(self, kind: str, seconds: float, ok: bool, *, inline: bool = False) -> None:
+        if inline:
+            self.inline += 1
+        else:
+            self.queued += 1
         histogram = self.request_latency.get(kind)
         if histogram is None:
             histogram = self.request_latency[kind] = LatencyHistogram()
@@ -140,6 +149,8 @@ class ServeMetrics:
                 "completed": self.completed,
                 "failed": self.failed,
                 "rejected": dict(self.rejected),
+                "inline": self.inline,
+                "queued": self.queued,
             },
             "queue_wait": self.queue_wait.as_dict(),
             "latency": {

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ServeError
+from repro.exec.workload import WorkloadRequest
 
 #: Priority classes (lower runs first).
 PRIORITY_HIGH = 0
@@ -58,10 +59,11 @@ class OversizeError(ServeError):
 
 @dataclass(eq=False)
 class Job:
-    """One queued request: its raw dict, workload position, and result future."""
+    """One queued request: the parsed request, its workload position, and
+    the result future."""
 
     index: int
-    raw: Dict[str, object]
+    request: WorkloadRequest
     priority: int
     future: "asyncio.Future"
     #: ``time.monotonic()`` at enqueue, for queue-wait latency metrics.
@@ -103,16 +105,20 @@ class JobQueue:
         heapq.heappush(self._heap, (job.priority, next(self._seq), job))
         self._nonempty.set()
 
-    def put_batch(self, jobs: List[Job]) -> None:
-        """All-or-nothing admission of one submit's jobs."""
+    def check_room(self, count: int) -> None:
+        """Raise what :meth:`put_batch` of ``count`` jobs would raise, if anything."""
         if self._closed:
             raise DrainingError("queue is closed (daemon draining)")
-        if not self.has_room_for(len(jobs)):
+        if not self.has_room_for(count):
             raise QueueFullError(
-                f"queue full: {len(jobs)} requests submitted, "
+                f"queue full: {count} requests submitted, "
                 f"{self.max_queued - len(self._heap)} slots free "
                 f"({len(self._heap)}/{self.max_queued} queued)"
             )
+
+    def put_batch(self, jobs: List[Job]) -> None:
+        """All-or-nothing admission of one submit's jobs."""
+        self.check_room(len(jobs))
         for job in jobs:
             self.put_nowait(job)
 

@@ -19,14 +19,34 @@ for the next request; any other request's response closes it.  Each
 request, including the wait for it on a kept-alive connection, must arrive
 whole within :data:`READ_TIMEOUT`.
 
-Requests are queued by ``(priority, arrival)`` — verify/estimate traffic
-overtakes heavy simulates — and executed by a worker pool: the PR-5 fork
-pool sharing one :class:`~repro.exec.cache.CompileCache` directory when
-``jobs > 1``, an in-process thread otherwise.  Startup warms the cache
-(:meth:`CompileCache.warm_scan` plus an optional warmup-spec replay) and
-``SIGTERM`` drains gracefully: admission closes, idle kept-alive
-connections close, queued and in-flight work finishes (pending submits
-still get their responses), then the daemon exits 0.
+Each submit is parsed and validated once, on arrival, and its rows take
+one of two paths:
+
+* **inline** — the event loop runs the submit right away, when the daemon
+  is in thread mode (``jobs=1``) and not draining, nothing is queued or in
+  flight, and every request is warm and small
+  (:func:`~repro.exec.workload.warm_and_small`: its table or estimate is
+  already held and its simulate/verify work is bounded by what the table
+  holds).  In thread mode the worker is a second thread of this process:
+  it shares the interpreter lock with the event loop and, on a daemon
+  pinned to one core, the core too, so handing it a warm row (tens of
+  microseconds of work) costs more than running the row.
+* **queued** — every other submit (a cold compile or calibration,
+  ``auto``, ``sparse``, a ``memory_budget``, a large register, fork mode)
+  is queued by ``(priority, arrival)`` — verify/estimate traffic overtakes
+  heavy simulates — and executed by a worker pool: the batch runner's
+  fork pool sharing one :class:`~repro.exec.cache.CompileCache` directory when
+  ``jobs > 1``, one in-process thread otherwise.  The event loop keeps
+  answering meanwhile.
+
+Because an inline submit is only taken with the queue idle and runs
+without yielding, rows never run concurrently and queued work is never
+overtaken.  ``/metrics`` counts the rows of each path (``requests.inline``
+and ``requests.queued``).  Startup warms the cache
+(:meth:`CompileCache.warm_scan` plus an optional warmup-spec replay,
+through the worker) and ``SIGTERM`` drains gracefully: admission closes,
+idle kept-alive connections close, queued and in-flight work finishes
+(pending submits still get their responses), then the daemon exits 0.
 """
 
 from __future__ import annotations
@@ -47,10 +67,12 @@ from repro.exceptions import ServeError, WorkloadError
 from repro.exec.cache import CompileCache
 from repro.exec.keys import CODE_VERSION
 from repro.exec.workload import (
+    WorkloadRequest,
     WorkloadSpec,
     _init_worker,
     _worker_execute,
     execute_with_stats,
+    warm_and_small,
     zero_cache_stats,
 )
 from repro.serve.admission import (
@@ -176,7 +198,7 @@ class ServeConfig:
 
 
 class WorkerPool:
-    """Executes raw workload requests for the daemon.
+    """Executes parsed workload requests for the daemon.
 
     ``jobs > 1`` reuses the batch runner's ``fork`` pool — the same
     ``_init_worker`` / ``_worker_execute`` functions, each worker holding a
@@ -198,7 +220,9 @@ class WorkerPool:
         self.mode = "thread"
         self._pool = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._cache: Optional[CompileCache] = None
+        #: The one serving cache in thread mode; ``None`` in fork mode, where
+        #: each worker process holds its own.
+        self.cache: Optional[CompileCache] = None
         if self.jobs > 1:
             if self.cache_dir is None:
                 raise ServeError(
@@ -218,7 +242,7 @@ class WorkerPool:
                 self.mode = "fork"
         if self._pool is None:
             self.jobs = 1
-            self._cache = CompileCache(self.cache_dir, salt=salt)
+            self.cache = CompileCache(self.cache_dir, salt=salt)
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve"
             )
@@ -232,12 +256,12 @@ class WorkerPool:
         memos still fill on first use).
         """
         if self.mode == "thread":
-            assert self._cache is not None
-            return self._cache.warm_scan(limit)
+            assert self.cache is not None
+            return self.cache.warm_scan(limit)
         scratch = CompileCache(self.cache_dir, salt=self.salt)
         return scratch.warm_scan(limit)
 
-    async def execute(self, index: int, raw: Dict[str, object]) -> Dict[str, object]:
+    async def execute(self, index: int, request: WorkloadRequest) -> Dict[str, object]:
         """One request through a worker; returns ``{"row", "cache_stats"}``."""
         loop = asyncio.get_running_loop()
         if self.mode == "fork":
@@ -255,13 +279,13 @@ class WorkerPool:
 
             self._pool.apply_async(
                 _worker_execute,
-                ((int(index), dict(raw)),),
+                ((index, request),),
                 callback=_deliver,
                 error_callback=_fail,
             )
             return await future
         return await loop.run_in_executor(
-            self._executor, execute_with_stats, dict(raw), int(index), self._cache
+            self._executor, execute_with_stats, request, index, self.cache
         )
 
     def close(self) -> None:
@@ -367,10 +391,7 @@ class ServeDaemon:
         latency histograms describe served traffic exclusively.
         """
         results = await asyncio.gather(
-            *(
-                self.pool.execute(index, request.to_dict())
-                for index, request in enumerate(spec.requests)
-            )
+            *(self.pool.execute(index, request) for index, request in enumerate(spec.requests))
         )
         ok = 0
         for item in results:
@@ -390,7 +411,7 @@ class ServeDaemon:
             self.metrics.record_queue_wait(time.monotonic() - job.enqueued_at)
             self.metrics.in_flight += 1
             try:
-                result = await self.pool.execute(job.index, job.raw)
+                result = await self.pool.execute(job.index, job.request)
             except Exception as error:  # pool infrastructure failure
                 result = {
                     "row": {
@@ -402,15 +423,44 @@ class ServeDaemon:
                 }
             finally:
                 self.metrics.in_flight -= 1
-            row = result["row"]
-            self.metrics.record_cache_delta(result.get("cache_stats"))
-            self.metrics.record_request(
-                str(row.get("kind", "unknown")),
-                float(row.get("seconds", 0.0) or 0.0),
-                ok=bool(row.get("ok")),
-            )
+            row = self._record(result, inline=False)
             if not job.future.done():
                 job.future.set_result(row)
+
+    def _record(self, result: Dict[str, object], *, inline: bool) -> Dict[str, object]:
+        """Fold one executed row's cache delta and latency into the metrics;
+        returns the row."""
+        row = result["row"]
+        self.metrics.record_cache_delta(result.get("cache_stats"))
+        self.metrics.record_request(
+            str(row.get("kind", "unknown")),
+            float(row.get("seconds", 0.0) or 0.0),
+            ok=bool(row.get("ok")),
+            inline=inline,
+        )
+        return row
+
+    def _answers_inline(self, requests: List[WorkloadRequest]) -> bool:
+        """Whether this submit runs on the event loop now (module docstring)."""
+        pool = self.pool
+        return (
+            pool.mode == "thread"
+            and not self.admission.draining
+            and not self.queue.depth
+            and not self.metrics.in_flight
+            and warm_and_small(requests, pool.cache)
+        )
+
+    def _answer_inline(
+        self, requests: List[WorkloadRequest], priorities: List[int]
+    ) -> List[Dict[str, object]]:
+        """Run a submit on the event loop, in the order the worker would
+        take it from an idle queue; returns the rows in submit order."""
+        rows: List[Optional[Dict[str, object]]] = [None] * len(requests)
+        for index in sorted(range(len(requests)), key=priorities.__getitem__):
+            result = execute_with_stats(requests[index], index, self.pool.cache)
+            rows[index] = self._record(result, inline=True)
+        return rows
 
     # ------------------------------------------------------------------
     # HTTP front end
@@ -519,16 +569,21 @@ class ServeDaemon:
             return 400, {"error": f"{type(error).__name__}: {error}"}
         # No plan here: resolving "auto" runs a cold calibration, which must
         # not stall the event loop. The rows name the strategy they ran.
+        requests = spec.requests
         start = time.perf_counter()
         try:
-            jobs = self.admission.admit(
-                [request.to_dict() for request in spec.requests], priorities
-            )
+            self.admission.check(len(requests))
+            inline = self._answers_inline(requests)
+            if not inline:
+                jobs = self.admission.admit(requests, priorities)
         except ServeError as error:
             self.metrics.record_rejected(_REJECT_REASON.get(type(error), "bad_request"))
-            return error.status, {"error": str(error), "rejected": len(spec.requests)}
-        self.metrics.record_accepted(len(jobs))
-        rows = await asyncio.gather(*(job.future for job in jobs))
+            return error.status, {"error": str(error), "rejected": len(requests)}
+        self.metrics.record_accepted(len(requests))
+        if inline:
+            rows = self._answer_inline(requests, priorities)
+        else:
+            rows = await asyncio.gather(*(job.future for job in jobs))
         compiles = [
             (row.get("strategy"), row.get("d"), row.get("k"))
             for row in rows

@@ -197,6 +197,51 @@ def test_cache_rejects_malformed_keys(tmp_path):
         cache.put("UPPER", synthesize_mct(3, 2).circuit.to_table())
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["", "ABCDEF", "abcdeF", "abcg", "ab cd", "ab\n", "0x1f", "../ab", "ab/cd", "a.b", "éa", None],
+)
+def test_every_key_check_refuses_a_malformed_key(tmp_path, key):
+    """``get``, ``put`` and ``in`` accept lower-case hex digits only: empty,
+    upper-case, non-hex and path-like keys (and non-strings) raise
+    :class:`CacheError` before any path is built from them."""
+    cache = CompileCache(tmp_path)
+    table = synthesize_mct(3, 2).circuit.to_table()
+    with pytest.raises(CacheError, match="malformed cache key"):
+        cache.get(key)
+    with pytest.raises(CacheError, match="malformed cache key"):
+        cache.put(key, table)
+    with pytest.raises(CacheError, match="malformed cache key"):
+        key in cache
+    assert cache.stats.as_dict() == CompileCache().stats.as_dict()  # nothing counted
+    assert cache.keys() == []
+
+
+def test_a_hex_key_of_any_length_is_accepted(tmp_path):
+    cache = CompileCache(tmp_path)
+    table = synthesize_mct(3, 2).circuit.to_table()
+    for key in ("0", "ab", lowered_key("mct", 3, 2)):
+        assert key not in cache and cache.get(key) is None
+        cache.put(key, table)
+        assert key in cache and cache.peek(key) is table
+
+
+def test_peek_counts_nothing_and_keeps_lru_order(tmp_path):
+    cache = CompileCache(tmp_path, max_memo_entries=2)
+    table = synthesize_mct(3, 2).circuit.to_table()
+    first, second, third = (lowered_key("mct", 3, k) for k in (2, 3, 4))
+    cache.put(first, table)
+    cache.put(second, table)
+    before = cache.stats.as_dict()
+    assert cache.peek(first) is table and cache.peek(third) is None
+    assert cache.stats.as_dict() == before
+    cache.put(third, table)  # evicts the least recently used: still ``first``
+    assert cache.peek(first) is None and cache.peek(second) is table
+    cache.clear_memo()
+    assert cache.peek(second) is None  # never reads the disk
+    assert cache.stats.as_dict() == {**before, "puts": before["puts"] + 1}
+
+
 def test_corrupt_disk_entry_is_a_miss_and_gets_dropped(tmp_path):
     cache = CompileCache(tmp_path)
     key = lowered_key("mct", 3, 2)

@@ -18,7 +18,7 @@ import pytest
 from repro.__main__ import main
 from repro.exceptions import WireError, WorkloadError
 from repro.exec import CompileCache, compile_lowered
-from repro.exec.workload import WorkloadRequest, WorkloadSpec, execute_request, execute_request_raw
+from repro.exec.workload import WorkloadRequest, WorkloadSpec, execute_request
 from repro.sim import SparseBackend, SparseState
 from repro.utils.indexing import INT64_MAX, basis_fits_int64, digits_to_index
 
@@ -105,7 +105,7 @@ def test_auto_rows_past_int64_fail_with_the_typed_error():
         {"kind": "simulate", "strategy": "auto", "d": 3, "k": 39},
         {"kind": "synthesize", "strategy": "auto", "d": 3, "k": 39, "verify": "standard"},
     ):
-        row = execute_request_raw(raw, 0, cache)
+        row = execute_request(WorkloadRequest.from_dict(raw, 0), cache, index=0)
         assert row["ok"] is False and "traceback" not in row
         assert row["error"].startswith("WireError: ") and "int64" in row["error"]
         # The check never ran: no verdict on the circuit.

@@ -158,3 +158,24 @@ def test_composition_retains_nothing_and_peaks_low():
         tracemalloc.stop()
     assert retained < gather_bytes, retained / gather_bytes
     assert peak < 16 * gather_bytes, peak / gather_bytes
+
+
+def test_a_live_composed_table_retains_about_one_gather():
+    """Lowered ``mct`` at d=3, k=8 again, with the table kept alive.  The
+    interned gather's key used to hold the segment's row bytes, 32 per row
+    (392 KB against a 157 KB gather), as long as the gather: the table
+    retained 3.5 gathers' worth here.  The key is now a digest.  The table's
+    decoded-op cache (``unique_ops``, which any op walk of the table builds)
+    is built first, so what is measured is what composition adds."""
+    table = lower_to_g_gates(registry.get("mct").synthesize(3, 8).circuit).to_table()
+    table.unique_ops()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        composed = table.permutation_index_table()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert composed.nbytes == 8 * 3**table.num_wires
+    assert retained < 1.5 * composed.nbytes, retained / composed.nbytes

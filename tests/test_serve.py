@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ServeError
+from repro.exec.workload import WorkloadRequest, WorkloadSpec
 from repro.serve import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -44,13 +45,11 @@ def run_async(coroutine):
     return asyncio.run(coroutine)
 
 
-def make_job(loop, index, priority, raw=None):
-    return Job(
-        index=index,
-        raw=raw or {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4},
-        priority=priority,
-        future=loop.create_future(),
-    )
+ESTIMATE = WorkloadRequest(kind="estimate", strategy="mct", dim=3, k=4)
+
+
+def make_job(loop, index, priority):
+    return Job(index=index, request=ESTIMATE, priority=priority, future=loop.create_future())
 
 
 # ----------------------------------------------------------------------
@@ -135,19 +134,23 @@ def test_admission_rejections_map_to_http_statuses():
     async def scenario():
         queue = JobQueue(max_queued=3)
         controller = AdmissionController(queue, AdmissionPolicy(max_queued=3, max_batch=2))
-        request = {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4}
+        high = [PRIORITY_HIGH] * 3
         with pytest.raises(OversizeError) as oversize:
-            controller.admit([request] * 3)
+            controller.admit([ESTIMATE] * 3, high)
         assert oversize.value.status == 413
-        jobs = controller.admit([request] * 2)
+        jobs = controller.admit([ESTIMATE] * 2, high)
         assert [job.priority for job in jobs] == [PRIORITY_HIGH, PRIORITY_HIGH]
+        assert [job.request for job in jobs] == [ESTIMATE, ESTIMATE]
         with pytest.raises(QueueFullError) as full:
-            controller.admit([request] * 2)  # only one slot left
+            controller.admit([ESTIMATE] * 2, high)  # only one slot left
         assert full.value.status == 429
+        with pytest.raises(QueueFullError):
+            controller.check(2)  # the same answer without queueing anything
+        controller.check(1)
         assert queue.depth == 2
         controller.begin_drain()
         with pytest.raises(DrainingError) as draining:
-            controller.admit([request])
+            controller.admit([ESTIMATE], high)
         assert draining.value.status == 503
 
     run_async(scenario())
@@ -182,6 +185,8 @@ def test_metrics_fold_cache_deltas_into_hit_rate():
         "completed": 1,
         "failed": 1,
         "rejected": {"queue_full": 1, "draining": 0, "oversize": 0, "bad_request": 0},
+        "inline": 0,
+        "queued": 2,
     }
     assert snapshot["latency"]["simulate"]["count"] == 2
     assert snapshot["queue_depth"] == 3 and snapshot["jobs"] == 2
@@ -202,7 +207,8 @@ def test_consumer_executes_by_priority_with_single_worker():
         ]
         # Enqueue everything *before* the consumer starts: execution order
         # is then purely the queue's priority order.
-        jobs = daemon.admission.admit(raws)
+        spec = WorkloadSpec.from_dict({"requests": raws})
+        jobs = daemon.admission.admit(spec.requests, [priority_for(raw) for raw in raws])
         for job in jobs:
             job.future.add_done_callback(
                 lambda future: completed.append(future.result()["kind"])
@@ -1017,3 +1023,221 @@ def test_threads_sharing_a_client_each_keep_their_own_connection():
         sys.setswitchinterval(interval)
     assert statuses == [[200] * 4] * threads
     assert connections == threads  # one per thread, each reused for its calls
+
+
+# ----------------------------------------------------------------------
+# Warm, small submits answered on the event loop
+# ----------------------------------------------------------------------
+#: One request of every kind and verify level of the ``serve_warm`` mix
+#: (perfbench/serve_warm.py): calibrated and measured estimates, cache-hit
+#: synthesizes, gather and operator simulates, and verified synthesizes.
+SERVE_WARM_KINDS = [
+    {"kind": "estimate", "strategy": "mct", "d": 3, "k": 1001},
+    {"kind": "estimate", "strategy": "pk", "d": 3, "k": 6},
+    {"kind": "synthesize", "strategy": "mct-clean-ladder", "d": 3, "k": 5},
+    {"kind": "synthesize", "strategy": "pk", "d": 3, "k": 5},
+    {"kind": "simulate", "strategy": "mct", "d": 4, "k": 3,
+     "states": [[0, 0, 0, 1, 2], [0, 0, 0, 0, 0], [1, 2, 3, 0, 1], [0, 0, 0, 3, 3]]},
+    {"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 3,
+     "states": [[0, 0, 0, 1], [2, 0, 0, 0]]},
+    {"kind": "simulate", "strategy": "unitary", "d": 3, "k": 2, "states": [[0, 1], [2, 2]]},
+    {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 4, "verify": "smoke"},
+    {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 5, "verify": "standard"},
+    {"kind": "synthesize", "strategy": "mcu-exponential", "d": 3, "k": 3, "verify": "smoke"},
+    {"kind": "synthesize", "strategy": "mcu-exponential", "d": 3, "k": 3,
+     "verify": "standard"},
+    {"kind": "synthesize", "strategy": "unitary", "d": 3, "k": 2, "verify": "standard"},
+]
+
+
+async def submit_one(host, port, request):
+    """``(status line, payload)`` of a one-request submit on its own connection."""
+    reply = await raw_exchange(
+        host, port, post_workload(json.dumps({"requests": [request]}).encode("utf-8"))
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(body)
+
+
+def answered(daemon):
+    return daemon.metrics.inline, daemon.metrics.queued
+
+
+def test_inline_rows_equal_worker_rows_for_every_kind_of_the_mix(monkeypatch):
+    """A warm submit runs on the event loop instead of going through the
+    queue and the worker thread.  Its rows must be the worker's rows in
+    every field but the timings: the same cache provenance, outputs,
+    ``sim_path`` and verify verdict, tier and states checked."""
+    from repro.serve import server
+
+    inline_allowed = [False]
+    predicate = server.warm_and_small
+    monkeypatch.setattr(
+        server, "warm_and_small",
+        lambda requests, cache: inline_allowed[0] and predicate(requests, cache),
+    )
+
+    async def scenario(daemon, host, port):
+        rows = {}
+        for allowed in (False, True):
+            inline_allowed[0] = allowed
+            for index, request in enumerate(SERVE_WARM_KINDS):
+                before = answered(daemon)
+                status, payload = await submit_one(host, port, request)
+                assert status == b"HTTP/1.1 200 OK" and payload["ok"], payload
+                took = "inline" if answered(daemon)[0] > before[0] else "queued"
+                assert took == ("inline" if allowed else "queued"), request
+                rows[allowed, index] = payload["rows"][0]
+        return rows, daemon.metrics
+
+    rows, metrics = serve_in_process(scenario, warmup={"requests": SERVE_WARM_KINDS})
+    timings = ("seconds", "compile_seconds")
+    for index, request in enumerate(SERVE_WARM_KINDS):
+        worker, inline = rows[False, index], rows[True, index]
+        assert {k: v for k, v in inline.items() if k not in timings} == {
+            k: v for k, v in worker.items() if k not in timings
+        }, request
+        assert set(timings) & set(worker) == set(timings) & set(inline)
+    count = len(SERVE_WARM_KINDS)
+    assert (metrics.inline, metrics.queued) == (count, count)
+    # Inline rows never entered the queue, so they wait in it for nothing.
+    assert metrics.queue_wait.count == count
+    assert metrics.completed == 2 * count and metrics.failed == 0
+
+
+def test_a_warm_submit_behind_an_in_flight_row_waits_its_turn(monkeypatch):
+    """While a cold row holds the worker, warm submits are queued, not run
+    beside it on the event loop, and they still run by priority: the
+    estimate that arrived second overtakes the simulate that arrived first."""
+    from repro.serve import server
+
+    cold = {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 6}
+    simulate = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 3,
+                "states": [[0, 0, 0, 1]]}
+    estimate = {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4}
+    release = threading.Event()
+    executed = []
+    execute = server.execute_with_stats
+
+    def gated(request, index, cache):
+        if request.k == cold["k"]:
+            assert release.wait(timeout=30.0)  # the cold row holds the worker
+        executed.append(request.kind)
+        return execute(request, index, cache)
+
+    monkeypatch.setattr(server, "execute_with_stats", gated)
+
+    async def scenario(daemon, host, port):
+        async def until(condition):
+            for _ in range(1000):
+                if condition():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("timed out")
+
+        executed.clear()  # the warmup's rows
+        first = asyncio.ensure_future(submit_one(host, port, cold))
+        await until(lambda: daemon.metrics.in_flight == 1)
+        second = asyncio.ensure_future(submit_one(host, port, simulate))
+        await until(lambda: daemon.queue.depth == 1)
+        third = asyncio.ensure_future(submit_one(host, port, estimate))
+        await until(lambda: daemon.queue.depth == 2)
+        assert not (second.done() or third.done()) and daemon.metrics.inline == 0
+        release.set()
+        replies = await asyncio.gather(first, second, third)
+        # With the worker idle, the same warm estimate is answered inline.
+        again = await submit_one(host, port, estimate)
+        return replies, again, answered(daemon)
+
+    replies, again, (inline, queued) = serve_in_process(
+        scenario, warmup={"requests": [simulate, estimate]}
+    )
+    assert all(status == b"HTTP/1.1 200 OK" and payload["ok"] for status, payload in replies)
+    assert executed == ["synthesize", "estimate", "simulate", "estimate"]
+    assert again[1]["rows"] == [
+        {**replies[2][1]["rows"][0], "seconds": again[1]["rows"][0]["seconds"]}
+    ]
+    assert (inline, queued) == (1, 3)
+
+
+def test_a_fork_pool_daemon_never_inlines(tmp_path):
+    """With ``jobs > 1`` rows run in worker processes that hold their own
+    caches, and every submit is queued, however warm."""
+    requests = [
+        {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3},
+        {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4},
+    ]
+
+    async def scenario(daemon, host, port):
+        statuses = []
+        for _ in range(3):
+            for request in requests:
+                status, payload = await submit_one(host, port, request)
+                statuses.append(status == b"HTTP/1.1 200 OK" and payload["ok"])
+        return statuses, daemon.pool.mode, answered(daemon)
+
+    statuses, mode, (inline, queued) = serve_in_process(
+        scenario, jobs=2, cache_dir=str(tmp_path / "cache"),
+        warmup={"requests": requests},
+    )
+    assert all(statuses) and mode == "fork"
+    assert (inline, queued) == (0, 6)
+
+
+def test_warm_submits_past_the_state_caps_are_queued():
+    """Inline work is bounded by what the table holds: a permutation
+    simulate within the gather cap (4,096 states) and a non-permutation one
+    within the operator cap (128), and the submit's basis and simulate
+    states summed within 4,096.  Past any of them the warm submit goes to
+    the worker."""
+    within = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 6}  # 3^7 = 2,187
+    past_gather = {"kind": "simulate", "strategy": "mct", "d": 3, "k": 7}  # 3^8
+    past_operator = {"kind": "simulate", "strategy": "mcu-exponential", "d": 3, "k": 4}
+    cases = [
+        ([within], "inline"),
+        ([within, within], "queued"),  # 2 · (2,187 + 1) > 4,096
+        ([{**within, "verify": "smoke"}], "inline"),
+        ([{**within, "verify": "smoke"}, within], "queued"),
+        ([past_gather], "queued"),
+        ([past_operator], "queued"),
+        ([{**past_operator, "k": 3}], "inline"),  # 3^4 = 81
+        ([{"kind": "synthesize", "strategy": "mct", "d": 3, "k": 7}], "inline"),
+    ]
+
+    async def scenario(daemon, host, port):
+        paths = []
+        for requests in (case for case, _ in cases):
+            before = answered(daemon)
+            body = json.dumps({"requests": requests}).encode("utf-8")
+            reply = await raw_exchange(host, port, post_workload(body))
+            assert reply.startswith(b"HTTP/1.1 200 "), reply
+            paths.append("inline" if answered(daemon)[0] > before[0] else "queued")
+        return paths
+
+    paths = serve_in_process(
+        scenario,
+        warmup={"requests": [within, past_gather, past_operator, {**past_operator, "k": 3}]},
+    )
+    assert paths == [path for _, path in cases]
+
+
+def test_an_inline_submit_is_refused_as_a_queued_one_would_be():
+    """Answering on the event loop skips the queue, not admission: a warm
+    submit larger than the queue bound still gets 429, and one past the
+    batch bound 413."""
+    request = {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4}
+
+    async def scenario(daemon, host, port):
+        replies = []
+        for count in (3, 5, 2):
+            body = json.dumps({"requests": [request] * count}).encode("utf-8")
+            replies.append(await raw_exchange(host, port, post_workload(body)))
+        return replies, dict(daemon.metrics.rejected), answered(daemon)
+
+    replies, rejected, (inline, queued) = serve_in_process(
+        scenario, max_queued=2, max_batch=4, warmup={"requests": [request]}
+    )
+    assert replies[0].startswith(b"HTTP/1.1 429 ") and replies[1].startswith(b"HTTP/1.1 413 ")
+    assert replies[2].startswith(b"HTTP/1.1 200 ")
+    assert rejected["queue_full"] == 1 and rejected["oversize"] == 1
+    assert (inline, queued) == (2, 0)

@@ -14,7 +14,6 @@ from repro.exec import (
     WorkloadRequest,
     WorkloadSpec,
     execute_request,
-    execute_request_raw,
     lowered_key,
     plan_workload,
     run_workload,
@@ -233,10 +232,13 @@ def test_simulate_options_are_validated_whichever_path_runs(strategy, k, options
     and returned ``ok: true``); both are now rejected when the request is
     parsed."""
     raw = {"kind": "simulate", "strategy": strategy, "d": 3, "k": k, **options}
-    with pytest.raises(WorkloadError, match="request 4: "):
+    with pytest.raises(WorkloadError, match="request 4: ") as refused:
         WorkloadRequest.from_dict(raw, 4)
-    row = execute_request_raw(raw, 4, CompileCache())
-    assert row["ok"] is False and fragment in row["error"]
+    assert fragment in str(refused.value)
+    # Without the option the same request parses and runs.
+    plain = {name: value for name, value in raw.items() if name not in options}
+    row = execute_request(WorkloadRequest.from_dict(plain, 4), CompileCache(), index=4)
+    assert row["ok"] and row["index"] == 4
 
 
 @pytest.mark.parametrize("budget", [True, False])
@@ -353,16 +355,22 @@ def test_pooled_rows_carry_their_real_request_index(tmp_path):
     assert [row["index"] for row in serial.rows] == [0, 1, 2, 3]
 
 
-def test_worker_execute_reports_parse_failures_at_the_real_index():
-    """A raw dict the parser rejects becomes an ok=False row naming the real
-    request — it used to raise out of the pool task (killing the workload)
-    with any error message blaming request 0."""
+def test_worker_execute_reports_failures_at_the_real_index():
+    """A request that fails becomes an ok=False row naming the real request
+    — it used to raise out of the pool task (killing the workload) with any
+    error message blaming request 0.  Workers take parsed requests, so a
+    parse failure names its index before any worker sees it."""
     from repro.exec.workload import _worker_execute
 
-    result = _worker_execute((5, {"kind": "synthesize", "d": 3, "k": 4}))
+    with pytest.raises(WorkloadError, match="request 5: missing field"):
+        WorkloadRequest.from_dict({"kind": "synthesize", "d": 3, "k": 4}, 5)
+    request = WorkloadRequest.from_dict(
+        {"kind": "synthesize", "strategy": "no-such-strategy", "d": 3, "k": 4}, 5
+    )
+    result = _worker_execute((5, request))
     row = result["row"]
     assert row["index"] == 5 and row["ok"] is False
-    assert "request 5" in row["error"] and "missing field" in row["error"]
+    assert "no-such-strategy" in row["error"] and "traceback" not in row
 
 
 def test_poisoned_request_does_not_kill_the_workload(tmp_path, monkeypatch):
