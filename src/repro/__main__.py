@@ -10,9 +10,12 @@ Quick scenario exploration over the synthesis registry:
   through the registry, optionally check it against its semantic
   specification and lower it to G-gates;
 * ``python -m repro simulate mct 3 6 --backend sparse --state 0,0,0,0,0,0,2``
-  — build, lower and actually run a circuit on a chosen basis state through
-  a simulation backend (``--backend`` offers every registered engine;
-  ``--memory-budget 8M`` tiles the ``dense`` engine under a byte budget).
+  — run a basis state through the served circuit as one ``simulate``
+  request, parsed by ``WorkloadRequest.from_dict`` and run by
+  ``execute_request`` as ``batch`` and the daemon run it: the same
+  refusals, and the row names its ``sim_path`` (``--backend`` offers every
+  registered engine; ``--memory-budget 8M`` tiles the ``dense`` engine and
+  caps a permutation circuit's gather).
 * ``python -m repro fuzz --time-budget 20 --seed 0 --json`` — differential
   fuzzing: seeded random circuits, synthesis instances and pass pipelines
   through every redundant path (see :mod:`repro.fuzz`); exits
@@ -26,6 +29,11 @@ Quick scenario exploration over the synthesis registry:
   — design-space exploration: sweep strategy × pipeline × (d, k) through
   the vectorized batch estimator and print the Pareto frontier / winner
   report (see :mod:`repro.dse`).
+
+``estimate --strategy``, ``synthesize`` and ``simulate`` take their ancilla
+budget (``--max-clean`` / ``--max-borrowed`` / ``--max-ancillas``) through
+:func:`repro.synth.registry.resolve`: ``auto`` picks under it, and a named
+strategy over it is refused.
 """
 
 from __future__ import annotations
@@ -136,24 +144,11 @@ def _resource_row(resources: Resources, seconds: float, chosen: bool) -> dict:
     return row
 
 
-def _check_budget(budget, strategy, dim: int, k: int) -> None:
-    """Reject a named strategy that exceeds the requested ancilla budget."""
-    if budget is None:
-        return
-    _, histogram = strategy.layout(dim, k)
-    if not budget.permits(histogram):
-        raise SynthesisError(
-            f"strategy {strategy.name!r} uses ancillas {dict(histogram)} at "
-            f"d={dim}, k={k}, which exceeds the requested budget"
-        )
-
-
 def _cmd_estimate(args) -> int:
     budget = _budget_from_args(args)
     rows = []
     if args.strategy:
-        strategy = _registry.get(args.strategy)
-        _check_budget(budget, strategy, args.d, args.k)
+        strategy = _registry.resolve(args.strategy, args.d, args.k, budget=budget)
         strategy.estimate(args.d, args.k)  # warm the calibration cache
         start = time.perf_counter()
         resources = strategy.estimate(args.d, args.k)
@@ -180,14 +175,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    budget = _budget_from_args(args)
     verify_budget = _verify_budget_from_args(args)
+    strategy = _registry.resolve(args.name, args.d, args.k, budget=_budget_from_args(args))
     if args.name == "auto":
-        strategy = auto_select(args.d, args.k, budget=budget).strategy
         print(f"auto dispatch picked: {strategy.name}")
-    else:
-        strategy = _registry.get(args.name)
-        _check_budget(budget, strategy, args.d, args.k)
     result = strategy.synthesize(args.d, args.k)
     print(result.describe())
     report = count_gates(result, lower=args.lower)
@@ -212,32 +203,17 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _parse_state(text: str, num_wires: int, dim: int) -> List[int]:
-    """Parse and validate a ``--state`` digit string against the register.
-
-    Raises :class:`SynthesisError` (rendered as a one-line CLI error) instead
-    of letting a malformed token or out-of-range digit surface as a raw
-    ``ValueError``/index traceback from numpy.
-    """
-    tokens = text.replace(",", " ").split()
+def _state_digits(text: str) -> List[int]:
+    """Split a ``--state`` digit string; the request schema checks its
+    length and range against the register."""
     digits = []
-    for token in tokens:
+    for token in text.replace(",", " ").split():
         try:
             digits.append(int(token))
         except ValueError:
             raise SynthesisError(
                 f"--state digit {token!r} is not an integer (expected e.g. 0,0,1,2)"
             ) from None
-    if len(digits) != num_wires:
-        raise SynthesisError(
-            f"--state needs {num_wires} digits for this circuit, got {len(digits)}"
-        )
-    for position, digit in enumerate(digits):
-        if not 0 <= digit < dim:
-            raise SynthesisError(
-                f"--state digit {digit} at position {position} is out of range for "
-                f"dimension d={dim} (valid digits: 0..{dim - 1})"
-            )
     return digits
 
 
@@ -250,50 +226,41 @@ def _check_memory_budget(args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.core.lowering import lower_to_g_gates
-    from repro.sim import DenseBackend, Statevector, available_backends, get_backend
+    """One simulate request, parsed and run as ``batch`` and the daemon run it."""
+    from repro.exec import WorkloadRequest, execute_request
+    from repro.sim import available_backends
 
-    _check_memory_budget(args)
-    backend = get_backend(args.backend)
-    if args.memory_budget is not None:
-        backend = DenseBackend(memory_budget=args.memory_budget)
-    if args.name == "auto":
-        strategy = auto_select(args.d, args.k, budget=_budget_from_args(args)).strategy
-        print(f"auto dispatch picked: {strategy.name}")
-    else:
-        strategy = _registry.get(args.name)
-    result = strategy.synthesize(args.d, args.k)
-    circuit = result.circuit
-
-    start = time.perf_counter()
-    lowered = lower_to_g_gates(circuit) if circuit.is_permutation else circuit
-    lower_seconds = time.perf_counter() - start
-
-    if args.state:
-        digits = _parse_state(args.state, circuit.num_wires, args.d)
-        state = Statevector.from_basis_state(digits, args.d, backend=backend)
-    else:
-        digits = [0] * circuit.num_wires
-        state = Statevector(circuit.num_wires, args.d, backend=backend)
-
-    start = time.perf_counter()
-    state.apply_circuit(lowered)
-    sim_seconds = time.perf_counter() - start
-    outcome = list(state.most_probable())
-
-    row = {
+    strategy = _registry.resolve(args.name, args.d, args.k, budget=_budget_from_args(args))
+    raw = {
+        "kind": "simulate",
         "strategy": strategy.name,
         "d": args.d,
         "k": args.k,
         "backend": args.backend,
-        "gates": lowered.num_ops(),
-        "lower_seconds": round(lower_seconds, 4),
-        "sim_seconds": round(sim_seconds, 4),
-        "input": "".join(map(str, digits)),
-        "output": "".join(map(str, outcome)),
     }
+    if args.state:
+        raw["states"] = [_state_digits(args.state)]
     if args.memory_budget is not None:
-        row["memory_budget"] = backend.memory_budget
+        raw["memory_budget"] = args.memory_budget
+    request = WorkloadRequest.from_dict(raw, 0)
+    result = execute_request(request, None)
+    if not result["ok"]:
+        print(f"error: {result['error']}", file=sys.stderr)
+        return 1
+    digits = request.states[0] if request.states else (0,) * result["num_wires"]
+    row = {
+        "strategy": result["strategy"],
+        "d": args.d,
+        "k": args.k,
+        "backend": request.backend,
+        "gates": result["gates"],
+        "sim_path": result["sim_path"],
+        "seconds": result["seconds"],
+        "input": "".join(map(str, digits)),
+        "output": result["outputs"][0],
+    }
+    if request.memory_budget is not None:
+        row["memory_budget"] = request.memory_budget
     if args.json:
         print(json.dumps(json_safe(row), indent=2, ensure_ascii=False))
     else:
@@ -529,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     backend_names = list(available_backends())
 
-    p_sim = sub.add_parser("simulate", help="build, lower and run a circuit on a backend")
+    p_sim = sub.add_parser("simulate", help="run a basis state as one simulate request")
     p_sim.add_argument("name", help='strategy name (or "auto")')
     p_sim.add_argument("d", type=int, help="qudit dimension")
     p_sim.add_argument("k", type=int, help="size parameter")

@@ -457,16 +457,13 @@ def _simulate(request: WorkloadRequest, circuit) -> Tuple[List[str], str]:
     from repro.utils.indexing import digits_to_index, indices_to_digits
 
     rows = request.states or ((0,) * circuit.num_wires,)
+    # from_dict checked every digit's range (digits_to_index checks it
+    # again) and the count where the layout knows the wires: not for "auto".
     for i, digits in enumerate(rows):
         if len(digits) != circuit.num_wires:
             raise WorkloadError(
                 f"simulate state {i} has {len(digits)} digits, circuit has "
                 f"{circuit.num_wires} wires"
-            )
-        bad = [x for x in digits if not 0 <= x < request.dim]
-        if bad:
-            raise WorkloadError(
-                f"simulate state {i} digit {bad[0]} out of range for d={request.dim}"
             )
     indices = [digits_to_index(digits, request.dim) for digits in rows]
     if circuit.is_permutation:

@@ -31,6 +31,7 @@ from repro.synth.registry import (
     get,
     names,
     register,
+    resolve,
     synthesize,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "get",
     "names",
     "register",
+    "resolve",
     "synthesize",
 ]

@@ -128,6 +128,32 @@ def auto_select(
     return AutoChoice(strategy=best[0], resources=best[1], considered=considered)
 
 
+def resolve(
+    name: str, dim: int, k: int, *, budget: Optional[AncillaBudget] = None
+) -> Synthesizer:
+    """The strategy that builds ``name`` at ``(d, k)`` within an ancilla budget.
+
+    ``"auto"`` is :func:`auto_select`'s pick under ``budget``.  A named
+    strategy is refused with :class:`SynthesisError` (or
+    :class:`~repro.exceptions.DimensionError`) when it does not support
+    ``(d, k)`` or when ``budget`` does not permit its
+    :meth:`~repro.synth.strategy.Synthesizer.layout`; it never runs over
+    the budget.
+    """
+    if name == "auto":
+        return auto_select(dim, k, budget=budget).strategy
+    strategy = get(name)
+    strategy._require(dim, k)
+    if budget is not None:
+        _, histogram = strategy.layout(dim, k)
+        if not budget.permits(histogram):
+            raise SynthesisError(
+                f"strategy {name!r} uses ancillas {dict(histogram)} at "
+                f"d={dim}, k={k}, which exceeds the requested budget"
+            )
+    return strategy
+
+
 def synthesize(
     name: str,
     dim: int,
@@ -137,7 +163,7 @@ def synthesize(
     cache=None,
     **kwargs,
 ) -> SynthesisResult:
-    """Synthesise through the registry; ``name="auto"`` dispatches by cost.
+    """Synthesise the strategy :func:`resolve` picks for ``name`` under ``budget``.
 
     ``cache=`` (a :class:`repro.exec.cache.CompileCache`) opts into the
     persistent compile cache for the macro-level synthesis output: the
@@ -148,9 +174,8 @@ def synthesize(
     extra ``**kwargs`` (e.g. explicit unitary payloads) never touch the
     cache — their output is not determined by ``(strategy, d, k)`` alone.
     """
-    if name == "auto":
-        name = auto_select(dim, k, budget=budget).strategy.name
-    strategy = get(name)
+    strategy = resolve(name, dim, k, budget=budget)
+    name = strategy.name
     if cache is None or kwargs:
         return strategy.synthesize(dim, k, **kwargs)
 

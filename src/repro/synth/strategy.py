@@ -130,6 +130,8 @@ class Synthesizer(abc.ABC):
             raise SynthesisError(
                 f"strategy {self.name!r} requires k >= {self.capabilities.min_k}, got {k}"
             )
+        if not self.supports(dim, k):  # a subclass's narrower rule
+            raise SynthesisError(f"strategy {self.name!r} does not support d={dim}, k={k}")
 
     @abc.abstractmethod
     def synthesize(self, dim: int, k: int, **kwargs) -> SynthesisResult:

@@ -69,13 +69,14 @@ def random_mixed_circuit(rng, num_wires=3, dim=3, num_ops=10):
 
 #: (strategy, d) for each registered strategy whose circuits are
 #: permutations, at every d in {3, 4, 5} where it supports the test's k=3
-#: (permutation-ness told by its k=2 circuit, which every strategy
-#: synthesizes in milliseconds).
+#: (permutation-ness told by its k=1 circuit, which every strategy supports
+#: and synthesizes in milliseconds; ``unitary`` takes seconds at k=3, and
+#: mct-clean-ladder does not support even d at k=2).
 PERMUTATION_STRATEGY_CASES = [
     (strategy.name, dim)
     for strategy in registry.all_strategies()
     for dim in (3, 4, 5)
-    if strategy.supports(dim, 3) and strategy.synthesize(dim, 2).circuit.is_permutation
+    if strategy.supports(dim, 3) and strategy.synthesize(dim, 1).circuit.is_permutation
 ]
 
 

@@ -562,4 +562,6 @@ def test_cli_simulate_budget_tiles_dense_and_is_refused_beside_sparse(capsys):
     assert row["output"] == "000"  # the controls are 0: X01 on the target
     assert main(args + ["--backend", "sparse", "--memory-budget", "8M"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: --memory-budget applies to the dense backend only, got --backend sparse\n"
+    assert err == (
+        'error: request 0: memory_budget applies to the "dense" backend only, got \'sparse\'\n'
+    )

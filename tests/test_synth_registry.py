@@ -106,6 +106,23 @@ class TestRegistry:
                 compile_lowered("mct-clean-ladder", dim, k)  # raises if it cannot lower
             assert (2 in claimed) == (dim % 2 == 1)
 
+    def test_every_entry_point_refuses_what_supports_refuses(self):
+        """``synthesize`` and ``estimate`` re-derived support from the
+        capabilities and missed the even-d k=2 ladder: ``synthesize`` built a
+        1-op circuit and ``estimate`` failed inside the lowering."""
+        for strategy in registry.all_strategies():
+            for dim in (2, 3, 4, 5):
+                for k in (0, 1, 2, 3):
+                    if strategy.supports(dim, k):
+                        strategy._require(dim, k)
+                    else:
+                        with pytest.raises(ReproError):
+                            strategy._require(dim, k)
+        ladder = registry.get("mct-clean-ladder")
+        for call in (ladder.synthesize, ladder.estimate):
+            with pytest.raises(SynthesisError, match="does not support d=4, k=2"):
+                call(4, 2)
+
     def test_batch_estimate_checks_every_k_not_only_the_ends(self):
         """Support is no longer contiguous in k (the even-d ladder lacks
         k=2), so a batch whose two ends are supported can still hold an
@@ -158,6 +175,12 @@ class TestAutoDispatch:
     def test_registry_synthesize_auto(self):
         result = registry.synthesize("auto", 3, 4, budget=AncillaBudget(clean=0, total=0))
         assert result.circuit.dim == 3
+
+    def test_registry_synthesize_refuses_a_named_strategy_over_the_budget(self):
+        """The budget used to be dropped for a named strategy, which then
+        built its two clean ancillas."""
+        with pytest.raises(SynthesisError, match=r"uses ancillas \{'clean': 2\}"):
+            registry.synthesize("mct-clean-ladder", 3, 4, budget=AncillaBudget(clean=0))
 
 
 class TestCli:

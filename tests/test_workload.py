@@ -484,8 +484,8 @@ def test_cli_batch_rejects_bad_spec(tmp_path, capsys):
     [
         ("0,0,5,0", "out of range"),
         ("0,0,x,0", "not an integer"),
-        ("0,0,0", "needs 4 digits"),
-        ("0,0,0,0,0", "needs 4 digits"),
+        ("0,0,0", "states rows have 3 digits, mct at d=3, k=3 has 4 wires"),
+        ("0,0,0,0,0", "states rows have 5 digits, mct at d=3, k=3 has 4 wires"),
         ("-1,0,0,0", "out of range"),
     ],
 )
@@ -499,6 +499,86 @@ def test_cli_simulate_valid_state_still_works(capsys):
     assert main(["simulate", "mct", "3", "3", "--state", "0 0 0 1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["input"] == "0001" and payload["output"] == "0000"
+
+
+# ----------------------------------------------------------------------
+# CLI: simulate is one request through the schema, as batch runs it
+# ----------------------------------------------------------------------
+def _simulate_json(capsys, *args):
+    assert main(["simulate", *args, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_simulate_propagates_a_register_past_any_address_space(capsys):
+    """3^31 dense amplitudes are 8.8 PiB: the CLI used to die allocating
+    them.  The request path pushes the one index through the rows."""
+    row = _simulate_json(capsys, "mct", "3", "30")
+    assert row["sim_path"] == "propagate"
+    assert row["input"] == "0" * 31 and row["output"] == "0" * 30 + "1"
+
+
+def test_cli_simulate_refuses_a_register_past_int64(capsys):
+    """Used to die with numpy's "Maximum allowed dimension exceeded"."""
+    assert main(["simulate", "mct", "3", "39", "--backend", "sparse"]) == 1
+    err = _one_error_line(capsys)
+    assert "3^40 basis states exceed the int64 flat-index range" in err
+
+
+def test_cli_simulate_refuses_a_named_strategy_over_the_ancilla_budget(capsys):
+    """Used to exit 0 on a circuit with two clean ancillas."""
+    flags = ["mct-clean-ladder", "3", "4", "--max-clean", "0"]
+    assert main(["synthesize", *flags]) == 1
+    refusal = _one_error_line(capsys)
+    assert main(["simulate", *flags]) == 1
+    assert _one_error_line(capsys) == refusal
+    assert "uses ancillas {'clean': 2} at d=3, k=4, which exceeds the requested budget" in refusal
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_cli_refuses_a_point_the_strategy_does_not_support(command, capsys):
+    """``synthesize`` printed a 1-op, 3-wire circuit and ``simulate`` failed
+    inside the even-d gadget's lowering."""
+    assert main([command, "mct-clean-ladder", "4", "2"]) == 1
+    err = _one_error_line(capsys)
+    assert "strategy 'mct-clean-ladder' does not support d=4, k=2" in err
+
+
+#: (``simulate`` arguments, the same request for ``batch``, its ``sim_path``).
+CLI_BATCH_PARITY_CASES = [
+    (["mct", "3", "3", "--state", "0,0,0,1"],
+     {"strategy": "mct", "d": 3, "k": 3, "states": [[0, 0, 0, 1]]}, "gather"),
+    (["mct", "3", "7", "--state", "0,0,0,0,0,0,0,2"],
+     {"strategy": "mct", "d": 3, "k": 7, "states": [[0] * 7 + [2]]}, "propagate"),
+    (["mcu-exponential", "3", "2", "--state", "0,0,1"],
+     {"strategy": "mcu-exponential", "d": 3, "k": 2, "states": [[0, 0, 1]]}, "operator"),
+    (["mcu-exponential", "3", "2", "--state", "0,0,1", "--memory-budget", "64"],
+     {"strategy": "mcu-exponential", "d": 3, "k": 2, "states": [[0, 0, 1]],
+      "memory_budget": 64}, "dense"),
+    (["mcu-exponential", "3", "2", "--backend", "sparse"],
+     {"strategy": "mcu-exponential", "d": 3, "k": 2, "backend": "sparse"}, "sparse"),
+    (["auto", "4", "4"], {"strategy": "auto", "d": 4, "k": 4}, "dense"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,request_,sim_path",
+    CLI_BATCH_PARITY_CASES,
+    ids=["gather", "propagate", "operator", "budgeted-dense", "sparse", "auto"],
+)
+def test_cli_simulate_answers_as_batch_does(args, request_, sim_path, tmp_path, capsys):
+    cli = _simulate_json(capsys, *args)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"requests": [{"kind": "simulate", **request_}]}), encoding="utf-8")
+    assert main(["batch", "--workload", str(path), "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["requests"]
+    assert (cli["strategy"], cli["output"]) == (row["strategy"], row["outputs"][0])
+    assert cli["sim_path"] == row["sim_path"] == sim_path
 
 
 # ----------------------------------------------------------------------
