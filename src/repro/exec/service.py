@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional
 
 from repro.core.lowering import lower_to_g_gates
@@ -52,8 +53,30 @@ def lowered_key(
     pipeline=None,
     salt: Optional[str] = None,
 ) -> str:
-    """The content address of the lowered form of ``strategy(d, k)``."""
+    """The content address of the lowered form of ``strategy(d, k)``.
+
+    Keys of registered strategies under the default pipeline come from a
+    memo (:func:`_registered_key`); a warm served row asks for its key twice.
+    """
+    if pipeline is None and strategy in registry.names():
+        return _registered_key(strategy, dim, k, salt)
     return cache_key(strategy, dim, k, stage="lowered", pipeline=pipeline, salt=salt)
+
+
+@lru_cache(maxsize=256)
+def _registered_key(strategy: str, dim: int, k: int, salt: Optional[str]) -> str:
+    """:func:`lowered_key` of a registered strategy under the default
+    pipeline (canonical JSON plus SHA-256, about 7 µs), memoized.
+
+    Only registered names reach it: any other name is a request's string,
+    up to a whole 1 MiB body.  An entry holds the name (the built-in ones
+    have at most 16 characters), ``d``, ``k``, a reference to the salt and
+    the 64-character key: about 0.3 KiB with the memo's own links, so its
+    256 entries take under 100 KiB.  ``d`` and ``k`` are JSON integers; at
+    the 4,300-digit limit of Python's integer parsing each adds 1.8 KiB, so
+    the memo holds 1 MiB at most.
+    """
+    return cache_key(strategy, dim, k, stage="lowered", salt=salt)
 
 
 def compile_lowered(

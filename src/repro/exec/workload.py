@@ -397,13 +397,26 @@ def execute_request(
         row["ok"] = True
     except ReproError as error:
         row["ok"] = False
-        row["error"] = f"{type(error).__name__}: {error}"
+        row["error"] = _error_text(error, request)
     except Exception as error:  # noqa: BLE001 — see the docstring
         row["ok"] = False
-        row["error"] = f"{type(error).__name__}: {error}"
+        row["error"] = _error_text(error, request)
         row["traceback"] = traceback.format_exc()
     row["seconds"] = round(time.perf_counter() - start, 6)
     return row
+
+
+def _error_text(error: Exception, request: WorkloadRequest) -> str:
+    """A failed row's ``error``: the exception's type and text, or, when it
+    has no text (a bare ``MemoryError``), what it was running."""
+    text = str(error)
+    if not text:
+        what = "out of memory" if isinstance(error, MemoryError) else "failed"
+        text = (
+            f"{what} running {request.kind} {request.strategy} "
+            f"at d={request.dim}, k={request.k}"
+        )
+    return f"{type(error).__name__}: {text}"
 
 
 def _verify_served(

@@ -272,7 +272,10 @@ class GateTable:
 
     @property
     def is_permutation(self) -> bool:
-        return not bool((self.opcode == OP_UNITARY).any())
+        cached = self._cache.get("is_permutation")
+        if cached is None:
+            cached = self._cache["is_permutation"] = not bool((self.opcode == OP_UNITARY).any())
+        return cached
 
     def spans(self) -> np.ndarray:
         """Distinct-wire count per row (wires within a row never repeat)."""

@@ -14,10 +14,18 @@ them through the existing compile-cache / fork-pool machinery:
   histogram and the merged compile-cache statistics (see
   :mod:`repro.serve.metrics`).
 
+The front end is one :class:`asyncio.Protocol` per connection.  Its
+``data_received`` appends to one buffer and, in a loop, takes each whole
+request off it, checking every limit as the bytes arrive.  An inline
+submit (below) is answered inside that loop with one ``transport.write``;
+a queued one gets one task, which writes the reply once the rows are done
+and then resumes the loop.  So pipelined requests are answered one at a
+time, in order, and a client may half-close after its request.
+
 A request that sends ``Connection: keep-alive`` keeps its connection open
 for the next request; any other request's response closes it.  Each
 request, including the wait for it on a kept-alive connection, must arrive
-whole within :data:`READ_TIMEOUT`.
+whole within :data:`READ_TIMEOUT` (one loop timer per request).
 
 Each submit is parsed and validated once, on arrival, and its rows take
 one of two paths:
@@ -45,8 +53,9 @@ overtaken.  ``/metrics`` counts the rows of each path (``requests.inline``
 and ``requests.queued``).  Startup warms the cache
 (:meth:`CompileCache.warm_scan` plus an optional warmup-spec replay,
 through the worker) and ``SIGTERM`` drains gracefully: admission closes,
-idle kept-alive connections close, queued and in-flight work finishes
-(pending submits still get their responses), then the daemon exits 0.
+idle connections (waiting for a request line) close, queued and in-flight
+work finishes (pending submits still get their responses), then the daemon
+exits 0.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Awaitable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.bench.formatting import json_safe
 from repro.exceptions import ServeError, WorkloadError
@@ -115,6 +124,10 @@ MAX_BODY_BYTES = 1 << 20
 #: Most header lines read per request; more is answered 400.
 MAX_HEADER_LINES = 100
 
+#: Longest request or header line, in bytes (the asyncio stream reader's
+#: default limit); a longer one is answered 400.
+READ_LIMIT = 1 << 16
+
 #: Reject-counter label for each admission error type.
 _REJECT_REASON = {
     QueueFullError: "queue_full",
@@ -122,57 +135,206 @@ _REJECT_REASON = {
     OversizeError: "oversize",
 }
 
-
-async def _read_line(reader) -> bytes:
-    """Read one request or header line; one over the read limit is a 400."""
-    try:
-        return await reader.readline()
-    except ValueError:  # readline's form of asyncio.LimitOverrunError
-        raise ServeError("request or header line is longer than the read limit") from None
+#: A routed request's answer: ``(status, payload)``.
+Answer = Tuple[int, Dict[str, object]]
 
 
-async def _read_request(
-    reader, started: Callable[[], None]
-) -> Optional[Tuple[str, str, bytes, bool]]:
-    """Read one HTTP request as ``(method, path, body, keep_alive)``, where
-    ``keep_alive`` says the client sent ``Connection: keep-alive``; ``None``
-    if the client closed without sending anything.  ``started()`` is called
-    once the request line has arrived.
+class _Connection(asyncio.Protocol):
+    """One client connection: whole requests are taken off one buffer as
+    their bytes arrive and answered one at a time, in order."""
 
-    The caller bounds the whole read with one deadline
-    (:data:`READ_TIMEOUT`).  A malformed head raises :class:`ServeError`
-    (400) and a body over :data:`MAX_BODY_BYTES` raises
-    :class:`OversizeError` (413), the latter before any of the body is read.
-    """
-    request_line = await _read_line(reader)
-    if not request_line:
-        return None
-    started()
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise ServeError("malformed request line")
-    method, target, _ = parts
-    headers: Dict[str, str] = {}
-    for _ in range(MAX_HEADER_LINES + 1):  # the headers and the blank line
-        line = await _read_line(reader)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise ServeError(f"more than {MAX_HEADER_LINES} header lines")
-    length_text = headers.get("content-length") or "0"
-    if not (length_text.isascii() and length_text.isdigit()):
-        raise ServeError(f"invalid Content-Length {length_text!r}")
-    length = int(length_text)
-    if length > MAX_BODY_BYTES:
-        raise OversizeError(
-            f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+    def __init__(self, daemon: "ServeDaemon"):
+        self.daemon = daemon
+        self.transport: Optional[asyncio.Transport] = None
+        #: Resolved once the connection has closed; a drain waits on it.
+        self.closed: Optional["asyncio.Future"] = None
+        self._buffer = bytearray()
+        # The request being read: method and path once its request line is
+        # in, headers, and the body length once the head is whole.
+        self._method: Optional[str] = None
+        self._path = ""
+        self._headers: Dict[str, str] = {}
+        self._header_lines = 0
+        self._length: Optional[int] = None
+        #: The task answering a queued submit; nothing is parsed meanwhile.
+        self._pending: Optional["asyncio.Task"] = None
+        self._write_paused = False
+        self._eof = False
+        self._deadline: Optional[asyncio.TimerHandle] = None
+
+    @property
+    def idle(self) -> bool:
+        """Waiting for the request line of its next (or first) request."""
+        return self._method is None and self._pending is None and not self._write_paused
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.closed = asyncio.get_running_loop().create_future()
+        self.daemon._connections.add(self)
+        self.daemon.metrics.connections += 1
+        self._arm_deadline()
+
+    def connection_lost(self, exc) -> None:
+        self._disarm_deadline()
+        self.daemon._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        # Stay open for the replies still owed (as StreamReaderProtocol
+        # does): _serve closes the transport once nothing whole is left.
+        self._eof = True
+        self._serve()
+        return True
+
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: no read deadline meanwhile.
+        self._write_paused = True
+        self._disarm_deadline()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._serve()
+
+    def _arm_deadline(self) -> None:
+        # Missing it closes the connection with no reply.
+        self._deadline = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT, self.transport.close
         )
-    body = await reader.readexactly(length)
-    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
-    keep_alive = "keep-alive" in tokens and "close" not in tokens
-    return method.upper(), target.split("?")[0], body, keep_alive
+
+    def _disarm_deadline(self) -> None:
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
+    def _serve(self) -> None:
+        """Answer each whole request in the buffer until one is incomplete,
+        a queued submit's reply is pending or the transport pushes back.
+        An unexpected error closes only this connection."""
+        transport = self.transport
+        try:
+            while self._pending is None and not self._write_paused and not transport.is_closing():
+                try:
+                    request = self._next_request()
+                except ServeError as error:
+                    self.daemon.metrics.record_rejected(
+                        _REJECT_REASON.get(type(error), "bad_request")
+                    )
+                    self._reply(error.status, {"error": str(error)}, keep_alive=False)
+                    return
+                if request is None:
+                    if not self._eof:
+                        if self._deadline is None:
+                            self._arm_deadline()
+                        break
+                    if self._length is None and (self._buffer or self._method is not None):
+                        # EOF ends the last line and the head, as asyncio's
+                        # stream reader reads them.
+                        self._buffer += b"\n\n" if self._buffer else b"\n"
+                        continue
+                    transport.close()  # nothing whole is left to answer
+                    break
+                method, path, body, keep_alive = request
+                answer = self.daemon._route(method, path, body)
+                if isinstance(answer, tuple):
+                    self._reply(*answer, keep_alive=keep_alive)
+                else:
+                    self._pending = asyncio.get_running_loop().create_task(
+                        self._reply_when_done(answer, keep_alive)
+                    )
+        except Exception:
+            transport.abort()
+            raise
+        # While nothing can be parsed, read ahead up to twice the line limit
+        # (where asyncio's stream reader pauses too): a lower bound can
+        # deadlock a client that writes its whole pipeline before it reads.
+        if not self._eof:
+            if self._pending is None and not self._write_paused:
+                transport.resume_reading()
+            elif len(self._buffer) > 2 * READ_LIMIT:
+                transport.pause_reading()
+
+    def _next_request(self) -> Optional[Tuple[str, str, bytes, bool]]:
+        """Take one whole request off the buffer as ``(method, path, body,
+        keep_alive)``, where ``keep_alive`` says the client sent
+        ``Connection: keep-alive``; ``None`` until all of it has arrived.
+
+        A malformed head raises :class:`ServeError` (400) and a body over
+        :data:`MAX_BODY_BYTES` :class:`OversizeError` (413), before any of
+        the body is read.
+        """
+        buffer = self._buffer
+        while self._length is None:  # the head, one line at a time
+            end = buffer.find(b"\n", 0, READ_LIMIT + 1)
+            if end < 0:
+                if len(buffer) > READ_LIMIT:
+                    raise ServeError("request or header line is longer than the read limit")
+                return None
+            line = buffer[: end + 1].decode("latin-1")
+            del buffer[: end + 1]
+            if self._method is None:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ServeError("malformed request line")
+                self._method, self._path = parts[0].upper(), parts[1].split("?")[0]
+            elif line in ("\r\n", "\n"):
+                text = self._headers.get("content-length") or "0"
+                if not (text.isascii() and text.isdigit()):
+                    raise ServeError(f"invalid Content-Length {text!r}")
+                self._length = int(text)
+                if self._length > MAX_BODY_BYTES:
+                    raise OversizeError(
+                        f"body of {self._length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                    )
+            elif self._header_lines == MAX_HEADER_LINES:
+                raise ServeError(f"more than {MAX_HEADER_LINES} header lines")
+            else:
+                self._header_lines += 1
+                name, _, value = line.partition(":")
+                self._headers[name.strip().lower()] = value.strip()
+        if len(buffer) < self._length:
+            return None
+        body = bytes(buffer[: self._length])
+        del buffer[: self._length]
+        tokens = {t.strip().lower() for t in self._headers.get("connection", "").split(",")}
+        request = (
+            self._method, self._path, body, "keep-alive" in tokens and "close" not in tokens
+        )
+        self._method, self._headers, self._header_lines, self._length = None, {}, 0, None
+        self._disarm_deadline()  # the whole request is in
+        return request
+
+    async def _reply_when_done(self, answer: Awaitable[Answer], keep_alive: bool) -> None:
+        """Write a queued submit's reply once its rows are done, then go on
+        with the requests behind it."""
+        try:
+            status, payload = await answer
+            self._pending = None
+            if not self.transport.is_closing():  # else the client went away
+                self._reply(status, payload, keep_alive=keep_alive)
+                self._serve()
+        except BaseException:
+            self.transport.abort()
+            raise
+
+    def _reply(self, status: int, payload: Dict[str, object], *, keep_alive: bool) -> None:
+        """Write one response.  It keeps the connection open only when its
+        request asked for ``Connection: keep-alive`` and the daemon is not
+        draining."""
+        keep_alive = keep_alive and not self.daemon.admission.draining
+        body = json.dumps(json_safe(payload), ensure_ascii=False).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        )
+        self.transport.write(head.encode("latin-1") + body)
+        if not keep_alive:
+            self.transport.close()
 
 
 @dataclass
@@ -315,10 +477,8 @@ class ServeDaemon:
         self.address: Optional[str] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._consumers: List["asyncio.Task"] = []
-        self._connections: Set["asyncio.Task"] = set()
-        #: Kept-alive connections waiting for the request line of their
-        #: next request; a drain closes them at once.
-        self._idle: Set["asyncio.Task"] = set()
+        #: Open client connections.
+        self._connections: Set[_Connection] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -331,18 +491,16 @@ class ServeDaemon:
             self.metrics.warm["scan"] = self.pool.warm()
         if config.warmup is not None:
             await self._run_warmup(self._load_warmup(config.warmup))
-        self._consumers = [
-            asyncio.get_running_loop().create_task(self._consume())
-            for _ in range(self.pool.jobs)
-        ]
+        loop = asyncio.get_running_loop()
+        self._consumers = [loop.create_task(self._consume()) for _ in range(self.pool.jobs)]
         if config.unix_socket is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=config.unix_socket
+            self._server = await loop.create_unix_server(
+                lambda: _Connection(self), path=config.unix_socket
             )
             self.address = f"unix:{config.unix_socket}"
         else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=config.host, port=config.port
+            self._server = await loop.create_server(
+                lambda: _Connection(self), host=config.host, port=config.port
             )
             host, port = self._server.sockets[0].getsockname()[:2]
             self.address = f"http://{host}:{port}"
@@ -351,15 +509,16 @@ class ServeDaemon:
     async def drain(self) -> None:
         """Graceful shutdown: finish every queued and in-flight row.
 
-        Admission closes first (submits get 503) and idle kept-alive
-        connections are closed, the queue is closed so consumers exit once
-        the backlog is done, pending submit handlers write their responses
-        (with ``Connection: close``), and only then do the listener and the
-        pool shut down.
+        Admission closes first (submits get 503) and idle connections
+        (:attr:`_Connection.idle`) are closed, the queue is closed so
+        consumers exit once the backlog is done, connections holding a
+        request write their responses (with ``Connection: close``), and
+        only then do the listener and the pool shut down.
         """
         self.admission.begin_drain()
-        for task in self._idle:
-            task.cancel()
+        for connection in list(self._connections):
+            if connection.idle:
+                connection.transport.close()
         self.queue.close()
         grace = self.config.drain_grace
         if self._consumers:
@@ -367,7 +526,7 @@ class ServeDaemon:
             for task in pending:  # pragma: no cover - pathological hang
                 task.cancel()
         if self._connections:
-            await asyncio.wait(self._connections, timeout=grace)
+            await asyncio.wait([c.closed for c in self._connections], timeout=grace)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -465,52 +624,11 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # HTTP front end
     # ------------------------------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
-        """Answer requests on one connection until a response closes it.
-
-        A response keeps the connection open only when its request was read
-        whole and asked for ``Connection: keep-alive``, and the daemon is
-        not draining; every other response says ``Connection: close``.
-        """
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.metrics.connections += 1
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        _read_request(reader, lambda: self._idle.discard(task)),
-                        timeout=READ_TIMEOUT,
-                    )
-                except ServeError as error:
-                    self.metrics.record_rejected(
-                        _REJECT_REASON.get(type(error), "bad_request")
-                    )
-                    await self._respond(writer, error.status, {"error": str(error)})
-                    return
-                if request is None:
-                    return
-                method, path, body, keep_alive = request
-                status, payload = await self._route(method, path, body)
-                keep_alive = keep_alive and not self.admission.draining
-                await self._respond(writer, status, payload, keep_alive=keep_alive)
-                if not keep_alive:
-                    return
-                self._idle.add(task)
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):
-            pass  # client went away or stalled mid-request; nothing to answer
-        finally:
-            self._idle.discard(task)
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _route(
+    def _route(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, object]]:
+    ) -> Union[Answer, Awaitable[Answer]]:
+        """The answer to one request: ``(status, payload)``, or an awaitable
+        of it for a queued submit."""
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -526,7 +644,7 @@ class ServeDaemon:
         if path == "/v1/workload":
             if method != "POST":
                 return 405, {"error": "submit workloads with POST /v1/workload"}
-            return await self._submit(body)
+            return self._submit(body)
         return 404, {
             "error": f"unknown path {path!r}",
             "paths": ["POST /v1/workload", "GET /metrics", "GET /healthz"],
@@ -540,7 +658,7 @@ class ServeDaemon:
             "jobs": self.pool.jobs if self.pool is not None else 0,
         }
 
-    async def _submit(self, body: bytes) -> Tuple[int, Dict[str, object]]:
+    def _submit(self, body: bytes) -> Union[Answer, Awaitable[Answer]]:
         try:
             raw = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError, RecursionError) as error:
@@ -581,35 +699,26 @@ class ServeDaemon:
             return error.status, {"error": str(error), "rejected": len(requests)}
         self.metrics.record_accepted(len(requests))
         if inline:
-            rows = self._answer_inline(requests, priorities)
-        else:
-            rows = await asyncio.gather(*(job.future for job in jobs))
+            return 200, self._submit_payload(self._answer_inline(requests, priorities), start)
+        return self._queued_answer(jobs, start)
+
+    async def _queued_answer(self, jobs: List[Job], start: float) -> Answer:
+        return 200, self._submit_payload([await job.future for job in jobs], start)
+
+    @staticmethod
+    def _submit_payload(rows: List[Dict[str, object]], start: float) -> Dict[str, object]:
         compiles = [
             (row.get("strategy"), row.get("d"), row.get("k"))
             for row in rows
             if row.get("kind") in ("synthesize", "simulate")
         ]
-        return 200, {
+        return {
             "ok": all(row.get("ok") for row in rows),
-            "rows": list(rows),
+            "rows": rows,
             "seconds": round(time.perf_counter() - start, 6),
             "unique_compiles": len(set(compiles)),
             "dedup_savings": len(compiles) - len(set(compiles)),
         }
-
-    @staticmethod
-    async def _respond(
-        writer, status: int, payload: Dict[str, object], *, keep_alive: bool = False
-    ) -> None:
-        body = json.dumps(json_safe(payload), ensure_ascii=False).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
 
 
 # ----------------------------------------------------------------------

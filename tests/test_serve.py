@@ -1026,6 +1026,169 @@ def test_threads_sharing_a_client_each_keep_their_own_connection():
 
 
 # ----------------------------------------------------------------------
+# HTTP front end over a raw socket: half-close, pipelining, split writes
+# ----------------------------------------------------------------------
+async def half_closed_exchange(host, port, data: bytes) -> bytes:
+    """Send raw bytes, shut down the sending side, read to EOF."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(data)
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout=10.0)
+    finally:
+        writer.close()
+
+
+def test_a_half_closed_client_still_gets_its_reply():
+    """A client may shut down its sending side right after its request: the
+    reply still comes, from the worker (a cold submit) and from the event
+    loop (its warm repeat)."""
+    request = {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 3}
+    data = post_workload(json.dumps({"requests": [request]}).encode("utf-8"))
+
+    async def scenario(daemon, host, port):
+        replies = []
+        for _ in range(2):
+            before = answered(daemon)
+            reply = await half_closed_exchange(host, port, data)
+            took = "inline" if answered(daemon)[0] > before[0] else "queued"
+            replies.append((took, reply))
+        return replies
+
+    replies = serve_in_process(scenario)
+    assert [took for took, _ in replies] == ["queued", "inline"]
+    for _, reply in replies:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["rows"][0]["ok"] is True
+
+
+def test_eof_ends_the_last_line_and_the_head():
+    """A half-close ends a request cut short before its blank line, or even
+    before the end of its request line; a short body is still dropped."""
+    cases = [
+        (b"GET /healthz HTTP/1.1", b"HTTP/1.1 200 "),
+        (b"GET /healthz HTTP/1.1\r\nHost: x", b"HTTP/1.1 200 "),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", b"HTTP/1.1 200 "),
+        (b"HELLO", b"HTTP/1.1 400 "),
+        (b"POST /v1/workload HTTP/1.1\r\nContent-Length: 10\r\n\r\n[{", b""),
+        (b"", b""),
+    ]
+
+    async def scenario(daemon, host, port):
+        return [await half_closed_exchange(host, port, data) for data, _ in cases]
+
+    for (data, expected), reply in zip(cases, serve_in_process(scenario)):
+        assert reply.startswith(expected) if expected else reply == b"", data
+
+
+def test_pipelined_requests_are_answered_in_order():
+    """Two kept-alive requests sent in one write: a queued submit, then a
+    health check that must wait for the submit's reply."""
+    cold = {"kind": "synthesize", "strategy": "mct", "d": 3, "k": 4}
+    submit = post_workload(json.dumps({"requests": [cold]}).encode("utf-8"))
+    submit = submit.replace(b"HTTP/1.1\r\n", b"HTTP/1.1\r\n" + KEEP_ALIVE, 1)
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(submit + get("/healthz", KEEP_ALIVE))
+            first = await read_response(reader)
+            second = await read_response(reader)
+        finally:
+            writer.close()
+        return first, second, answered(daemon)
+
+    (head, submitted), (health_head, health), (inline, queued) = serve_in_process(scenario)
+    assert head.startswith(b"HTTP/1.1 200 ") and b"Connection: keep-alive\r\n" in head
+    assert submitted["rows"][0]["strategy"] == "mct" and submitted["ok"]
+    assert health_head.startswith(b"HTTP/1.1 200 ") and health["status"] == "ok"
+    assert health["in_flight"] == 0 and (inline, queued) == (0, 1)
+
+
+def test_a_request_sent_one_byte_per_write_is_answered():
+    """Every line of the head and the body arrive split across writes."""
+    request = {"kind": "estimate", "strategy": "mct", "d": 3, "k": 4}
+    data = post_workload(json.dumps({"requests": [request]}).encode("utf-8"))
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            for at in range(len(data)):
+                writer.write(data[at : at + 1])
+                await writer.drain()
+                await asyncio.sleep(0.001)  # one segment per byte
+            return await asyncio.wait_for(reader.read(), timeout=10.0)
+        finally:
+            writer.close()
+
+    head, _, body = serve_in_process(scenario).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    (row,) = json.loads(body)["rows"]
+    assert row["ok"] and row["k"] == 4
+
+
+def test_a_long_pipeline_written_before_any_read_is_answered_whole():
+    """2,000 requests written before the client reads anything: the daemon
+    must stop and resume as its replies back up, answer every request in
+    order, and close after the last (which does not ask to keep alive)."""
+    count = 2000
+    data = get("/healthz", KEEP_ALIVE) * (count - 1) + get("/healthz")
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(data)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=60.0)
+        finally:
+            writer.close()
+
+    reply = serve_in_process(scenario)
+    assert reply.count(b"HTTP/1.1 200 OK\r\n") == count
+    assert reply.count(b"Connection: keep-alive\r\n") == count - 1
+    last_head = reply[reply.rindex(b"HTTP/1.1 ") :].partition(b"\r\n\r\n")[0]
+    assert last_head.endswith(b"\r\nConnection: close")
+
+
+def test_an_unexpected_error_closes_only_its_own_connection(monkeypatch):
+    def broken(self):
+        raise RuntimeError("health check broke")
+
+    monkeypatch.setattr(ServeDaemon, "_health_payload", broken)
+
+    async def scenario(daemon, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(get("/metrics", KEEP_ALIVE))
+            before = await read_response(reader)
+            failed = await raw_exchange(host, port, get("/healthz", KEEP_ALIVE))
+            writer.write(get("/metrics", KEEP_ALIVE))
+            after = await read_response(reader)
+        finally:
+            writer.close()
+        return before, failed, after
+
+    (head, _), failed, (after_head, metrics) = serve_in_process(scenario)
+    assert failed == b""  # closed with no reply
+    assert head.startswith(b"HTTP/1.1 200 ") and after_head.startswith(b"HTTP/1.1 200 ")
+    assert metrics["connections"] == 2
+
+
+def test_a_served_estimate_past_the_float_range_is_a_sci_notation_string():
+    """``mcu-exponential`` at d=3, k=200 needs a 61-digit two-qudit count:
+    the reply carries it as a short sci-notation string, not 61 digits."""
+    request = {"kind": "estimate", "strategy": "mcu-exponential", "d": 3, "k": 200}
+
+    async def scenario(daemon, host, port):
+        return await submit_one(host, port, request)
+
+    status, payload = serve_in_process(scenario)
+    assert status == b"HTTP/1.1 200 OK"
+    assert payload["rows"][0]["two_qudit_gates"] == "2.410e+60"
+
+
+# ----------------------------------------------------------------------
 # Warm, small submits answered on the event loop
 # ----------------------------------------------------------------------
 #: One request of every kind and verify level of the ``serve_warm`` mix

@@ -549,6 +549,36 @@ def test_cli_refuses_a_point_the_strategy_does_not_support(command, capsys):
     assert "strategy 'mct-clean-ladder' does not support d=4, k=2" in err
 
 
+def test_a_bare_memory_error_names_what_ran_out(monkeypatch, capsys):
+    """``MemoryError()`` has no text: the row and the CLI used to say only
+    ``MemoryError: ``."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("repro.exec.workload.compile_lowered", out_of_memory)
+    request = WorkloadRequest(kind="simulate", strategy="mcu-exponential", dim=3, k=3)
+    row = execute_request(request, None)
+    expected = "MemoryError: out of memory running simulate mcu-exponential at d=3, k=3"
+    assert row["ok"] is False and row["error"] == expected
+    assert "MemoryError" in row["traceback"]
+    assert main(["simulate", "mcu-exponential", "3", "3"]) == 1
+    assert _one_error_line(capsys) == f"error: {expected}\n"
+
+
+def test_lowered_keys_of_registered_names_are_memoized_and_others_are_not():
+    from repro.exec.keys import cache_key
+    from repro.exec.service import _registered_key
+
+    _registered_key.cache_clear()
+    for _ in range(3):
+        assert lowered_key("mct", 3, 5, salt="s") == cache_key("mct", 3, 5, salt="s")
+    unknown = "x" * 10_000
+    assert lowered_key(unknown, 3, 5) == cache_key(unknown, 3, 5)
+    info = _registered_key.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
 #: (``simulate`` arguments, the same request for ``batch``, its ``sim_path``).
 CLI_BATCH_PARITY_CASES = [
     (["mct", "3", "3", "--state", "0,0,0,1"],
